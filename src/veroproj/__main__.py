@@ -1,0 +1,7 @@
+"""Command line entry point: python -m veroproj."""
+import sys
+
+from .cli import main
+
+if __name__ == "__main__":
+    sys.exit(main())

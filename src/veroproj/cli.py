@@ -12,10 +12,9 @@ import argparse
 import json
 import sys
 
-from .errors import GuardExceeded, SpecParseError
+from .errors import DEFAULT_GUARD, GuardExceeded, SpecParseError
 from .families import FamilySpec, koszul_label, parse_family, run_scenario, scenario_names
 from .fibers import (
-    DEFAULT_GUARD,
     h_polynomial,
     hilbert_values,
     is_2_normal,
@@ -273,7 +272,6 @@ def _cmd_survey(args) -> int:
         budget=args.budget,
         guard=args.guard,
         search=not args.no_search,
-        workers=args.workers,
         jsonl_path=args.jsonl,
         csv_path=args.csv,
     )
@@ -372,7 +370,6 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--d-min", type=int, default=2, help="smallest group order (default 2)")
     p.add_argument("--d-max", type=int, default=None, help="largest group order")
     p.add_argument("--no-search", action="store_true", help="skip the quadratic-order search phase")
-    p.add_argument("--workers", type=int, default=4, help="worker pool size")
     p.add_argument("--jsonl", default=None, metavar="PATH", help="append-only row store (enables resuming)")
     p.add_argument("--csv", default=None, metavar="PATH", help="write a CSV digest of the row store")
     p.add_argument("--conjecture1", default=None, metavar="GROUP", help="triple-restriction check for one cyclic group")

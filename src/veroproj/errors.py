@@ -9,6 +9,9 @@ that failed.
 
 from __future__ import annotations
 
+# the largest enumeration any computation starts without an explicit guard
+DEFAULT_GUARD = 10**8
+
 
 class GuardExceeded(RuntimeError):
     """An enumeration would exceed the configured size guard.

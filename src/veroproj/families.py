@@ -15,9 +15,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .errors import SpecParseError
+from .errors import DEFAULT_GUARD, SpecParseError
 from .fibers import (
-    DEFAULT_GUARD,
     h_polynomial,
     hilbert_values,
     is_2_normal,
@@ -41,11 +40,17 @@ from .groups import (
     h_vector_group,
     invariants_of_degree,
     parse_group,
+    surface_certificate,
     surface_koszul,
-    surface_normal_form,
     surface_quadraticity,
 )
-from .monomials import Monomial, MonomialSet, enumerate_support_bounded, read_omega
+from .monomials import (
+    Monomial,
+    MonomialSet,
+    _positive_compositions,
+    enumerate_support_bounded,
+    read_omega,
+)
 
 __all__ = [
     "CITATIONS",
@@ -407,21 +412,6 @@ def parse_family(text: str) -> FamilySpec:
 # theorem-backed labels
 
 
-def _rc_shape(d: int, a1: int, a2: int) -> int | None:
-    """The k for which the weights are unit-equivalent to (0,1,k), d = t*k*(k-1)."""
-    k = 2
-    while k * (k - 1) <= d:
-        if d % (k * (k - 1)) == 0:
-            target = tuple(sorted((0, 1 % d, k % d)))
-            for u in range(1, d):
-                if math.gcd(u, d) != 1:
-                    continue
-                if tuple(sorted((0, u * a1 % d, u * a2 % d))) == target:
-                    return k
-        k += 1
-    return None
-
-
 def _group_label(group: DiagonalGroup, t: int, guard: int) -> TheoremVerdict:
     if group.n == 2:
         if t >= 2:
@@ -429,26 +419,9 @@ def _group_label(group: DiagonalGroup, t: int, guard: int) -> TheoremVerdict:
                 "GQuadratic", "proved-by-theorem", "cyclic-extension-gb",
                 detail=f"extension step t={t} meets the regularity-3 bound",
             )
-        if group.is_cyclic_presentation:
-            d, (_, a1, a2) = surface_normal_form(group)
-            if d >= 2 and a2 >= 1:
-                k = _rc_shape(d, a1, a2)
-                if k is not None:
-                    return TheoremVerdict(
-                        "GQuadratic", "proved-by-theorem", "rc-order-quadratic-gb",
-                        detail=f"weights equivalent to (0,1,{k}) with d={d}",
-                    )
-                if d % 2 == 0 and a1 + a2 == d and math.gcd(d, a1) == 1:
-                    return TheoremVerdict(
-                        "GQuadratic", "proved-by-theorem", "even-reflection-gb",
-                        detail=f"normal form (0,{a1},{a2}) with a1+a2=d={d}",
-                    )
-                delta = math.gcd(d, math.gcd(a1, a2))
-                if delta > 1:
-                    return TheoremVerdict(
-                        "GQuadratic", "proved-by-theorem", "veronese-power-gb",
-                        detail=f"gcd(d,a1,a2)={delta} reduces to order {d // delta}",
-                    )
+        cert = surface_certificate(group)
+        if cert is not None:
+            return TheoremVerdict("GQuadratic", "proved-by-theorem", cert.rule, detail=cert.detail)
         verdict = surface_koszul(group)
         citation = (
             "surface-koszul-noncyclic"
@@ -869,15 +842,6 @@ def _scenario_h_vector(opts: ScenarioOptions) -> list[dict]:
     return steps
 
 
-def _compositions(total: int, parts: int):
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(1, total - parts + 2):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
-
-
 def _scenario_lift(opts: ScenarioOptions) -> list[dict]:
     steps = []
     for spec in ("C(4;0,1,3)", "C(6;0,1,3)"):
@@ -891,7 +855,7 @@ def _scenario_lift(opts: ScenarioOptions) -> list[dict]:
         if not found.found:
             continue
         for total in range(3, 6):
-            for sizes in _compositions(total, 3):
+            for sizes in _positive_compositions(total, 3):
                 lifted = lift_omega(b1, sizes, guard=opts.guard)
                 block = invariants_of_degree(block_group(g, sizes), 1, guard=opts.guard)
                 same = [tuple(m) for m in lifted] == [tuple(m) for m in block]

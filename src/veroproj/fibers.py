@@ -23,10 +23,8 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import GuardExceeded
+from .errors import DEFAULT_GUARD, GuardExceeded
 from .monomials import Monomial, MonomialSet, enumerate_degree
-
-DEFAULT_GUARD = 10**8
 
 
 @dataclass(frozen=True)

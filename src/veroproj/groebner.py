@@ -28,9 +28,9 @@ from dataclasses import dataclass, field
 from heapq import heappop, heappush
 from typing import Callable, Iterator, Sequence
 
-from .errors import GuardExceeded, SpecParseError
-from .fibers import DEFAULT_GUARD, GeneratorTable, minimal_generator_table
-from .groups import DiagonalGroup, cyclic_group, invariants_of_degree, surface_normal_form
+from .errors import DEFAULT_GUARD, GuardExceeded, SpecParseError
+from .fibers import GeneratorTable, minimal_generator_table
+from .groups import SurfaceCertificate, cyclic_group, invariants_of_degree, surface_certificate
 from .monomials import MonomialSet
 
 ORDER_KINDS = ("lex", "deglex", "degrevlex", "revlex")
@@ -190,9 +190,6 @@ class TermOrder:
         # smallest exponent on the least variable (negated reversal)
         return (sum(vec),) + tuple(-e for e in reversed(by_rank))
 
-    def greater(self, u: Sequence[int], v: Sequence[int]) -> bool:
-        return self.key(u) > self.key(v)
-
     def spec_string(self) -> str:
         if self.origin is not None:
             return self.origin
@@ -241,9 +238,6 @@ class LiftedOrder:
         by_rank = tuple(vec[i] for i in self.variable_rank)
         tie = (sum(vec),) + tuple(-e for e in reversed(by_rank))
         return self.base.key(self._phi(vec)) + tie
-
-    def greater(self, u: Sequence[int], v: Sequence[int]) -> bool:
-        return self.key(u) > self.key(v)
 
     def spec_string(self) -> str:
         if self.origin is not None:
@@ -315,7 +309,8 @@ def rc_term_order(d: int, k: int) -> tuple[TermOrder, MonomialSet]:
             a = (k - 1) * c - (r - 1) * d
             b = r * d - k * c
             m = (a, b, c)
-            assert a >= 0 and b >= 0 and a + b + c == d
+            if a < 0 or b < 0 or a + b + c != d:
+                raise AssertionError(f"(r,c) row {(r, c)} gives {m}, not a degree-{d} monomial")
             rows.append((r, c))
             members.append(m)
             pair_of[m] = (r, c)
@@ -678,60 +673,26 @@ class SearchResult:
         return self.status == "found"
 
 
-def _rc_candidates(omega: MonomialSet) -> Iterator[TermOrder]:
-    """The (r,c)-Lex orders applicable to omega, if any.
+def _rc_order(omega: MonomialSet, cert: SurfaceCertificate) -> TermOrder:
+    """The (r,c)-Lex order an rc certificate puts on its group's B_1.
 
-    omega qualifies when it is the degree-d invariant set of a cyclic
-    surface action whose weights become (0,1,k), k >= 2 with k(k-1)
-    dividing d, after a unit rescaling mod d; rescaling does not change
-    the invariant set, only the (r,c) labels.
+    With the certificate's coordinates (a, b, c) of the (0,1,k) pattern,
+    each member satisfies b + k*c == r*d for one r; variables rank by
+    the pair (r, c), the largest pair greatest, and compare by lex.
     """
-    group = omega.origin_group
-    if group is None or omega.origin_t != 1:
-        return
-    if group.n != 2 or not group.is_cyclic_presentation:
-        return
-    d = group.factors[0].order
-    if d < 2:
-        return
-    weights = group.factors[0].weights
-    seen: set[tuple[int, ...]] = set()
-    for unit in range(1, d):
-        if math.gcd(unit, d) != 1:
-            continue
-        scaled = [(unit * w) % d for w in weights]
-        shift = scaled[0]
-        scaled = [(w - shift) % d for w in scaled]
-        perm = sorted(range(3), key=lambda i: scaled[i])
-        nf = tuple(scaled[i] for i in perm)
-        if nf[0] != 0 or nf[1] != 1:
-            continue
-        k = nf[2]
-        if k < 2 or d % (k * (k - 1)) != 0:
-            continue
-        pairs = []
-        ok = True
-        for m in omega:
-            b, c = m[perm[1]], m[perm[2]]
-            total = b + k * c
-            if total % d != 0:
-                ok = False
-                break
-            pairs.append((total // d, c))
-        if not ok:
-            continue
-        ranks = tuple(sorted(range(len(omega)), key=lambda i: pairs[i], reverse=True))
-        if ranks in seen:
-            continue
-        seen.add(ranks)
-        t = d // (k * (k - 1))
-        yield TermOrder("lex", ranks, origin=f"rc({d},{k},{t})")
+    _, b, c = cert.roles
+    k, t = cert.k, cert.t
+    d = t * k * (k - 1)
+    pairs = [((m[b] + k * m[c]) // d, m[c]) for m in omega]
+    ranks = tuple(sorted(range(len(omega)), key=pairs.__getitem__, reverse=True))
+    return TermOrder("lex", ranks, origin=f"rc({d},{k},{t})")
 
 
 def _candidate_orders(omega: MonomialSet, seed: int) -> Iterator:
     """Deterministic stream of candidate term orders for the search.
 
-    Stages: (r,c)-Lex orders first when applicable; then the canonical
+    Stages: the (r,c)-Lex order first when the rc rule of
+    `surface_certificate` holds for omega's group; then the canonical
     rankings under each kind; then rankings obtained by sorting the
     members under every variable permutation of the ambient x-ring
     (graded revlex and lex); then either all permutations (mu <= 8) or
@@ -747,11 +708,11 @@ def _candidate_orders(omega: MonomialSet, seed: int) -> Iterator:
         seen.add(sig)
         return TermOrder(kind, ranks)
 
-    for order in _rc_candidates(omega):
-        sig = (order.kind, order.variable_rank)
-        if sig not in seen:
-            seen.add(sig)
-            yield order
+    cert = surface_certificate(omega.origin_group) if omega.origin_t == 1 else None
+    if cert is not None and cert.rule == "rc-order-quadratic-gb":
+        order = _rc_order(omega, cert)
+        seen.add((order.kind, order.variable_rank))
+        yield order
 
     identity = tuple(range(mu))
     for kind in ("degrevlex", "revlex", "lex", "deglex"):
@@ -941,84 +902,6 @@ def lift_order(order, omega: MonomialSet, lifted: MonomialSet, sizes: Sequence[i
 
 
 # ---------------------------------------------------------------------------
-# quadratic certificates from subalgebra structure
-
-
-@dataclass(frozen=True)
-class VeroneseCertificate:
-    """Structural proof that a cyclic surface invariant ring is G-quadratic.
-
-    case "veronese-subalgebra": the weights share a factor delta > 1
-    with the order, so the ring is the delta-th Veronese of a smaller
-    invariant ring of regularity at most 3, and Veronese powers at or
-    above ceil(reg/2) have quadratic Groebner bases.
-    case "even-reflection": weights (0, a, d-a) with d even and
-    gcd(d, a) = 1 reduce along a unit rescaling to the pattern (0,1,2),
-    whose (r,c)-Lex order is quadratic.
-    """
-
-    case: str
-    d: int
-    normal_form: tuple[int, int, int]
-    delta: int
-    reduced_group_spec: str | None
-    regularity_bound: int | None
-    verdict: str
-    detail: str
-
-
-def veronese_subalgebra_certificate(group: DiagonalGroup) -> VeroneseCertificate:
-    """Certify G-quadraticity of a cyclic surface group structurally.
-
-    Routes by gcd: a common divisor delta > 1 of the weights and the
-    order yields the Veronese-subalgebra case; otherwise weights
-    summing to d with d even and coprime smaller weight yield the
-    reflection case.  Anything else is a domain error (no structural
-    certificate applies; use the search instead).
-    """
-    if group.n != 2 or not group.is_cyclic_presentation:
-        raise ValueError("certificate needs a cyclic group acting on 3 variables")
-    d, nf = surface_normal_form(group)
-    a0, a1, a2 = nf
-    delta = math.gcd(d, math.gcd(a1, a2))
-    if delta > 1:
-        reduced = cyclic_group(d // delta, (0, a1 // delta, a2 // delta))
-        return VeroneseCertificate(
-            case="veronese-subalgebra",
-            d=d,
-            normal_form=nf,
-            delta=delta,
-            reduced_group_spec=reduced.spec_string(),
-            regularity_bound=3,
-            verdict="g-quadratic",
-            detail=(
-                f"invariant ring is the Veronese power of order {delta} of the invariant "
-                f"ring of {reduced.spec_string()}, which has regularity <= 3; Veronese "
-                f"powers >= ceil(3/2) = 2 of such rings have quadratic Groebner bases, "
-                f"and {delta} >= 2"
-            ),
-        )
-    if d % 2 == 0 and a1 + a2 == d and math.gcd(d, a1) == 1:
-        return VeroneseCertificate(
-            case="even-reflection",
-            d=d,
-            normal_form=nf,
-            delta=1,
-            reduced_group_spec=None,
-            regularity_bound=None,
-            verdict="g-quadratic",
-            detail=(
-                f"weights (0, {a1}, {d - a1}) with d = {d} even and gcd(d, {a1}) = 1 "
-                "rescale to the pattern (0, 1, 2), settled by its (r,c)-Lex order"
-            ),
-        )
-    raise ValueError(
-        f"no structural certificate for weights {nf} mod {d}: common divisor is 1 "
-        f"and the reflection hypothesis (d even, a1 + a2 = d, gcd(d, a1) = 1) fails"
-    )
-
-
-# ---------------------------------------------------------------------------
 # order spec strings
 
 
@@ -1028,7 +911,9 @@ def parse_order(text: str, omega: MonomialSet):
     Grammar:  `rc(d,k,t)`  |  `lift(<base>; sizes=l0,l1,...)`  |
     `<kind> : w3 > w1 > ...`  |  bare `<kind>` (canonical ranking).
     The parsed order is validated against the term-order axioms and,
-    for rc and lift, against omega itself.
+    for rc and lift, against omega itself.  `rc(d,k,t)` ranks omega by
+    the rc certificate of omega's own group, so it applies to any
+    presentation whose weights the rc rule maps onto (0,1,k).
     """
     text = text.strip()
     if text.startswith("rc(") and text.endswith(")"):
@@ -1040,14 +925,24 @@ def parse_order(text: str, omega: MonomialSet):
             d, k, t = (int(p) for p in parts)
         except ValueError:
             raise SpecParseError("order", text, body, "rc parameters must be integers") from None
-        order, rc_omega = rc_term_order(d, k)
-        if d != t * k * (k - 1):
-            raise SpecParseError("order", text, body, f"t must be {d // (k * (k - 1))}")
-        if [tuple(m) for m in rc_omega] != [tuple(m) for m in omega]:
+        step = k * (k - 1)
+        if k < 2 or d < 1 or d % step != 0:
+            raise SpecParseError("order", text, body, "need k >= 2 and d a positive multiple of k(k-1)")
+        if d != t * step:
+            raise SpecParseError("order", text, body, f"t must be {d // step}")
+        group = omega.origin_group
+        if group is None:  # an untagged omega is read as the invariants of (0,1,k)
+            group = cyclic_group(d, (0, 1, k))
+        cert = surface_certificate(group)
+        if (
+            cert is None
+            or (cert.rule, cert.k, cert.t) != ("rc-order-quadratic-gb", k, t)
+            or invariants_of_degree(group, 1) != omega
+        ):
             raise SpecParseError(
                 "order", text, body, "rc order belongs to a different monomial set"
             )
-        return order
+        return _rc_order(omega, cert)
     if text.startswith("lift(") and text.endswith(")"):
         body = text[5:-1]
         if ";" not in body:

@@ -24,10 +24,8 @@ import math
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-from .errors import GuardExceeded, SpecParseError
+from .errors import DEFAULT_GUARD, GuardExceeded, SpecParseError
 from .monomials import Monomial, MonomialSet
-
-DEFAULT_GUARD = 10**8
 
 
 @dataclass(frozen=True)
@@ -357,7 +355,8 @@ def lambda_decomposition(d: int, a1: int, a2: int) -> tuple[int, int, int, int, 
         if lam == 0:
             lam = dp
     mu = (a2 - lam * a1p) // dp
-    assert a2 == lam * a1p + mu * dp
+    if a2 != lam * a1p + mu * dp:
+        raise AssertionError(f"lam={lam} does not solve lam*{a1p} == {a2} (mod {dp})")
     product = g1 * math.gcd(lam, dp) * math.gcd(lam - g1, dp)
     return a1p, dp, lam, mu, product
 
@@ -372,7 +371,8 @@ def surface_quadraticity(group: DiagonalGroup) -> SurfaceCriterion:
     """
     d, nf = surface_normal_form(group)
     a0, a1, a2 = nf
-    assert a0 == 0
+    if a0 != 0:
+        raise AssertionError(f"normal form {nf} does not start at weight 0")
     if d == 1 or a2 == 0:
         return SurfaceCriterion(d, nf, None, None, None, None, None, True, "trivial-action")
     if a1 == 0:
@@ -380,6 +380,80 @@ def surface_quadraticity(group: DiagonalGroup) -> SurfaceCriterion:
         return SurfaceCriterion(d, nf, 0, 1, 1, a2, d, True, "two-variable-action")
     a1p, dp, lam, mu, product = lambda_decomposition(d, a1, a2)
     return SurfaceCriterion(d, nf, a1p, dp, lam, mu, product, product > 1)
+
+
+@dataclass(frozen=True)
+class SurfaceCertificate:
+    """A weight rule that makes a cyclic surface group G-quadratic.
+
+    `rule` is the rule's citation key and `detail` says how the weights
+    meet it.  The rc rule ("rc-order-quadratic-gb") carries k and t with
+    d = t*k*(k-1) and `roles`, the coordinates of the group playing the
+    (a, b, c) exponents of the (0,1,k) pattern; the Veronese-power rule
+    ("veronese-power-gb") carries delta = gcd(d, a1, a2) and the reduced
+    group of order d/delta whose invariant ring it is a Veronese power of.
+    """
+
+    rule: str
+    detail: str
+    k: int | None = None
+    t: int | None = None
+    roles: tuple[int, int, int] | None = None
+    delta: int | None = None
+    reduced: DiagonalGroup | None = None
+
+
+def surface_certificate(group: DiagonalGroup) -> SurfaceCertificate | None:
+    """The first G-quadratic weight rule a cyclic surface group meets.
+
+    Rules in priority order, on the weights shifted by the first weight:
+    rc, when a unit u and a k >= 2 with k(k-1) | d (k ascending, then u
+    ascending) give sorted(u*w mod d) == sorted((0, 1, k mod d)); even
+    reflection, when the normal form is (0, a, d-a) with d even and
+    gcd(d, a) = 1; Veronese power, when gcd(d, a1, a2) > 1.  Returns
+    None for a group that is not a cyclic presentation on 3 variables,
+    acts trivially, or meets no rule.
+    """
+    if group.n != 2 or not group.is_cyclic_presentation:
+        return None
+    d, (_, a1, a2) = surface_normal_form(group)
+    if d < 2 or a2 == 0:
+        return None
+    f = group.factors[0]
+    shifted = [(w - f.weights[0]) % d for w in f.weights]
+    k = 2
+    while k * (k - 1) <= d:
+        if d % (k * (k - 1)) == 0:
+            target = sorted((0, 1, k % d))
+            for u in range(1, d):
+                if math.gcd(u, d) != 1:
+                    continue
+                scaled = [u * w % d for w in shifted]
+                if sorted(scaled) != target:
+                    continue
+                # b carries weight 1; of the other two, a has weight 0 and
+                # c weight k (both weigh 0 when k == d == 2: a comes first)
+                b = scaled.index(1)
+                a, c = sorted((i for i in range(3) if i != b), key=scaled.__getitem__)
+                return SurfaceCertificate(
+                    "rc-order-quadratic-gb",
+                    f"weights equivalent to (0,1,{k}) with d={d}",
+                    k=k, t=d // (k * (k - 1)), roles=(a, b, c),
+                )
+        k += 1
+    if d % 2 == 0 and a1 + a2 == d and math.gcd(d, a1) == 1:
+        return SurfaceCertificate(
+            "even-reflection-gb", f"normal form (0,{a1},{a2}) with a1+a2=d={d}"
+        )
+    delta = math.gcd(d, math.gcd(a1, a2))
+    if delta > 1:
+        return SurfaceCertificate(
+            "veronese-power-gb",
+            f"gcd(d,a1,a2)={delta} reduces to order {d // delta}",
+            delta=delta,
+            reduced=cyclic_group(d // delta, (0, a1 // delta, a2 // delta)),
+        )
+    return None
 
 
 @dataclass(frozen=True)

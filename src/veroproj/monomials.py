@@ -76,18 +76,6 @@ def support(m: Sequence[int]) -> tuple[int, ...]:
     return tuple(i for i, e in enumerate(m) if e > 0)
 
 
-def multiply(a: Sequence[int], b: Sequence[int]) -> Monomial:
-    return Monomial(a) * b
-
-
-def divides(a: Sequence[int], b: Sequence[int]) -> bool:
-    return Monomial(a).divides(Monomial(b))
-
-
-def quotient(b: Sequence[int], a: Sequence[int]) -> Monomial:
-    return Monomial(b).quotient(Monomial(a))
-
-
 def enumerate_degree(n: int, d: int) -> list[Monomial]:
     """All monomials of degree d in n+1 variables, descending lex.
 

@@ -15,13 +15,12 @@ import csv
 import json
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor, as_completed
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .errors import GuardExceeded
+from .errors import DEFAULT_GUARD, GuardExceeded
 from .families import FamilySpec, koszul_label
-from .fibers import DEFAULT_GUARD, minimal_generator_table
+from .fibers import minimal_generator_table
 from .groebner import search_quadratic_order
 from .groups import (
     DiagonalGroup,
@@ -233,7 +232,6 @@ class SurveyOptions:
     budget: int = 200
     guard: int = DEFAULT_GUARD
     search: bool = True
-    workers: int = 4
     jsonl_path: str | Path | None = None
     csv_path: str | Path | None = None
 
@@ -449,12 +447,11 @@ def survey_groups(
 ) -> list[SurveyRow]:
     """Survey every canonical cyclic group of the given orders.
 
-    Work items are independent rows run on a bounded thread pool; the
-    returned list is sorted canonically regardless of scheduling.  With
-    a jsonl_path, rows already present in the file are reused (resuming
-    is keyed by group spec) and new rows are appended as they finish; a
-    csv_path gets a digest of every row in the store, rewritten at the
-    end of each run.
+    Rows are computed one after another in spec order; the returned
+    list is sorted canonically.  With a jsonl_path, rows already present
+    in the file are reused (resuming is keyed by group spec) and new
+    rows are appended as they finish; a csv_path gets a digest of every
+    row in the store, rewritten at the end of each run.
     """
     specs: dict[str, DiagonalGroup] = {}
     for d in d_values:
@@ -468,18 +465,15 @@ def survey_groups(
         spec: row for spec, row in existing.items() if spec in specs
     }
 
-    todo = [g for spec, g in specs.items() if spec not in rows]
-    if todo:
-        workers = max(1, min(options.workers, len(todo)))
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = {pool.submit(build_survey_row, g, options): g for g in todo}
-            for future in as_completed(futures):
-                row = future.result()
-                rows[row.spec] = row
-                if jsonl_path is not None:
-                    with jsonl_path.open("a", encoding="utf-8") as fh:
-                        fh.write(json.dumps(row.to_json_dict(), sort_keys=True) + "\n")
-                    existing[row.spec] = row
+    for spec, g in specs.items():
+        if spec in rows:
+            continue
+        row = build_survey_row(g, options)
+        rows[row.spec] = row
+        if jsonl_path is not None:
+            with jsonl_path.open("a", encoding="utf-8") as fh:
+                fh.write(json.dumps(row.to_json_dict(), sort_keys=True) + "\n")
+            existing[row.spec] = row
 
     if options.csv_path is not None:
         digest_rows = sorted(

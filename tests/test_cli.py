@@ -3,7 +3,12 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import veroproj
 from veroproj.cli import main
 from veroproj.families import parse_family
 from veroproj.monomials import read_omega
@@ -183,3 +188,15 @@ def test_guard_exit_code(capsys):
 def test_parse_error_exit_code(capsys):
     code, _, err = run(capsys, "omega", "bogus(1)")
     assert code == 2 and "error:" in err
+
+
+def test_module_entry_point():
+    # a source checkout runs the CLI as `python -m veroproj`
+    src = Path(veroproj.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.run(
+        [sys.executable, "-m", "veroproj", "--help"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "usage: veroproj" in proc.stdout

@@ -23,9 +23,11 @@ from veroproj.groebner import (
     toric_generators,
     validate_order,
     verify_groebner,
-    veronese_subalgebra_certificate,
 )
+from veroproj.families import FamilySpec, koszul_label
+from veroproj.groebner import _candidate_orders
 from veroproj.groups import block_group, cyclic_group, invariants_of_degree
+from veroproj.survey import canonical_surface_weights
 from veroproj.monomials import MonomialSet
 
 # Frozen (r, c) table for d = 6, k = 3, worked out by hand from the
@@ -95,19 +97,19 @@ def test_term_order_keys_match_reference():
             order = TermOrder(kind, rank)
             u = tuple(rng.randrange(0, 4) for _ in range(mu))
             v = tuple(rng.randrange(0, 4) for _ in range(mu))
-            assert order.greater(u, v) == _reference_greater(kind, rank, u, v)
+            assert (order.key(u) > order.key(v)) == _reference_greater(kind, rank, u, v)
 
 
 def test_degrevlex_textbook_comparisons():
     # three variables ranked x > y > z
     order = TermOrder("degrevlex", (0, 1, 2))
     y2, xz = (0, 2, 0), (1, 0, 1)
-    assert order.greater(y2, xz)
+    assert order.key(y2) > order.key(xz)
     lex = TermOrder("lex", (0, 1, 2))
-    assert lex.greater(xz, y2)
+    assert lex.key(xz) > lex.key(y2)
     # revlex is the graded alias: same comparisons as degrevlex
     alias = TermOrder("revlex", (0, 1, 2))
-    assert alias.greater(y2, xz) and not alias.greater(xz, y2)
+    assert alias.key(y2) > alias.key(xz)
 
 
 def test_validate_order_accepts_real_orders_and_rejects_fakes():
@@ -201,7 +203,7 @@ def test_buchberger_full_veronese_quadric():
     assert verify_groebner(gb, gens)
     # elements are oriented and reduced
     for g in gb.elements:
-        assert gb.order.greater(g.plus, g.minus)
+        assert gb.order.key(g.plus) > gb.order.key(g.minus)
         assert g.is_gcd_reduced
 
 
@@ -374,7 +376,7 @@ def test_lift_order_trivial_sizes_matches_base():
     for _ in range(80):
         u = tuple(rng.randrange(0, 3) for _ in range(mu))
         v = tuple(rng.randrange(0, 3) for _ in range(mu))
-        assert lord.greater(u, v) == order.greater(u, v)
+        assert (lord.key(u) > lord.key(v)) == (order.key(u) > order.key(v))
 
 
 def test_lift_order_tiebreak_prefers_first_split_exponent():
@@ -409,6 +411,9 @@ def test_parse_order_round_trips():
     rc, rc_omega = rc_term_order(6, 3)
     parsed = parse_order("rc(6,3,1)", rc_omega)
     assert parsed.variable_rank == rc.variable_rank
+    # an untagged set is read as the invariants of (0,1,k)
+    untagged = parse_order("rc(6,3,1)", MonomialSet(list(rc_omega)))
+    assert untagged.variable_rank == rc.variable_rank
 
     lifted = lift_omega(rc_omega, (1, 1, 2))
     lord = lift_order(rc, rc_omega, lifted, (1, 1, 2))
@@ -417,7 +422,7 @@ def test_parse_order_round_trips():
     for _ in range(40):
         u = tuple(rng.randrange(0, 3) for _ in range(len(lifted)))
         v = tuple(rng.randrange(0, 3) for _ in range(len(lifted)))
-        assert reparsed.greater(u, v) == lord.greater(u, v)
+        assert (reparsed.key(u) > reparsed.key(v)) == (lord.key(u) > lord.key(v))
 
 
 def test_parse_order_errors():
@@ -429,6 +434,10 @@ def test_parse_order_errors():
     with pytest.raises(SpecParseError):
         parse_order("rc(6,3,2)", omega)
     with pytest.raises(SpecParseError):
+        parse_order("rc(6,4,1)", omega)  # k(k-1) does not divide d
+    with pytest.raises(SpecParseError):
+        parse_order("rc(6,1,1)", omega)
+    with pytest.raises(SpecParseError):
         parse_order("rc(6,3,1)", omega)  # wrong monomial set
     with pytest.raises(SpecParseError):
         parse_order("lift(lex; sizes=2,2)", omega)  # block count does not fit 3 variables
@@ -436,17 +445,26 @@ def test_parse_order_errors():
         parse_order("nonsense", omega)
 
 
-def test_veronese_certificate_cases():
-    cert = veronese_subalgebra_certificate(cyclic_group(8, (0, 2, 6)))
-    assert cert.case == "veronese-subalgebra"
-    assert cert.delta == 2
-    assert cert.reduced_group_spec == "C(4;0,1,3)"
-    assert cert.regularity_bound == 3
-    assert cert.verdict == "g-quadratic"
+def test_rc_label_search_and_parse_agree():
+    """One certificate behind the label, the first search candidate and rc(...).
 
-    cert2 = veronese_subalgebra_certificate(cyclic_group(4, (0, 1, 3)))
-    assert cert2.case == "even-reflection"
-    assert cert2.verdict == "g-quadratic"
-
-    with pytest.raises(ValueError):
-        veronese_subalgebra_certificate(cyclic_group(5, (0, 1, 2)))
+    For every canonical surface group up to order 30, the label cites the
+    rc rule exactly when the search starts with an rc order, and that
+    order's spec string parses back against the group's B_1 to the same
+    ranking, whichever coordinates of the group carry the (0,1,k) roles.
+    """
+    rc_groups = []
+    for d in range(2, 31):
+        for a1, a2 in canonical_surface_weights(d):
+            group = cyclic_group(d, (0, a1, a2))
+            b1 = invariants_of_degree(group, 1)
+            first = next(_candidate_orders(b1, seed=0))
+            is_rc = first.spec_string().startswith("rc(")
+            label = koszul_label(FamilySpec("group", group=group))
+            assert (label.citation == "rc-order-quadratic-gb") == is_rc, group
+            if is_rc:
+                parsed = parse_order(first.spec_string(), b1)
+                assert parsed.variable_rank == first.variable_rank, group
+                rc_groups.append(group.spec_string())
+    assert len(rc_groups) == 67
+    assert "C(2;0,0,1)" in rc_groups and "C(8;0,2,5)" in rc_groups

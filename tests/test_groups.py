@@ -16,13 +16,14 @@ from veroproj.groups import (
     invariants_of_degree,
     lambda_decomposition,
     parse_group,
+    surface_certificate,
     surface_koszul,
     surface_normal_form,
     surface_quadraticity,
     triple_projections,
 )
 from veroproj.errors import SpecParseError
-from veroproj.monomials import enumerate_degree, multiply
+from veroproj.monomials import enumerate_degree
 
 # invariant monomials of the order-4 cyclic action with weights (0,1,2,3),
 # in degrees 4 and 8, from the worked example these tests freeze
@@ -125,7 +126,7 @@ def test_products_of_invariants_stay_invariant():
     g = parse_group("C(4;0,1,2,3)")
     b1 = invariants_of_degree(g, 1)
     for a, b in itertools.combinations_with_replacement(b1, 2):
-        assert g.is_invariant(multiply(a, b))
+        assert g.is_invariant(a * b)
 
 
 def test_pure_powers_always_invariant():
@@ -182,6 +183,30 @@ def test_surface_quadraticity_examples():
     assert surface_quadraticity(cyclic_group(6, (0, 1, 3))).quadratic
     assert not surface_quadraticity(cyclic_group(5, (0, 1, 2))).quadratic
     assert surface_quadraticity(cyclic_group(6, (0, 2, 3))).quadratic
+
+
+def test_surface_certificate_cases():
+    power = surface_certificate(cyclic_group(8, (0, 2, 6)))
+    assert power.rule == "veronese-power-gb"
+    assert power.delta == 2
+    assert power.reduced == cyclic_group(4, (0, 1, 3))
+
+    assert surface_certificate(cyclic_group(4, (0, 1, 3))).rule == "even-reflection-gb"
+    assert surface_certificate(cyclic_group(5, (0, 1, 2))) is None
+    assert surface_certificate(cyclic_group(5, (0, 0, 0))) is None
+    assert surface_certificate(parse_group("C(2;0,1,1)+C(4;0,2,3)")) is None
+
+    # rc roles name the coordinates carrying (a, b, c) of (0,1,k): 5*(0,2,5)
+    # is (0,2,1) mod 8, and a shift by the first weight comes first
+    for weights, d, k, t, roles in [
+        ((0, 1, 3), 6, 3, 1, (0, 1, 2)),
+        ((1, 2, 4), 6, 3, 1, (0, 1, 2)),
+        ((0, 2, 5), 8, 2, 4, (0, 2, 1)),
+        ((0, 0, 1), 2, 2, 1, (0, 2, 1)),
+    ]:
+        cert = surface_certificate(cyclic_group(d, weights))
+        assert cert.rule == "rc-order-quadratic-gb", weights
+        assert (cert.k, cert.t, cert.roles) == (k, t, roles), weights
 
 
 def test_surface_koszul_routes():

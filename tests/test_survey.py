@@ -167,14 +167,16 @@ def test_build_survey_row_search_opt_out():
 def test_survey_groups_resume(tmp_path):
     jsonl = tmp_path / "rows.jsonl"
     digest = tmp_path / "rows.csv"
-    options = SurveyOptions(jsonl_path=jsonl, csv_path=digest, workers=2)
+    options = SurveyOptions(jsonl_path=jsonl, csv_path=digest)
 
     first = survey_groups(2, range(2, 4), options)
     # canonical surfaces: one of order 2, three of order 3
     assert [row.spec for row in first] == [
         "C(2;0,0,1)", "C(3;0,0,1)", "C(3;0,0,2)", "C(3;0,1,2)",
     ]
-    assert len(jsonl.read_text().splitlines()) == 4
+    # rows are appended one after another, in spec order
+    stored = [json.loads(line)["spec"] for line in jsonl.read_text().splitlines()]
+    assert stored == [row.spec for row in first]
 
     # extending the range only appends the new orders
     second = survey_groups(2, range(2, 5), options)
@@ -196,7 +198,7 @@ def test_survey_groups_resume(tmp_path):
 
 
 def test_survey_rows_without_store(tmp_path):
-    rows = survey_groups(2, [4], SurveyOptions(search=False, workers=1))
+    rows = survey_groups(2, [4], SurveyOptions(search=False))
     assert [row.spec for row in rows] == ["C(4;0,0,1)", "C(4;0,0,3)", "C(4;0,1,2)"]
     for row in rows:
         assert row.gq_search["status"] in ("not-attempted", "impossible-non-quadratic")
