@@ -14,9 +14,9 @@ that make the reduced basis quadratic.
 
 Exponent-vector conventions: an S-monomial is a tuple of mu
 non-negative ints; multiplication is componentwise addition, and
-divisibility is componentwise <=.  Orders compare through `key`, which
-returns a tuple so that Python's lexicographic tuple comparison does
-the rest.
+divisibility is componentwise <=.  Every order here is a matrix
+order; it compiles once to one integer weight per variable, and `key`
+is the weighted sum of the exponents, so orders compare plain ints.
 """
 
 from __future__ import annotations
@@ -25,8 +25,10 @@ import itertools
 import math
 import random
 from dataclasses import dataclass, field
+from functools import cached_property
 from heapq import heappop, heappush
-from typing import Callable, Iterator, Sequence
+from operator import add, mul, sub
+from typing import Iterator, Sequence
 
 from .errors import DEFAULT_GUARD, GuardExceeded, SpecParseError
 from .fibers import GeneratorTable, minimal_generator_table
@@ -34,6 +36,12 @@ from .groups import SurfaceCertificate, cyclic_group, invariants_of_degree, surf
 from .monomials import MonomialSet
 
 ORDER_KINDS = ("lex", "deglex", "degrevlex", "revlex")
+
+# Order weights pack the order's matrix rows in radix 2**KEY_RADIX_BITS.
+# Every row takes values of absolute value at most the degree of the
+# monomial, so keys compare exactly for degrees below KEY_DEGREE_BOUND.
+KEY_RADIX_BITS = 32
+KEY_DEGREE_BOUND = 1 << (KEY_RADIX_BITS - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -180,15 +188,30 @@ class TermOrder:
         """Rank of a variable (0 = greatest)."""
         return self.variable_rank.index(var)
 
-    def key(self, vec: Sequence[int]) -> tuple:
-        by_rank = tuple(vec[i] for i in self.variable_rank)
-        if self.kind == "lex":
-            return by_rank
-        if self.kind == "deglex":
-            return (sum(vec),) + by_rank
-        # degrevlex / revlex: higher degree wins, ties broken by the
-        # smallest exponent on the least variable (negated reversal)
-        return (sum(vec),) + tuple(-e for e in reversed(by_rank))
+    @cached_property
+    def weights(self) -> tuple[int, ...]:
+        """One packed column of the order matrix per variable.
+
+        lex has the rank rows; deglex the degree row, then the rank
+        rows; degrevlex / revlex the degree row, then the negated
+        reversed rank rows (higher degree wins, ties broken by the
+        smallest exponent on the least variable).
+        """
+        mu = self.mu
+        degree_row = 1 << (KEY_RADIX_BITS * mu)
+        weights = [0] * mu
+        for r, var in enumerate(self.variable_rank):
+            rank_row = 1 << (KEY_RADIX_BITS * (mu - 1 - r))
+            if self.kind == "lex":
+                weights[var] = rank_row
+            elif self.kind == "deglex":
+                weights[var] = degree_row + rank_row
+            else:
+                weights[var] = degree_row - (1 << (KEY_RADIX_BITS * r))
+        return tuple(weights)
+
+    def key(self, vec: Sequence[int]) -> int:
+        return _packed_key(self.weights, vec)
 
     def spec_string(self) -> str:
         if self.origin is not None:
@@ -226,24 +249,43 @@ class LiftedOrder:
     def position_of(self, var: int) -> int:
         return self.variable_rank.index(var)
 
-    def _phi(self, vec: Sequence[int]) -> tuple[int, ...]:
-        base_mu = max(self.image) + 1 if self.image else 0
-        out = [0] * base_mu
-        for e, target in zip(vec, self.image):
-            if e:
-                out[target] += e
-        return tuple(out)
+    @cached_property
+    def weights(self) -> tuple[int, ...]:
+        """One packed column of the order matrix per variable.
 
-    def key(self, vec: Sequence[int]) -> tuple:
-        by_rank = tuple(vec[i] for i in self.variable_rank)
-        tie = (sum(vec),) + tuple(-e for e in reversed(by_rank))
-        return self.base.key(self._phi(vec)) + tie
+        The rows are the base order's rows read on the merge image, then
+        the degree row, then the negated reversed rank rows, so the
+        column of a variable is the base column of its image followed by
+        the graded revlex column.
+        """
+        mu = self.mu
+        degree_row = 1 << (KEY_RADIX_BITS * mu)
+        base = self.base.weights
+        weights = [0] * mu
+        for r, var in enumerate(self.variable_rank):
+            tie = degree_row - (1 << (KEY_RADIX_BITS * r))
+            weights[var] = (base[self.image[var]] << (KEY_RADIX_BITS * (mu + 1))) + tie
+        return tuple(weights)
+
+    def key(self, vec: Sequence[int]) -> int:
+        return _packed_key(self.weights, vec)
 
     def spec_string(self) -> str:
         if self.origin is not None:
             return self.origin
         sizes = ",".join(str(s) for s in self.sizes)
         return f"lift({self.base.spec_string()}; sizes={sizes})"
+
+
+def _packed_key(weights: tuple[int, ...], vec: Sequence[int]) -> int:
+    """The weighted sum of a monomial's exponents: its packed order rows."""
+    degree = sum(vec)
+    if degree >= KEY_DEGREE_BOUND:
+        raise ValueError(
+            f"monomial of degree {degree} is at or past the order key's exact "
+            f"degree bound {KEY_DEGREE_BOUND}"
+        )
+    return sum(map(mul, vec, weights))
 
 
 def validate_order(order, rng: random.Random | None = None, trials: int = 120) -> None:
@@ -344,7 +386,8 @@ def toric_generators(
     One binomial per excess fiber component, straight from the minimal
     generator table.  Without a certified completeness bound (2-normal
     or group-tagged omega, or an explicit k_max) the seed would be
-    silently partial, so that case is an error instead.
+    silently partial, so that case is an error instead.  A `table` that
+    carries representatives is read as is; otherwise one is built here.
     """
     if table is None or table.representatives is None:
         try:
@@ -357,7 +400,10 @@ def toric_generators(
     for degree in sorted(table.representatives):
         for lhs, rhs in table.representatives[degree]:
             b = Binomial.from_indices(omega, lhs, rhs)
-            assert b.degree == degree, "fiber representatives must not share a factor"
+            if b.degree != degree:
+                raise AssertionError(
+                    f"degree-{degree} fiber representatives {lhs} and {rhs} share a factor"
+                )
             gens.append(b)
     return gens
 
@@ -387,7 +433,7 @@ class GroebnerBasis:
     Elements are stored with `plus` the leading side under `order`.
     Reduced means: no leading monomial divides any monomial of another
     element, and every element is gcd-free (automatic for prime toric
-    ideals, asserted anyway).
+    ideals, checked anyway).
     """
 
     elements: tuple[Binomial, ...]
@@ -398,12 +444,16 @@ class GroebnerBasis:
     def is_quadratic(self) -> bool:
         return self.max_degree <= 2
 
+    @cached_property
+    def _reducer(self) -> _Reducer:
+        return _Reducer(
+            [g.plus for g in self.elements], [g.minus for g in self.elements], self.order.key
+        )
+
     def normal_form(
         self, plus: Sequence[int], minus: Sequence[int]
     ) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
-        leads = [g.plus for g in self.elements]
-        trails = [g.minus for g in self.elements]
-        return _normal_form(tuple(plus), tuple(minus), leads, trails, self.order.key)
+        return self._reducer.normal_form(tuple(plus), tuple(minus))
 
     def reduces_to_zero(self, b: Binomial) -> bool:
         return self.normal_form(b.plus, b.minus) is None
@@ -416,6 +466,75 @@ class GroebnerBasis:
         }
 
 
+class _Reducer:
+    """Oriented binomials indexed for reduction.
+
+    Keeps each element's lead and trail, its move trail - lead and key
+    step key(trail) - key(lead), which reducing a side by it adds to the
+    side and to the side's key, and the lookup `_find_reducer` reads: a
+    support-pair dict for degree-2 leads and a linear-scan list for the
+    rest, both in insertion order.
+    """
+
+    def __init__(self, leads: Sequence[tuple[int, ...]], trails: Sequence[tuple[int, ...]], key):
+        self.key = key
+        self.leads: list[tuple[int, ...]] = []
+        self.trails: list[tuple[int, ...]] = []
+        self.moves: list[tuple[int, ...]] = []
+        self.deltas: list[int] = []
+        self.quad_leads: dict[tuple[int, int], int] = {}
+        self.other: list[int] = []
+        for lead, trail in zip(leads, trails):
+            self.add(lead, trail)
+
+    def add(self, lead: tuple[int, ...], trail: tuple[int, ...]) -> None:
+        idx = len(self.leads)
+        self.leads.append(lead)
+        self.trails.append(trail)
+        self.moves.append(tuple(map(sub, trail, lead)))
+        self.deltas.append(self.key(trail) - self.key(lead))
+        if sum(lead) == 2:
+            support = [i for i, e in enumerate(lead) if e]
+            self.quad_leads.setdefault((support[0], support[-1]), idx)
+        else:
+            self.other.append(idx)
+
+    def find(self, vec: tuple[int, ...], skip: int = -1) -> int | None:
+        return _find_reducer(vec, self.quad_leads, self.other, self.leads, skip)
+
+    def normal_form(
+        self, u: tuple[int, ...], v: tuple[int, ...]
+    ) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
+        """Fully reduce the binomial u - v; None when it reduces to zero.
+
+        Plain division-algorithm reduction: add a lead's move to a side
+        whenever the lead divides it.  Each step strictly decreases that
+        side in the order, so this terminates; a binomial always reduces
+        to a binomial or to zero.  The two keys are computed once and
+        then carried along by adding the reducer's key step, which is
+        exact because keys are linear.
+        """
+        leads, moves, deltas = self.leads, self.moves, self.deltas
+        quad_leads, other = self.quad_leads, self.other
+        key_u, key_v = self.key(u), self.key(v)
+        while True:
+            if u == v:
+                return None
+            if key_u < key_v:
+                u, v, key_u, key_v = v, u, key_v, key_u
+            hit = _find_reducer(u, quad_leads, other, leads)
+            if hit is not None:
+                u = tuple(map(add, u, moves[hit]))
+                key_u += deltas[hit]
+                continue
+            hit = _find_reducer(v, quad_leads, other, leads)
+            if hit is not None:
+                v = tuple(map(add, v, moves[hit]))
+                key_v += deltas[hit]
+                continue
+            return (u, v)
+
+
 def _find_reducer(
     vec: tuple[int, ...],
     quad_leads: dict[tuple[int, int], int],
@@ -423,7 +542,7 @@ def _find_reducer(
     leads: list[tuple[int, ...]],
     skip: int = -1,
 ) -> int | None:
-    """Index of a basis element whose lead divides vec, or None.
+    """Index of an element whose lead divides vec, or None.
 
     Degree-2 leads are found through a support-pair dictionary (the
     common case in quadratic runs); everything else by linear scan.
@@ -444,67 +563,6 @@ def _find_reducer(
         if idx != skip and _vec_divides(leads[idx], vec):
             return idx
     return None
-
-
-def _index_leads(
-    leads: list[tuple[int, ...]]
-) -> tuple[dict[tuple[int, int], int], list[int]]:
-    """Build the reducer lookup (support-pair dict + linear-scan rest)."""
-    quad_leads: dict[tuple[int, int], int] = {}
-    other: list[int] = []
-    for idx, L in enumerate(leads):
-        _register_lead(quad_leads, other, idx, L)
-    return quad_leads, other
-
-
-def _register_lead(
-    quad_leads: dict[tuple[int, int], int],
-    other: list[int],
-    idx: int,
-    L: tuple[int, ...],
-) -> None:
-    if sum(L) == 2:
-        support = [i for i, e in enumerate(L) if e]
-        pair = (support[0], support[0]) if len(support) == 1 else (support[0], support[1])
-        quad_leads.setdefault(pair, idx)
-    else:
-        other.append(idx)
-
-
-def _normal_form(
-    u: tuple[int, ...],
-    v: tuple[int, ...],
-    leads: list[tuple[int, ...]],
-    trails: list[tuple[int, ...]],
-    key: Callable[[Sequence[int]], tuple],
-    quad_leads: dict[tuple[int, int], int] | None = None,
-    other: list[int] | None = None,
-) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
-    """Fully reduce the binomial u - v; None when it reduces to zero.
-
-    Plain division-algorithm reduction: replace a side by (side -
-    lead + trail) whenever some basis lead divides it.  Each step
-    strictly decreases that side in the order, so this terminates; a
-    binomial always reduces to a binomial or to zero.  The reducer
-    index can be passed in by callers that maintain it incrementally;
-    otherwise it is built here.
-    """
-    if quad_leads is None or other is None:
-        quad_leads, other = _index_leads(leads)
-    while True:
-        if u == v:
-            return None
-        if key(u) < key(v):
-            u, v = v, u
-        hit = _find_reducer(u, quad_leads, other, leads)
-        if hit is not None:
-            u = tuple(a - b + c for a, b, c in zip(u, leads[hit], trails[hit]))
-            continue
-        hit = _find_reducer(v, quad_leads, other, leads)
-        if hit is not None:
-            v = tuple(a - b + c for a, b, c in zip(v, leads[hit], trails[hit]))
-            continue
-        return (u, v)
 
 
 def buchberger(
@@ -529,16 +587,14 @@ def buchberger(
     continue.
     """
     key = order.key
-    leads: list[tuple[int, ...]] = []
-    trails: list[tuple[int, ...]] = []
+    basis = _Reducer((), (), key)
     supports: list[frozenset[int]] = []
-    quad_index: dict[tuple[int, int], int] = {}
-    other_idx: list[int] = []
     pending: list[tuple[int, int, int, int]] = []
     counter = itertools.count()
     steps = 0
 
     def push_pairs(new_idx: int) -> None:
+        leads = basis.leads
         Snew = supports[new_idx]
         Lnew = leads[new_idx]
         for i in range(new_idx):
@@ -548,7 +604,7 @@ def buchberger(
             heappush(pending, (sum(lcm), next(counter), i, new_idx))
 
     def insert(u: tuple[int, ...], v: tuple[int, ...]) -> None:
-        nf = _normal_form(u, v, leads, trails, key, quad_index, other_idx)
+        nf = basis.normal_form(u, v)
         if nf is None:
             return
         u, v = _vec_strip(*nf)
@@ -556,66 +612,64 @@ def buchberger(
             u, v = v, u
         if degree_cap is not None and sum(u) > degree_cap:
             raise BuchbergerAborted("degree-cap", degree=sum(u))
-        leads.append(u)
-        trails.append(v)
+        basis.add(u, v)
         supports.append(frozenset(i for i, e in enumerate(u) if e))
-        _register_lead(quad_index, other_idx, len(leads) - 1, u)
-        push_pairs(len(leads) - 1)
+        push_pairs(len(basis.leads) - 1)
 
     if resume is not None:
         leads, trails, pending, steps, count_start = resume
-        leads, trails, pending = list(leads), list(trails), list(pending)
+        basis = _Reducer(leads, trails, key)
+        pending = list(pending)
         supports = [frozenset(i for i, e in enumerate(L) if e) for L in leads]
-        quad_index, other_idx = _index_leads(leads)
         counter = itertools.count(count_start)
     else:
         for g in gens:
             insert(g.plus, g.minus)
 
+    leads, trails, moves = basis.leads, basis.trails, basis.moves
     while pending:
         if step_limit is not None and steps >= step_limit:
             state = (tuple(leads), tuple(trails), tuple(pending), steps, next(counter))
             raise BuchbergerAborted("step-limit", state=state)
         _, _, i, j = heappop(pending)
         lcm = _vec_lcm(leads[i], leads[j])
-        u = tuple(l - a + b for l, a, b in zip(lcm, leads[i], trails[i]))
-        v = tuple(l - a + b for l, a, b in zip(lcm, leads[j], trails[j]))
+        u = tuple(map(add, lcm, moves[i]))
+        v = tuple(map(add, lcm, moves[j]))
         steps += 1
         insert(u, v)
 
     # inter-reduce: keep the minimal leads, then reduce tails to a fixpoint
-    by_key = sorted(range(len(leads)), key=lambda i: key(leads[i]))
-    kept: list[int] = []
-    for i in by_key:
-        if not any(_vec_divides(leads[k], leads[i]) for k in kept):
-            kept.append(i)
-    rleads = [leads[i] for i in kept]
-    rtrails = [trails[i] for i in kept]
-    quad_leads, other = _index_leads(rleads)
+    reduced = _Reducer((), (), key)
+    for i in sorted(range(len(leads)), key=lambda i: key(leads[i])):
+        if reduced.find(leads[i]) is None:
+            reduced.add(leads[i], trails[i])
+    rleads, rtrails = reduced.leads, reduced.trails
+    rmoves, rdeltas = reduced.moves, reduced.deltas
     while True:
         progressed = False
         for i in range(len(rleads)):
-            hit = _find_reducer(rtrails[i], quad_leads, other, rleads, skip=i)
+            hit = reduced.find(rtrails[i], skip=i)
             if hit is not None:
-                rtrails[i] = tuple(
-                    a - b + c for a, b, c in zip(rtrails[i], rleads[hit], rtrails[hit])
-                )
+                rtrails[i] = tuple(map(add, rtrails[i], rmoves[hit]))
+                rmoves[i] = tuple(map(add, rmoves[i], rmoves[hit]))
+                rdeltas[i] += rdeltas[hit]
                 progressed = True
         if not progressed:
             break
 
     elements = []
     for L, T in zip(rleads, rtrails):
-        assert all(a == 0 or b == 0 for a, b in zip(L, T)), "reduced element not gcd-free"
-        assert key(L) > key(T)
+        if not all(a == 0 or b == 0 for a, b in zip(L, T)):
+            raise AssertionError(f"reduced element {L} - {T} is not gcd-free")
+        if not key(L) > key(T):
+            raise AssertionError(f"reduced element {L} - {T} is not oriented by the order")
         elements.append(Binomial(L, T))
     elements.sort(key=lambda g: (g.degree, g.plus, g.minus))
     max_degree = max((g.degree for g in elements), default=0)
     gb = GroebnerBasis(tuple(elements), order, max_degree)
 
     for g in gens:
-        nf = _normal_form(g.plus, g.minus, rleads, rtrails, key, quad_leads, other)
-        if nf is not None:
+        if reduced.normal_form(g.plus, g.minus) is not None:
             raise AssertionError("input generator does not reduce to zero against the basis")
     return gb
 
@@ -626,20 +680,17 @@ def verify_groebner(gb: GroebnerBasis, gens: Sequence[Binomial] | None = None) -
     Every pairwise S-binomial must reduce to zero, as must every
     supplied generator.
     """
-    els = gb.elements
-    key = gb.order.key
-    leads = [g.plus for g in els]
-    trails = [g.minus for g in els]
-    quad_leads, other = _index_leads(leads)
-    for a in range(len(els)):
-        for b in range(a + 1, len(els)):
-            lcm = _vec_lcm(els[a].plus, els[b].plus)
-            u = tuple(l - p + m for l, p, m in zip(lcm, els[a].plus, els[a].minus))
-            v = tuple(l - p + m for l, p, m in zip(lcm, els[b].plus, els[b].minus))
-            if u != v and _normal_form(u, v, leads, trails, key, quad_leads, other) is not None:
+    basis = gb._reducer
+    leads, moves = basis.leads, basis.moves
+    for a in range(len(leads)):
+        for b in range(a + 1, len(leads)):
+            lcm = _vec_lcm(leads[a], leads[b])
+            u = tuple(map(add, lcm, moves[a]))
+            v = tuple(map(add, lcm, moves[b]))
+            if u != v and basis.normal_form(u, v) is not None:
                 return False
     for g in gens or ():
-        if _normal_form(g.plus, g.minus, leads, trails, key, quad_leads, other) is not None:
+        if basis.normal_form(g.plus, g.minus) is not None:
             return False
     return True
 
@@ -770,10 +821,13 @@ def search_quadratic_order(
     When the generator table contains a minimal generator of degree 3
     or more, no quadratic basis can exist (basis degrees dominate
     minimal generator degrees) and the search returns immediately with
-    a warning instead of burning the budget.
+    a warning instead of burning the budget.  The same table seeds the
+    generators when it carries representatives.
     """
     if table is None:
-        table = minimal_generator_table(omega, k_max=k_max, bound=bound, guard=guard)
+        table = minimal_generator_table(
+            omega, k_max=k_max, bound=bound, guard=guard, representatives=True
+        )
     answer = table.quadraticity()
     if answer.status == "no":
         return SearchResult(
@@ -795,7 +849,7 @@ def search_quadratic_order(
             f"generator table only certified up to degree {answer.verified_up_to}; "
             "a found basis is quadratic for the ideal generated by that table"
         )
-    gens = toric_generators(omega, k_max=k_max, bound=bound, guard=guard, table=None)
+    gens = toric_generators(omega, k_max=k_max, bound=bound, guard=guard, table=table)
     tried = 0
     for order in _candidate_orders(omega, seed):
         if tried >= budget:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import csv
 import json
+import logging
 import math
 import time
 from dataclasses import dataclass, field
@@ -29,6 +30,8 @@ from .groups import (
     surface_quadraticity,
     triple_projections,
 )
+
+logger = logging.getLogger("veroproj")
 
 __all__ = [
     "SurveyOptions",
@@ -254,7 +257,9 @@ def build_survey_row(group: DiagonalGroup, options: SurveyOptions = SurveyOption
         b1 = invariants_of_degree(group, 1, guard=options.guard)
         timings["invariants_ms"] = _ms() - t0
         t0 = _ms()
-        table = minimal_generator_table(b1, bound="group", guard=options.guard)
+        table = minimal_generator_table(
+            b1, bound="group", guard=options.guard, representatives=options.search
+        )
         timings["table_ms"] = _ms() - t0
     except GuardExceeded as exc:
         return SurveyRow(
@@ -406,16 +411,31 @@ def _row_sort_key(row: SurveyRow) -> tuple:
 
 
 def _load_jsonl(path: Path) -> dict[str, SurveyRow]:
+    """The rows of a JSONL store, keyed by spec.
+
+    An interrupted append leaves a torn final line; it is logged and cut
+    from the file, so the next append starts on a line of its own and
+    the row is computed again.  A malformed line anywhere else raises.
+    """
     rows: dict[str, SurveyRow] = {}
     if not path.exists():
         return rows
-    with path.open("r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            row = SurveyRow.from_json_dict(json.loads(line))
-            rows[row.spec] = row
+    lines = path.read_bytes().splitlines(keepends=True)
+    last = max((i for i, line in enumerate(lines) if line.strip()), default=-1)
+    for i, line in enumerate(lines):
+        if not line.strip():
+            continue
+        try:
+            data = json.loads(line)
+        except json.JSONDecodeError as exc:
+            if i != last:
+                raise ValueError(f"{path}:{i + 1}: malformed survey row: {exc}") from exc
+            logger.warning("%s:%d: dropping a torn final row of %d bytes", path, i + 1, len(line))
+            with path.open("r+b") as fh:
+                fh.truncate(sum(len(kept) for kept in lines[:i]))
+            break
+        row = SurveyRow.from_json_dict(data)
+        rows[row.spec] = row
     return rows
 
 

@@ -6,10 +6,13 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from veroproj.errors import GuardExceeded, SpecParseError
 from veroproj.fibers import minimal_generator_table
 from veroproj.groebner import (
+    KEY_DEGREE_BOUND,
     Binomial,
     BuchbergerAborted,
     LiftedOrder,
@@ -72,7 +75,7 @@ def _reference_greater(kind: str, rank: tuple[int, ...], u, v) -> bool:
     """Independent comparator used as the oracle for TermOrder.key."""
     pu = [u[i] for i in rank]
     pv = [v[i] for i in rank]
-    if kind in ("deglex", "degrevlex"):
+    if kind in ("deglex", "degrevlex", "revlex"):
         if sum(u) != sum(v):
             return sum(u) > sum(v)
     if kind in ("lex", "deglex"):
@@ -110,6 +113,109 @@ def test_degrevlex_textbook_comparisons():
     # revlex is the graded alias: same comparisons as degrevlex
     alias = TermOrder("revlex", (0, 1, 2))
     assert alias.key(y2) > alias.key(xz)
+
+
+KINDS = ("lex", "deglex", "degrevlex", "revlex")
+
+
+def _monomials(mu: int):
+    """Small exponents make ties likely; exponents just below the share
+    of the degree bound make rows nearly tie while later rows differ by
+    almost the whole bound, which exposes any overlap of packed rows."""
+    big = (KEY_DEGREE_BOUND - 1) // mu
+    return st.tuples(*[st.one_of(st.integers(0, 3), st.integers(big - 3, big))] * mu)
+
+
+def _merge_image(lord: LiftedOrder, vec) -> tuple[int, ...]:
+    out = [0] * lord.base.mu
+    for e, target in zip(vec, lord.image):
+        out[target] += e
+    return tuple(out)
+
+
+def _order_greater(order, u, v) -> bool:
+    """Tuple-based oracle for TermOrder and LiftedOrder keys.
+
+    A lifted order compares merge images by its base order, then breaks
+    a tie by graded revlex over its own ranking.
+    """
+    if isinstance(order, LiftedOrder):
+        pu, pv = _merge_image(order, u), _merge_image(order, v)
+        if pu != pv:
+            return _order_greater(order.base, pu, pv)
+        return _reference_greater("degrevlex", order.variable_rank, u, v)
+    return _reference_greater(order.kind, order.variable_rank, u, v)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_term_order_key_agrees_with_reference(data):
+    mu = data.draw(st.integers(1, 8))
+    order = TermOrder(data.draw(st.sampled_from(KINDS)), tuple(data.draw(st.permutations(range(mu)))))
+    u, v = data.draw(_monomials(mu)), data.draw(_monomials(mu))
+    assert (order.key(u) > order.key(v)) == _order_greater(order, u, v)
+    assert (order.key(u) == order.key(v)) == (u == v)
+
+
+LIFT_BASES = (
+    MonomialSet.full(2, 2),
+    invariants_of_degree(cyclic_group(4, (0, 1, 3)), 1),
+    rc_term_order(6, 3)[1],
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_lifted_order_key_agrees_with_reference(data):
+    omega = data.draw(st.sampled_from(LIFT_BASES))
+    order = TermOrder(
+        data.draw(st.sampled_from(KINDS)), tuple(data.draw(st.permutations(range(len(omega)))))
+    )
+    for _ in range(data.draw(st.integers(1, 2))):  # a lift, or a lift of a lift
+        sizes = tuple(data.draw(st.lists(st.integers(1, 2), min_size=omega.n + 1, max_size=omega.n + 1)))
+        lifted = lift_omega(omega, sizes)
+        order = lift_order(order, omega, lifted, sizes)
+        omega = lifted
+    u, v = data.draw(_monomials(len(omega))), data.draw(_monomials(len(omega)))
+    # w shuffles u within each merge block, so it ties with u on the base
+    w = list(u)
+    for img in set(order.image):
+        block = [j for j, target in enumerate(order.image) if target == img]
+        for j, e in zip(block, data.draw(st.permutations([u[j] for j in block]))):
+            w[j] = e
+    for a, b in ((u, v), (u, tuple(w))):
+        assert (order.key(a) > order.key(b)) == _order_greater(order, a, b)
+        assert (order.key(a) == order.key(b)) == (a == b)
+
+
+def test_key_raises_at_the_degree_bound():
+    order, omega = rc_term_order(6, 3)
+    lifted = lift_omega(omega, (1, 2, 2))
+    lord = lift_order(order, omega, lifted, (1, 2, 2))
+    top = KEY_DEGREE_BOUND - 1
+    for o in (TermOrder("lex", (2, 0, 1)), TermOrder("deglex", (1, 2, 0)),
+              TermOrder("degrevlex", (0, 2, 1)), order, lord):
+        zero = [0] * o.mu
+        u = tuple([top] + zero[1:])
+        v = tuple(zero[:-1] + [top])
+        w = tuple([top - 1] + zero[2:] + [1])
+        for a, b in itertools.permutations((u, v, w), 2):
+            assert (o.key(a) > o.key(b)) == _order_greater(o, a, b)
+        with pytest.raises(ValueError, match="degree bound"):
+            o.key(tuple([top + 1] + zero[1:]))
+        with pytest.raises(ValueError, match="degree bound"):
+            o.key(tuple([top] + zero[2:] + [1]))
+
+
+def test_verify_groebner_accepts_lift_bases():
+    order, omega = rc_term_order(6, 3)
+    for sizes in [(1, 1, 2), (1, 2, 1)]:
+        lifted = lift_omega(omega, sizes)
+        lord = lift_order(order, omega, lifted, sizes)
+        gens = toric_generators(invariants_of_degree(block_group(cyclic_group(6, (0, 1, 3)), sizes), 1))
+        gb = buchberger(gens, lord)
+        assert gb.max_degree == 2
+        assert verify_groebner(gb, gens), sizes
 
 
 def test_validate_order_accepts_real_orders_and_rejects_fakes():

@@ -197,6 +197,49 @@ def test_survey_groups_resume(tmp_path):
     assert [r[0] for r in rows[1:]] == [row.spec for row in third]
 
 
+def test_survey_resume_drops_a_torn_final_line(tmp_path, caplog):
+    jsonl = tmp_path / "rows.jsonl"
+    options = SurveyOptions(jsonl_path=jsonl)
+    first = survey_groups(2, range(2, 4), options)
+    lines = jsonl.read_text().splitlines(keepends=True)
+    # an append interrupted mid-object: the last row is cut, no newline
+    jsonl.write_text("".join(lines[:-1]) + lines[-1][: len(lines[-1]) // 2])
+
+    with caplog.at_level("WARNING", logger="veroproj"):
+        again = survey_groups(2, range(2, 4), options)
+    assert "torn final row" in caplog.text
+    assert [row.spec for row in again] == [row.spec for row in first]
+    # the torn row was cut and computed again on a line of its own
+    stored = [json.loads(line) for line in jsonl.read_text().splitlines()]
+    assert [row["spec"] for row in stored] == [row.spec for row in first]
+    for old, new in zip(first, again):
+        assert {**old.to_json_dict(), "timings_ms": {}} == {**new.to_json_dict(), "timings_ms": {}}
+
+    # a malformed line that is not the last one is not an interruption
+    lines = jsonl.read_text().splitlines(keepends=True)
+    jsonl.write_text(lines[0] + lines[1][:10] + "\n" + "".join(lines[2:]))
+    with pytest.raises(ValueError, match=":2: malformed survey row"):
+        survey_groups(2, range(2, 4), options)
+
+
+def test_survey_search_builds_one_table_per_row(monkeypatch):
+    import veroproj.fibers
+    import veroproj.groebner
+    import veroproj.survey
+
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return veroproj.fibers.minimal_generator_table(*args, **kwargs)
+
+    monkeypatch.setattr(veroproj.survey, "minimal_generator_table", counting)
+    monkeypatch.setattr(veroproj.groebner, "minimal_generator_table", counting)
+    rows = survey_groups(2, [5, 6], SurveyOptions())
+    assert sum(row.gq_search["status"] == "found" for row in rows) >= 2
+    assert len(calls) == len(rows)
+
+
 def test_survey_rows_without_store(tmp_path):
     rows = survey_groups(2, [4], SurveyOptions(search=False))
     assert [row.spec for row in rows] == ["C(4;0,0,1)", "C(4;0,0,3)", "C(4;0,1,2)"]
