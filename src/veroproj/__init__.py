@@ -36,7 +36,6 @@ from .fibers import (
     fiber_of,
     fibers_of_degree,
     h_polynomial,
-    hilbert_function,
     hilbert_values,
     ik_sequence_witness,
     is_2_normal,

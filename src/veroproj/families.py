@@ -25,6 +25,7 @@ from .fibers import (
 )
 from .groebner import (
     TermOrder,
+    ambient_ranks,
     buchberger,
     lift_omega,
     lift_order,
@@ -252,10 +253,11 @@ class FamilySpec:
                     )
                 members.append(mm)
             omega = MonomialSet(members)
-            assert all(
-                len(m.support()) <= s or tuple(m) in {tuple(e) for e in self.extras}
-                for m in omega
-            )
+            extras = {tuple(e) for e in self.extras}
+            if not all(len(m.support()) <= s or tuple(m) in extras for m in omega):
+                raise AssertionError(
+                    f"{self.spec_string()} has a member outside the support-{s} core and extras"
+                )
             return omega
         if k == "complement":
             n, d = self.n, self.d
@@ -271,7 +273,10 @@ class FamilySpec:
                 raise ValueError(f"ci needs n >= 1, got {n}")
             members = [m for m in MonomialSet.full(n, d) if max(m) > lam]
             omega = MonomialSet(members)
-            assert all(max(m) > lam for m in omega)
+            if not all(max(m) > lam for m in omega):
+                raise AssertionError(
+                    f"{self.spec_string()} has a member with every exponent <= {lam}"
+                )
             return omega
         if k == "koszul1":
             n, lam = self.n, self.lam
@@ -510,13 +515,7 @@ def ambient_sorted_revlex(omega: MonomialSet, xperm: tuple[int, ...]) -> TermOrd
     """
     if sorted(xperm) != list(range(omega.n + 1)):
         raise ValueError(f"xperm must permute 0..{omega.n}, got {xperm}")
-    members = [tuple(m) for m in omega]
-
-    def xkey(m: tuple[int, ...]) -> tuple[int, ...]:
-        p = tuple(m[i] for i in xperm)
-        return tuple(-e for e in reversed(p))
-
-    ranks = tuple(sorted(range(len(members)), key=lambda i: xkey(members[i]), reverse=True))
+    ranks = ambient_ranks(omega, TermOrder("degrevlex", xperm))
     return TermOrder("revlex", ranks, origin=f"ambient-sorted-revlex{xperm}")
 
 

@@ -66,7 +66,13 @@ class Fiber:
         return len(self.elements)
 
     def connected_components(self) -> list[list[tuple[int, ...]]]:
-        """Components of the graph joining multisets that share an index."""
+        """Components of the graph joining multisets that share an index.
+
+        Components come ordered by their lex-least element.
+        """
+        if self.elements and len(self.elements[0]) == 2:
+            # distinct degree-2 multisets with one product never share an index
+            return [[e] for e in self.elements]
         parent = list(range(len(self.elements)))
 
         def find(a: int) -> int:
@@ -87,17 +93,7 @@ class Fiber:
         groups: dict[int, list[tuple[int, ...]]] = {}
         for pos, elem in enumerate(self.elements):
             groups.setdefault(find(pos), []).append(elem)
-        # deterministic: components ordered by their lex-least element
         return sorted(groups.values(), key=lambda comp: comp[0])
-
-    def component_count(self) -> int:
-        if self.elements and len(self.elements[0]) == 2:
-            # degree-2 multisets sharing an index and a product are equal
-            return len(self.elements)
-        return len(self.connected_components())
-
-    def is_connected(self) -> bool:
-        return self.component_count() <= 1
 
 
 def _multiset_count(mu: int, k: int) -> int:
@@ -187,13 +183,6 @@ def fiber_of(
 
     elements = [e for e in rec(tuple(t), 0, k)]
     return Fiber(t, elements)
-
-
-def hilbert_function(
-    omega: MonomialSet, k: int, guard: int = DEFAULT_GUARD
-) -> int:
-    """Number of distinct products of k members (the degree-k Hilbert value)."""
-    return hilbert_values(omega, k, guard)[k]
 
 
 def hilbert_values(
@@ -323,22 +312,21 @@ def minimal_generator_table(
     generation degree at 3), and anything else is an error because no
     finite k_max would be certified.
     """
+    implied = bound is None
     if bound is None:
         if k_max is not None:
             bound = "user"
         elif omega.origin_group is not None:
             bound = "group"
         else:
-            normal, _ = is_2_normal(omega, guard)
-            if normal:
-                bound = "two-normal"
-            else:
-                raise ValueError(
-                    "no completeness bound applies: omega is not 2-normal and not "
-                    "group-tagged; pass k_max for an explicit user bound"
-                )
+            bound = "two-normal"
     if bound == "two-normal":
         normal, witness = is_2_normal(omega, guard)
+        if not normal and implied:
+            raise ValueError(
+                "no completeness bound applies: omega is not 2-normal and not "
+                "group-tagged; pass k_max for an explicit user bound"
+            )
         if not normal:
             raise ValueError(
                 f"two-normal bound requested but omega is not 2-normal; "
@@ -365,7 +353,7 @@ def minimal_generator_table(
             fib = fib_map[target]
             if len(fib) <= 1:
                 continue
-            comps = fib.connected_components() if k > 2 else [[e] for e in fib.elements]
+            comps = fib.connected_components()
             if len(comps) <= 1:
                 continue
             count += len(comps) - 1
@@ -431,24 +419,6 @@ def ik_sequence_witness(
             if other not in prev and cur_set.intersection(other):
                 prev[other] = cur
                 queue.append(other)
-    return None
-
-
-def first_disconnected_fiber(
-    omega: MonomialSet, k: int, guard: int = DEFAULT_GUARD
-) -> Fiber | None:
-    """The first (by descending target) degree-k fiber that is disconnected.
-
-    Degree 2 uses the convention that any fiber with two or more
-    factorizations is disconnected.
-    """
-    if k < 2:
-        raise ValueError(f"connectivity starts at degree 2, got {k}")
-    fib_map = fibers_of_degree(omega, k, guard)
-    for target in sorted(fib_map, reverse=True):
-        fib = fib_map[target]
-        if len(fib) > 1 and not fib.is_connected():
-            return fib
     return None
 
 

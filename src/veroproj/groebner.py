@@ -48,10 +48,6 @@ KEY_DEGREE_BOUND = 1 << (KEY_RADIX_BITS - 1)
 # exponent-vector arithmetic
 
 
-def _vec_mul(u: tuple[int, ...], v: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(a + b for a, b in zip(u, v))
-
-
 def _vec_divides(u: tuple[int, ...], v: tuple[int, ...]) -> bool:
     return all(a <= b for a, b in zip(u, v))
 
@@ -140,7 +136,7 @@ class Binomial:
     def is_gcd_reduced(self) -> bool:
         return all(a == 0 or b == 0 for a, b in zip(self.plus, self.minus))
 
-    def oriented(self, order) -> "Binomial":
+    def oriented(self, order: TermOrder) -> "Binomial":
         if order.key(self.plus) >= order.key(self.minus):
             return self
         return Binomial(self.minus, self.plus)
@@ -155,20 +151,27 @@ class Binomial:
 
 @dataclass(frozen=True)
 class TermOrder:
-    """A monomial order on S given by a kind and a variable ranking.
+    """A monomial order on S given by a kind, a variable ranking and a lead.
 
     variable_rank[r] is the index of the variable of rank r, with rank 0
     the greatest.  `revlex` is accepted as an alias of the graded form:
     all comparisons made here are between monomials of equal degree
     (toric binomials are homogeneous), where the two agree, and the
-    graded form is a genuine term order so the axioms below hold
-    unconditionally.
+    graded form is a genuine term order.
+
+    `lead`, when given, is one non-negative packed column per variable
+    of rows that come before the kind's rows: a lift compares merge
+    images by its base order this way (see `lift_order`).  The rows are
+    the degree row and/or a signed permutation matrix under the lead
+    rows, so the matrix has full rank and every packed column is
+    positive: each TermOrder is a term order by construction.
     """
 
     kind: str
     variable_rank: tuple[int, ...]
     origin: str | None = field(default=None, compare=False)
     audit: tuple | None = field(default=None, compare=False, repr=False)
+    lead: tuple[int, ...] = ()
 
     def __post_init__(self):
         kind = self.kind.lower()
@@ -179,6 +182,10 @@ class TermOrder:
         if sorted(ranks) != list(range(len(ranks))):
             raise ValueError(f"variable_rank must be a permutation of 0..{len(ranks) - 1}")
         object.__setattr__(self, "variable_rank", ranks)
+        lead = tuple(int(c) for c in self.lead)
+        if lead and (len(lead) != len(ranks) or min(lead) < 0):
+            raise ValueError(f"lead must be {len(ranks)} non-negative columns, got {lead}")
+        object.__setattr__(self, "lead", lead)
 
     @property
     def mu(self) -> int:
@@ -195,7 +202,8 @@ class TermOrder:
         lex has the rank rows; deglex the degree row, then the rank
         rows; degrevlex / revlex the degree row, then the negated
         reversed rank rows (higher degree wins, ties broken by the
-        smallest exponent on the least variable).
+        smallest exponent on the least variable).  A lead column sits
+        above all of these rows.
         """
         mu = self.mu
         degree_row = 1 << (KEY_RADIX_BITS * mu)
@@ -208,109 +216,25 @@ class TermOrder:
                 weights[var] = degree_row + rank_row
             else:
                 weights[var] = degree_row - (1 << (KEY_RADIX_BITS * r))
+        for var, column in enumerate(self.lead):
+            weights[var] += column << (KEY_RADIX_BITS * (mu + 1))
         return tuple(weights)
 
     def key(self, vec: Sequence[int]) -> int:
-        return _packed_key(self.weights, vec)
+        """The weighted sum of a monomial's exponents: its packed order rows."""
+        degree = sum(vec)
+        if degree >= KEY_DEGREE_BOUND:
+            raise ValueError(
+                f"monomial of degree {degree} is at or past the order key's exact "
+                f"degree bound {KEY_DEGREE_BOUND}"
+            )
+        return sum(map(mul, vec, self.weights))
 
     def spec_string(self) -> str:
         if self.origin is not None:
             return self.origin
         chain = " > ".join(f"w{i}" for i in self.variable_rank)
         return f"{self.kind} : {chain}"
-
-
-@dataclass(frozen=True)
-class LiftedOrder:
-    """Composite order on a split ring: base order on images, then revlex.
-
-    Comparison of monomials u, v of the split ring S~ proceeds in two
-    stages: first their images under the merge map phi (sum the split
-    blocks back together) are compared by the base order; on a tie, u
-    and v are compared by graded revlex over the split variables, ranked
-    so that variables with a greater base image come first and, within
-    one image, the variable whose exponent tuple is lexicographically
-    larger is greater (for a block split in two this is exactly the
-    rule "larger first-split exponent wins").
-    """
-
-    base: object
-    image: tuple[int, ...]
-    variable_rank: tuple[int, ...]
-    sizes: tuple[int, ...]
-    origin: str | None = field(default=None, compare=False)
-
-    kind = "lift"
-
-    @property
-    def mu(self) -> int:
-        return len(self.variable_rank)
-
-    def position_of(self, var: int) -> int:
-        return self.variable_rank.index(var)
-
-    @cached_property
-    def weights(self) -> tuple[int, ...]:
-        """One packed column of the order matrix per variable.
-
-        The rows are the base order's rows read on the merge image, then
-        the degree row, then the negated reversed rank rows, so the
-        column of a variable is the base column of its image followed by
-        the graded revlex column.
-        """
-        mu = self.mu
-        degree_row = 1 << (KEY_RADIX_BITS * mu)
-        base = self.base.weights
-        weights = [0] * mu
-        for r, var in enumerate(self.variable_rank):
-            tie = degree_row - (1 << (KEY_RADIX_BITS * r))
-            weights[var] = (base[self.image[var]] << (KEY_RADIX_BITS * (mu + 1))) + tie
-        return tuple(weights)
-
-    def key(self, vec: Sequence[int]) -> int:
-        return _packed_key(self.weights, vec)
-
-    def spec_string(self) -> str:
-        if self.origin is not None:
-            return self.origin
-        sizes = ",".join(str(s) for s in self.sizes)
-        return f"lift({self.base.spec_string()}; sizes={sizes})"
-
-
-def _packed_key(weights: tuple[int, ...], vec: Sequence[int]) -> int:
-    """The weighted sum of a monomial's exponents: its packed order rows."""
-    degree = sum(vec)
-    if degree >= KEY_DEGREE_BOUND:
-        raise ValueError(
-            f"monomial of degree {degree} is at or past the order key's exact "
-            f"degree bound {KEY_DEGREE_BOUND}"
-        )
-    return sum(map(mul, vec, weights))
-
-
-def validate_order(order, rng: random.Random | None = None, trials: int = 120) -> None:
-    """Check the term-order axioms on random monomial triples.
-
-    Raises ValueError on the first violation: the comparison must be a
-    total order compatible with multiplication, with 1 strictly
-    smallest.  Deterministic for a given rng seed.
-    """
-    rng = rng or random.Random(11)
-    mu = order.mu
-    one = (0,) * mu
-
-    def rand_mono() -> tuple[int, ...]:
-        return tuple(rng.randrange(0, 4) for _ in range(mu))
-
-    for _ in range(trials):
-        u, v, m = rand_mono(), rand_mono(), rand_mono()
-        ku, kv = order.key(u), order.key(v)
-        if (u == v) != (ku == kv):
-            raise ValueError(f"order key not injective on monomials: {u} vs {v}")
-        if u != one and not order.key(u) > order.key(one):
-            raise ValueError(f"1 is not smallest: {u} compares below the empty monomial")
-        if ku > kv and not order.key(_vec_mul(u, m)) > order.key(_vec_mul(v, m)):
-            raise ValueError(f"multiplication does not preserve the order: {u} {v} times {m}")
 
 
 # ---------------------------------------------------------------------------
@@ -437,7 +361,7 @@ class GroebnerBasis:
     """
 
     elements: tuple[Binomial, ...]
-    order: object
+    order: TermOrder
     max_degree: int
 
     @property
@@ -567,7 +491,7 @@ def _find_reducer(
 
 def buchberger(
     gens: Sequence[Binomial],
-    order,
+    order: TermOrder,
     *,
     step_limit: int | None = None,
     degree_cap: int | None = None,
@@ -597,11 +521,14 @@ def buchberger(
         leads = basis.leads
         Snew = supports[new_idx]
         Lnew = leads[new_idx]
+        dnew = sum(Lnew)
         for i in range(new_idx):
             if supports[i].isdisjoint(Snew):
                 continue  # coprime leads: the S-pair reduces to zero
-            lcm = _vec_lcm(leads[i], Lnew)
-            heappush(pending, (sum(lcm), next(counter), i, new_idx))
+            Li = leads[i]
+            # degree of lcm(L_i, L_new): the shared variables count once
+            overlap = sum(min(Li[t], Lnew[t]) for t in supports[i] & Snew)
+            heappush(pending, (sum(Li) + dnew - overlap, next(counter), i, new_idx))
 
     def insert(u: tuple[int, ...], v: tuple[int, ...]) -> None:
         nf = basis.normal_form(u, v)
@@ -711,7 +638,7 @@ class SearchResult:
     """
 
     status: str
-    order: object | None
+    order: TermOrder | None
     basis: GroebnerBasis | None
     tried: int
     budget: int
@@ -739,50 +666,51 @@ def _rc_order(omega: MonomialSet, cert: SurfaceCertificate) -> TermOrder:
     return TermOrder("lex", ranks, origin=f"rc({d},{k},{t})")
 
 
-def _candidate_orders(omega: MonomialSet, seed: int) -> Iterator:
-    """Deterministic stream of candidate term orders for the search.
+def ambient_ranks(omega: MonomialSet, xorder: TermOrder) -> tuple[int, ...]:
+    """Presentation variables ranked by their members, greatest first.
+
+    The members of omega compare as monomials of the ambient x-ring
+    under `xorder`; the variable of the greatest member gets rank 0.
+    """
+    return tuple(sorted(range(len(omega)), key=lambda i: xorder.key(omega[i]), reverse=True))
+
+
+def _candidate_orders(omega: MonomialSet, seed: int) -> Iterator[TermOrder]:
+    """Deterministic stream of distinct candidate term orders for the search.
 
     Stages: the (r,c)-Lex order first when the rc rule of
     `surface_certificate` holds for omega's group; then the canonical
     rankings under each kind; then rankings obtained by sorting the
     members under every variable permutation of the ambient x-ring
     (graded revlex and lex); then either all permutations (mu <= 8) or
-    seeded random permutations, cycling through the kinds.
+    seeded random permutations, cycling through the kinds.  An order
+    whose weights an earlier candidate already had is skipped, so
+    revlex never repeats degrevlex on the same ranking.
     """
     mu = len(omega)
-    seen: set[tuple[str, tuple[int, ...]]] = set()
+    seen: set[tuple[int, ...]] = set()
 
-    def emit(kind: str, ranks: tuple[int, ...]):
-        sig = (kind, ranks)
-        if sig in seen:
+    def emit(order: TermOrder) -> TermOrder | None:
+        if order.weights in seen:
             return None
-        seen.add(sig)
-        return TermOrder(kind, ranks)
+        seen.add(order.weights)
+        return order
 
     cert = surface_certificate(omega.origin_group) if omega.origin_t == 1 else None
     if cert is not None and cert.rule == "rc-order-quadratic-gb":
-        order = _rc_order(omega, cert)
-        seen.add((order.kind, order.variable_rank))
-        yield order
+        yield emit(_rc_order(omega, cert))
 
     identity = tuple(range(mu))
     for kind in ("degrevlex", "revlex", "lex", "deglex"):
-        order = emit(kind, identity)
+        order = emit(TermOrder(kind, identity))
         if order:
             yield order
 
-    members = [tuple(m) for m in omega]
-    nvars = omega.n + 1
-    for xperm in itertools.permutations(range(nvars)):
+    for xperm in itertools.permutations(range(omega.n + 1)):
         for xkind in ("degrevlex", "lex"):
-            def xkey(m: tuple[int, ...]) -> tuple:
-                p = tuple(m[i] for i in xperm)
-                if xkind == "lex":
-                    return p
-                return tuple(-e for e in reversed(p))
-            ranks = tuple(sorted(range(mu), key=lambda i: xkey(members[i]), reverse=True))
+            ranks = ambient_ranks(omega, TermOrder(xkind, xperm))
             for kind in ("revlex", "degrevlex", "lex"):
-                order = emit(kind, ranks)
+                order = emit(TermOrder(kind, ranks))
                 if order:
                     yield order
 
@@ -790,7 +718,7 @@ def _candidate_orders(omega: MonomialSet, seed: int) -> Iterator:
     if mu <= 8:
         for ranks in itertools.permutations(range(mu)):
             for kind in kinds:
-                order = emit(kind, ranks)
+                order = emit(TermOrder(kind, ranks))
                 if order:
                     yield order
     else:
@@ -798,7 +726,7 @@ def _candidate_orders(omega: MonomialSet, seed: int) -> Iterator:
         while True:
             ranks = tuple(rng.sample(range(mu), mu))
             kind = kinds[rng.randrange(len(kinds))]
-            order = emit(kind, ranks)
+            order = emit(TermOrder(kind, ranks))
             if order:
                 yield order
 
@@ -925,49 +853,59 @@ def lift_omega(
     return MonomialSet(members)
 
 
-def lift_order(order, omega: MonomialSet, lifted: MonomialSet, sizes: Sequence[int]) -> LiftedOrder:
+def _merge_image(member: Sequence[int], sizes: tuple[int, ...]) -> tuple[int, ...]:
+    """Sum each block of a split monomial back into one base exponent."""
+    out = []
+    pos = 0
+    for l in sizes:
+        out.append(sum(member[pos : pos + l]))
+        pos += l
+    return tuple(out)
+
+
+def lift_order(
+    order: TermOrder, omega: MonomialSet, lifted: MonomialSet, sizes: Sequence[int]
+) -> TermOrder:
     """Extend a term order on omega's ring to the ring of its lift.
 
     The comparison is staged exactly as the split construction wants
     it: monomials compare through their merge images under the base
     order first, and ties fall to graded revlex over the split
     variables, ranked by (rank of merge image, then lexicographically
-    larger split exponent tuple first).
+    larger split exponent tuple first).  The first stage is the lead
+    column: each split variable carries the base weight of its image.
     """
     sizes = tuple(int(s) for s in sizes)
     if len(sizes) != omega.n + 1:
         raise ValueError(f"need {omega.n + 1} block sizes, got {len(sizes)}")
-    image = []
-    for m in lifted:
-        merged = []
-        pos = 0
-        for l in sizes:
-            merged.append(sum(m[pos : pos + l]))
-            pos += l
-        image.append(omega.index_of(merged))
-    image = tuple(image)
+    image = tuple(omega.index_of(_merge_image(m, sizes)) for m in lifted)
     ranks = tuple(
         sorted(
             range(len(lifted)),
             key=lambda j: (order.position_of(image[j]), tuple(-e for e in tuple(lifted[j]))),
         )
     )
-    return LiftedOrder(base=order, image=image, variable_rank=ranks, sizes=sizes)
+    return TermOrder(
+        "degrevlex",
+        ranks,
+        lead=tuple(order.weights[i] for i in image),
+        origin=f"lift({order.spec_string()}; sizes={','.join(str(s) for s in sizes)})",
+    )
 
 
 # ---------------------------------------------------------------------------
 # order spec strings
 
 
-def parse_order(text: str, omega: MonomialSet):
+def parse_order(text: str, omega: MonomialSet) -> TermOrder:
     """Parse an order spec string against a concrete monomial set.
 
     Grammar:  `rc(d,k,t)`  |  `lift(<base>; sizes=l0,l1,...)`  |
     `<kind> : w3 > w1 > ...`  |  bare `<kind>` (canonical ranking).
-    The parsed order is validated against the term-order axioms and,
-    for rc and lift, against omega itself.  `rc(d,k,t)` ranks omega by
-    the rc certificate of omega's own group, so it applies to any
-    presentation whose weights the rc rule maps onto (0,1,k).
+    rc and lift specs are checked against omega itself.  `rc(d,k,t)`
+    ranks omega by the rc certificate of omega's own group, so it
+    applies to any presentation whose weights the rc rule maps onto
+    (0,1,k).
     """
     text = text.strip()
     if text.startswith("rc(") and text.endswith(")"):
@@ -1009,15 +947,8 @@ def parse_order(text: str, omega: MonomialSet):
             sizes = tuple(int(s) for s in sizes_part[len("sizes=") :].split(","))
         except ValueError:
             raise SpecParseError("order", text, sizes_part, "sizes must be integers") from None
-        merged: list[tuple[int, ...]] = []
-        for m in omega:
-            out = []
-            pos = 0
-            for l in sizes:
-                out.append(sum(m[pos : pos + l]))
-                pos += l
-            merged.append(tuple(out))
-        base_omega = MonomialSet(sorted(set(merged), reverse=True))
+        merged = {_merge_image(m, sizes) for m in omega}
+        base_omega = MonomialSet(sorted(merged, reverse=True))
         relift = lift_omega(base_omega, sizes)
         if [tuple(m) for m in relift] != [tuple(m) for m in omega]:
             raise SpecParseError(
@@ -1045,9 +976,7 @@ def parse_order(text: str, omega: MonomialSet):
             raise SpecParseError(
                 "order", text, chain.strip(), f"need each of w0..w{len(omega) - 1} exactly once"
             )
-        order = TermOrder(kind, tuple(ranks))
-        validate_order(order)
-        return order
+        return TermOrder(kind, tuple(ranks))
     kind = text.lower()
     if kind in ORDER_KINDS:
         return TermOrder(kind, tuple(range(len(omega))))

@@ -6,14 +6,13 @@ from itertools import combinations_with_replacement
 
 import pytest
 
+from veroproj import fibers
 from veroproj.errors import GuardExceeded
 from veroproj.fibers import (
     Factorization,
     fiber_of,
     fibers_of_degree,
-    first_disconnected_fiber,
     h_polynomial,
-    hilbert_function,
     hilbert_values,
     ik_sequence_witness,
     is_2_normal,
@@ -85,6 +84,14 @@ def test_escalating_generator_tables():
         assert got.bound == "user"
         q = got.quadraticity()
         assert q.status == "no" and q.witness_degree == min(k for k in table if k > 2)
+    # each generator joins two factorizations that no chain of trivial
+    # moves connects: the degree-2 and degree-4 fibers are disconnected
+    omega = escalating_family(4)
+    reps = minimal_generator_table(omega, k_max=4, representatives=True).representatives
+    assert {k: len(pairs) for k, pairs in reps.items()} == {2: 2, 4: 1}
+    for pairs in reps.values():
+        for lhs, rhs in pairs:
+            assert ik_sequence_witness(omega, lhs, rhs) is None
 
 
 def test_generator_count_degree2_oracle():
@@ -148,6 +155,21 @@ def test_bound_resolution():
         minimal_generator_table(bad, bound="user")
 
 
+def test_implied_two_normal_bound_checks_once(monkeypatch):
+    calls = []
+
+    def counting(omega, guard):
+        calls.append(omega)
+        return is_2_normal(omega, guard)
+
+    monkeypatch.setattr(fibers, "is_2_normal", counting)
+    table = minimal_generator_table(MonomialSet.full(2, 2))
+    assert table.bound == "two-normal" and len(calls) == 1
+    with pytest.raises(ValueError, match="no completeness bound"):
+        minimal_generator_table(escalating_family(4))
+    assert len(calls) == 2
+
+
 def test_hilbert_values_against_bruteforce():
     rng = random.Random(23)
     for _ in range(8):
@@ -163,7 +185,6 @@ def test_hilbert_values_against_bruteforce():
                 for combo in combinations_with_replacement(list(omega), k)
             }
             assert values[k] == len(brute)
-            assert hilbert_function(omega, k) == len(brute)
 
 
 def test_is_2_normal():
@@ -203,11 +224,12 @@ def test_complement_of_single_monomial_2_normality():
                 i = max(range(n + 1), key=lambda p: m[p])
                 shadow = tuple(e + (d if p == i else 0) for p, e in enumerate(m))
                 assert not is_product_of_two(omega, shadow)
-                assert hilbert_function(omega, 2) < math.comb(n + 2 * d, n)
+                assert hilbert_values(omega, 2)[2] < math.comb(n + 2 * d, n)
             else:
                 assert witness is None
+                values = hilbert_values(omega, 3)
                 for k in (2, 3):
-                    assert hilbert_function(omega, k) == math.comb(n + k * d, n)
+                    assert values[k] == math.comb(n + k * d, n)
 
 
 def test_ik_sequence_witness():
@@ -230,15 +252,6 @@ def test_ik_sequence_witness():
                     assert set(a) & set(b)
                 return
     raise AssertionError("no multi-element component found to exercise the chain")
-
-
-def test_first_disconnected_fiber():
-    omega = escalating_family(4)
-    fib = first_disconnected_fiber(omega, 2)
-    assert fib is not None and len(fib) >= 2
-    # the degree-4 generator shows up as a disconnected degree-4 fiber
-    fib4 = first_disconnected_fiber(omega, 4)
-    assert fib4 is not None
 
 
 def test_h_polynomial_group_route():

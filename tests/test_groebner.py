@@ -15,7 +15,6 @@ from veroproj.groebner import (
     KEY_DEGREE_BOUND,
     Binomial,
     BuchbergerAborted,
-    LiftedOrder,
     TermOrder,
     buchberger,
     lift_omega,
@@ -24,7 +23,6 @@ from veroproj.groebner import (
     rc_term_order,
     search_quadratic_order,
     toric_generators,
-    validate_order,
     verify_groebner,
 )
 from veroproj.families import FamilySpec, koszul_label
@@ -126,23 +124,30 @@ def _monomials(mu: int):
     return st.tuples(*[st.one_of(st.integers(0, 3), st.integers(big - 3, big))] * mu)
 
 
-def _merge_image(lord: LiftedOrder, vec) -> tuple[int, ...]:
-    out = [0] * lord.base.mu
-    for e, target in zip(vec, lord.image):
-        out[target] += e
-    return tuple(out)
+def _image(omega: MonomialSet, lifted: MonomialSet, sizes) -> tuple[int, ...]:
+    """Index in omega of each lifted member's merge image (its block sums)."""
+    cuts = list(itertools.accumulate(sizes, initial=0))
+    return tuple(
+        omega.index_of([sum(m[a:b]) for a, b in zip(cuts, cuts[1:])]) for m in lifted
+    )
 
 
-def _order_greater(order, u, v) -> bool:
-    """Tuple-based oracle for TermOrder and LiftedOrder keys.
+def _order_greater(order, u, v, lifts=()) -> bool:
+    """Tuple-based oracle for TermOrder keys, plain or lifted.
 
-    A lifted order compares merge images by its base order, then breaks
-    a tie by graded revlex over its own ranking.
+    `lifts` lists the (base order, merge image) pairs the order was
+    lifted through, innermost first.  A lifted order compares merge
+    images by its base order, then breaks a tie by graded revlex over
+    its own ranking.
     """
-    if isinstance(order, LiftedOrder):
-        pu, pv = _merge_image(order, u), _merge_image(order, v)
+    if lifts:
+        *inner, (base, image) = lifts
+        pu, pv = [0] * base.mu, [0] * base.mu
+        for j, target in enumerate(image):
+            pu[target] += u[j]
+            pv[target] += v[j]
         if pu != pv:
-            return _order_greater(order.base, pu, pv)
+            return _order_greater(base, pu, pv, inner)
         return _reference_greater("degrevlex", order.variable_rank, u, v)
     return _reference_greater(order.kind, order.variable_rank, u, v)
 
@@ -171,20 +176,23 @@ def test_lifted_order_key_agrees_with_reference(data):
     order = TermOrder(
         data.draw(st.sampled_from(KINDS)), tuple(data.draw(st.permutations(range(len(omega)))))
     )
+    lifts = []
     for _ in range(data.draw(st.integers(1, 2))):  # a lift, or a lift of a lift
         sizes = tuple(data.draw(st.lists(st.integers(1, 2), min_size=omega.n + 1, max_size=omega.n + 1)))
         lifted = lift_omega(omega, sizes)
+        lifts.append((order, _image(omega, lifted, sizes)))
         order = lift_order(order, omega, lifted, sizes)
         omega = lifted
+    image = lifts[-1][1]
     u, v = data.draw(_monomials(len(omega))), data.draw(_monomials(len(omega)))
     # w shuffles u within each merge block, so it ties with u on the base
     w = list(u)
-    for img in set(order.image):
-        block = [j for j, target in enumerate(order.image) if target == img]
+    for img in set(image):
+        block = [j for j, target in enumerate(image) if target == img]
         for j, e in zip(block, data.draw(st.permutations([u[j] for j in block]))):
             w[j] = e
     for a, b in ((u, v), (u, tuple(w))):
-        assert (order.key(a) > order.key(b)) == _order_greater(order, a, b)
+        assert (order.key(a) > order.key(b)) == _order_greater(order, a, b, lifts)
         assert (order.key(a) == order.key(b)) == (a == b)
 
 
@@ -192,15 +200,16 @@ def test_key_raises_at_the_degree_bound():
     order, omega = rc_term_order(6, 3)
     lifted = lift_omega(omega, (1, 2, 2))
     lord = lift_order(order, omega, lifted, (1, 2, 2))
+    lord_lifts = [(order, _image(omega, lifted, (1, 2, 2)))]
     top = KEY_DEGREE_BOUND - 1
-    for o in (TermOrder("lex", (2, 0, 1)), TermOrder("deglex", (1, 2, 0)),
-              TermOrder("degrevlex", (0, 2, 1)), order, lord):
+    for o, lifts in ((TermOrder("lex", (2, 0, 1)), ()), (TermOrder("deglex", (1, 2, 0)), ()),
+                     (TermOrder("degrevlex", (0, 2, 1)), ()), (order, ()), (lord, lord_lifts)):
         zero = [0] * o.mu
         u = tuple([top] + zero[1:])
         v = tuple(zero[:-1] + [top])
         w = tuple([top - 1] + zero[2:] + [1])
         for a, b in itertools.permutations((u, v, w), 2):
-            assert (o.key(a) > o.key(b)) == _order_greater(o, a, b)
+            assert (o.key(a) > o.key(b)) == _order_greater(o, a, b, lifts)
         with pytest.raises(ValueError, match="degree bound"):
             o.key(tuple([top + 1] + zero[1:]))
         with pytest.raises(ValueError, match="degree bound"):
@@ -218,19 +227,26 @@ def test_verify_groebner_accepts_lift_bases():
         assert verify_groebner(gb, gens), sizes
 
 
-def test_validate_order_accepts_real_orders_and_rejects_fakes():
+def test_orders_have_positive_weights():
+    """Every order this package builds has one positive packed column per
+    variable, so 1 is the smallest monomial: plain kinds, rc, lifts and a
+    lift of a lift.  A lead column that is not one non-negative entry
+    per variable is rejected."""
     rng = random.Random(5)
-    for kind in ("lex", "deglex", "degrevlex", "revlex"):
-        validate_order(TermOrder(kind, (2, 0, 1, 3)), rng)
-
-    class Bogus:
-        mu = 3
-
-        def key(self, vec):
-            return (vec[0] % 2,)
-
-    with pytest.raises(ValueError):
-        validate_order(Bogus(), random.Random(1))
+    orders = [TermOrder(kind, tuple(rng.sample(range(6), 6))) for kind in KINDS]
+    rc, omega = rc_term_order(6, 3)
+    orders.append(rc)
+    for sizes in [(1, 2, 2), (2, 2, 1)]:
+        lifted = lift_omega(omega, sizes)
+        lord = lift_order(rc, omega, lifted, sizes)
+        relifted = lift_omega(lifted, (2,) + (1,) * lifted.n)
+        orders += [lord, lift_order(lord, lifted, relifted, (2,) + (1,) * lifted.n)]
+    for order in orders:
+        assert len(order.weights) == order.mu and min(order.weights) > 0, order.spec_string()
+    with pytest.raises(ValueError, match="lead"):
+        TermOrder("degrevlex", (0, 1), lead=(3, -1))
+    with pytest.raises(ValueError, match="lead"):
+        TermOrder("degrevlex", (0, 1), lead=(3,))
 
 
 def test_term_order_spec_and_rank_validation():
@@ -408,6 +424,20 @@ def test_search_quartic_group_within_heuristics():
     assert verify_groebner(res.basis)
 
 
+def test_candidate_orders_are_distinct():
+    # mu = 7 reaches the all-permutations stage, mu = 10 the random one
+    for d, weights in ((8, (0, 1, 6)), (14, (0, 2, 11))):
+        b1 = invariants_of_degree(cyclic_group(d, weights), 1)
+        seen = [o.weights for o in itertools.islice(_candidate_orders(b1, seed=0), 300)]
+        assert len(set(seen)) == len(seen) == 300
+    # revlex repeats degrevlex on the canonical ranking, so the lex order
+    # that succeeds is now the second candidate, not the third
+    b1 = invariants_of_degree(cyclic_group(8, (0, 1, 6)), 1)
+    res = search_quadratic_order(b1, budget=10, seed=0)
+    assert res.found and res.tried == 2
+    assert res.order.spec_string() == "lex : w0 > w1 > w2 > w3 > w4 > w5 > w6"
+
+
 def test_search_reports_impossible_tables():
     b512 = invariants_of_degree(cyclic_group(5, (0, 1, 2)), 1)
     res = search_quadratic_order(b512, budget=40, seed=3)
@@ -470,7 +500,6 @@ def test_lift_order_preserves_quadratic_basis():
         gens = toric_generators(oracle)
         gb = buchberger(gens, lord)
         assert gb.max_degree == 2, sizes
-        validate_order(lord, random.Random(13))
 
 
 def test_lift_order_trivial_sizes_matches_base():
@@ -495,7 +524,7 @@ def test_lift_order_tiebreak_prefers_first_split_exponent():
     lord = lift_order(order, b1, lifted, (1, 2, 1))
     members = [tuple(m) for m in lifted]
     by_image: dict[int, list[int]] = {}
-    for j, img in enumerate(lord.image):
+    for j, img in enumerate(_image(b1, lifted, (1, 2, 1))):
         by_image.setdefault(img, []).append(j)
     for img, group_vars in by_image.items():
         ranked = sorted(group_vars, key=lord.position_of)
