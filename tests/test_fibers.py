@@ -254,6 +254,25 @@ def test_ik_sequence_witness():
     raise AssertionError("no multi-element component found to exercise the chain")
 
 
+def test_first_disconnected_fiber():
+    omega = escalating_family(4)
+
+    def first_disconnected(k: int):
+        for fib in fibers_of_degree(omega, k).values():
+            comps = fib.connected_components()
+            if len(comps) > 1:
+                return comps
+        return None
+
+    comps = first_disconnected(2)
+    assert comps is not None and len(comps) >= 2
+    # the degree-4 generator shows up as a disconnected degree-4 fiber
+    comps4 = first_disconnected(4)
+    assert comps4 is not None
+    for a, b in zip(comps4, comps4[1:]):
+        assert ik_sequence_witness(omega, a[0], b[0]) is None
+
+
 def test_h_polynomial_group_route():
     g = parse_group("C(4;0,1,2,3)")
     b1 = invariants_of_degree(g, 1)
