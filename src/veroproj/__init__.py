@@ -2,9 +2,10 @@
 
 The package is organized bottom-up: monomials and parameterizing sets,
 diagonal group actions and their invariants, fibers of the monomial map
-with minimal generator counts, a binomial Buchberger engine with term
-order search, named families with theorem-backed Koszul labels, and a
-survey driver with a command line front end.
+with minimal generator counts, a binomial Buchberger engine, a term
+order search that reads quadratic bases off the fibers, named families
+with theorem-backed Koszul labels, and batch surveys with a command
+line front end.
 """
 
 from .monomials import (
@@ -44,11 +45,13 @@ from .fibers import (
 from .groebner import (
     Binomial,
     GroebnerBasis,
+    QuadraticFibers,
     TermOrder,
     buchberger,
     lift_omega,
     lift_order,
     parse_order,
+    quadratic_basis,
     rc_term_order,
     search_quadratic_order,
     toric_generators,

@@ -24,11 +24,13 @@ from .fibers import (
     minimal_generator_table,
 )
 from .groebner import (
+    QuadraticFibers,
     TermOrder,
     ambient_ranks,
     buchberger,
     lift_omega,
     lift_order,
+    quadratic_basis,
     rc_term_order,
     search_quadratic_order,
     toric_generators,
@@ -859,8 +861,13 @@ def _scenario_lift(opts: ScenarioOptions) -> list[dict]:
                 block = invariants_of_degree(block_group(g, sizes), 1, guard=opts.guard)
                 same = [tuple(m) for m in lifted] == [tuple(m) for m in block]
                 order = lift_order(found.order, b1, lifted, sizes)
-                gens = toric_generators(block, guard=opts.guard)
-                gb = buchberger(gens, order)
+                # the fiber criterion decides a lift whose ideal is generated in
+                # degree 2; Buchberger reports the true degree of any other answer
+                gb = None
+                if minimal_generator_table(block, guard=opts.guard).quadraticity():
+                    gb = quadratic_basis(block, order, QuadraticFibers.of(block, opts.guard))
+                if gb is None:
+                    gb = buchberger(toric_generators(block, guard=opts.guard), order)
                 steps.append(_step(
                     "lift", {"group": spec, "sizes": sizes},
                     {"matches-block-group": True, "max_degree": 2},

@@ -154,7 +154,8 @@ def fiber_of(
 
     The factorization length is target degree / d; divisibility pruning
     plus memoization on (remaining monomial, minimum usable index) keeps
-    the search well below the full multiset walk.
+    the search well below the full multiset walk.  The guard bounds that
+    walk's multiset count, as in `fibers_of_degree`, before any search.
     """
     t = Monomial(target)
     if t.nvars != omega.n + 1:
@@ -166,6 +167,9 @@ def fiber_of(
     k = t.degree // omega.d
     members = [tuple(m) for m in omega]
     mu = len(members)
+    total = _multiset_count(mu, k)
+    if total > guard:
+        raise GuardExceeded(f"degree-{k} factorizations over {mu} members", total, guard)
     from functools import lru_cache
 
     @lru_cache(maxsize=None)

@@ -9,8 +9,9 @@ reduction never produces a coefficient other than +-1.  This module
 provides the binomial types, the term orders (including the (r,c)-Lex
 order for one-dimensional weight patterns (0,1,k) and the composite
 orders used to lift a basis through a variable split), Buchberger with
-a normal selection strategy, and a deterministic search for orders
-that make the reduced basis quadratic.
+a normal selection strategy, the quadratic basis an order induces read
+straight off the degree-2 and degree-3 fibers, and a deterministic
+search for orders that make the reduced basis quadratic.
 
 Exponent-vector conventions: an S-monomial is a tuple of mu
 non-negative ints; multiplication is componentwise addition, and
@@ -28,10 +29,10 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from heapq import heappop, heappush
 from operator import add, mul, sub
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .errors import DEFAULT_GUARD, GuardExceeded, SpecParseError
-from .fibers import GeneratorTable, minimal_generator_table
+from .fibers import GeneratorTable, fibers_of_degree, minimal_generator_table
 from .groups import SurfaceCertificate, cyclic_group, invariants_of_degree, surface_certificate
 from .monomials import MonomialSet
 
@@ -170,7 +171,6 @@ class TermOrder:
     kind: str
     variable_rank: tuple[int, ...]
     origin: str | None = field(default=None, compare=False)
-    audit: tuple | None = field(default=None, compare=False, repr=False)
     lead: tuple[int, ...] = ()
 
     def __post_init__(self):
@@ -244,54 +244,36 @@ class TermOrder:
 def rc_term_order(d: int, k: int) -> tuple[TermOrder, MonomialSet]:
     """Lex order making the invariant ring of weights (0,1,k) quadratic.
 
-    Requires d = t*k*(k-1) for an integer t >= 1 and k >= 2.  Every
-    degree-d invariant of the cyclic weight pattern (0,1,k) mod d is
-    determined by a pair (r, c): writing the exponents as (a, b, c),
-    the congruence fixes b + k*c = r*d with 0 <= r <= k, and for each r
-    the feasible c form the interval [(r-1)*t*k, r*t*(k-1)] (just {0}
-    for r = 0).  Variables are ranked by the pair (r, c), the largest
-    pair greatest, and monomials compare lexicographically.
-
-    Returns the order together with the invariant set it ranks (tagged
-    with its group so generator tables certify automatically); the
-    (r, c) table is attached to the order as `audit`, one row
-    (r, c, member) per variable in canonical member order.
+    Requires d = t*k*(k-1) for an integer t >= 1 and k >= 2.  The order
+    is the one the rc certificate of the cyclic group (0,1,k) mod d puts
+    on its degree-d invariants (see `_rc_order`).  Returns the order
+    together with the invariant set it ranks, tagged with its group so
+    generator tables certify automatically.
     """
     if k < 2:
         raise ValueError(f"need k >= 2, got {k}")
     step = k * (k - 1)
     if d <= 0 or d % step != 0:
         raise ValueError(f"degree {d} is not a positive multiple of k(k-1) = {step}")
-    t = d // step
-
-    members: list[tuple[int, ...]] = []
-    pair_of: dict[tuple[int, ...], tuple[int, int]] = {}
-    rows: list[tuple[int, int]] = [(0, 0)]
-    members.append((d, 0, 0))
-    pair_of[(d, 0, 0)] = (0, 0)
-    for r in range(1, k + 1):
-        lo, hi = (r - 1) * t * k, r * t * (k - 1)
-        for c in range(lo, hi + 1):
-            a = (k - 1) * c - (r - 1) * d
-            b = r * d - k * c
-            m = (a, b, c)
-            if a < 0 or b < 0 or a + b + c != d:
-                raise AssertionError(f"(r,c) row {(r, c)} gives {m}, not a degree-{d} monomial")
-            rows.append((r, c))
-            members.append(m)
-            pair_of[m] = (r, c)
-
-    group = cyclic_group(d, (0, 1, k % d))
+    group = cyclic_group(d, (0, 1, k))
     omega = invariants_of_degree(group, 1)
-    if {tuple(m) for m in omega} != set(members):
-        raise AssertionError(
-            f"(r,c) table disagrees with the invariant enumeration for d={d}, k={k}"
-        )
+    return _rc_order(omega, surface_certificate(group)), omega
 
-    ranked = sorted(range(len(omega)), key=lambda i: pair_of[tuple(omega[i])], reverse=True)
-    audit = tuple((pair_of[tuple(m)][0], pair_of[tuple(m)][1], tuple(m)) for m in omega)
-    order = TermOrder("lex", tuple(ranked), origin=f"rc({d},{k},{t})", audit=audit)
-    return order, omega
+
+def _rc_order(omega: MonomialSet, cert: SurfaceCertificate) -> TermOrder:
+    """The (r,c)-Lex order an rc certificate puts on its group's B_1.
+
+    With the certificate's coordinates (a, b, c) of the (0,1,k) pattern,
+    each member satisfies b + k*c == r*d for one r with 0 <= r <= k;
+    variables rank by the pair (r, c), the largest pair greatest, and
+    compare by lex.
+    """
+    _, b, c = cert.roles
+    k, t = cert.k, cert.t
+    d = t * k * (k - 1)
+    pairs = [((m[b] + k * m[c]) // d, m[c]) for m in omega]
+    ranks = tuple(sorted(range(len(omega)), key=pairs.__getitem__, reverse=True))
+    return TermOrder("lex", ranks, origin=f"rc({d},{k},{t})")
 
 
 # ---------------------------------------------------------------------------
@@ -303,23 +285,20 @@ def toric_generators(
     k_max: int | None = None,
     bound: str | None = None,
     guard: int = DEFAULT_GUARD,
-    table: GeneratorTable | None = None,
 ) -> list[Binomial]:
     """Markov-style binomial generators of the toric ideal of omega.
 
     One binomial per excess fiber component, straight from the minimal
     generator table.  Without a certified completeness bound (2-normal
     or group-tagged omega, or an explicit k_max) the seed would be
-    silently partial, so that case is an error instead.  A `table` that
-    carries representatives is read as is; otherwise one is built here.
+    silently partial, so that case is an error instead.
     """
-    if table is None or table.representatives is None:
-        try:
-            table = minimal_generator_table(
-                omega, k_max=k_max, bound=bound, guard=guard, representatives=True
-            )
-        except ValueError as exc:
-            raise ValueError(f"uncertified seed: {exc}") from exc
+    try:
+        table = minimal_generator_table(
+            omega, k_max=k_max, bound=bound, guard=guard, representatives=True
+        )
+    except ValueError as exc:
+        raise ValueError(f"uncertified seed: {exc}") from exc
     gens: list[Binomial] = []
     for degree in sorted(table.representatives):
         for lhs, rhs in table.representatives[degree]:
@@ -334,20 +313,6 @@ def toric_generators(
 
 # ---------------------------------------------------------------------------
 # Buchberger
-
-
-class BuchbergerAborted(RuntimeError):
-    """Raised when a run hits its step ceiling or the search degree cap.
-
-    `reason` is "step-limit" or "degree-cap"; for step limits, `state`
-    holds a resumable snapshot to pass back via buchberger(resume=...).
-    """
-
-    def __init__(self, reason: str, state: tuple | None = None, degree: int | None = None):
-        self.reason = reason
-        self.state = state
-        self.degree = degree
-        super().__init__(f"buchberger aborted: {reason}")
 
 
 @dataclass(frozen=True)
@@ -373,14 +338,6 @@ class GroebnerBasis:
         return _Reducer(
             [g.plus for g in self.elements], [g.minus for g in self.elements], self.order.key
         )
-
-    def normal_form(
-        self, plus: Sequence[int], minus: Sequence[int]
-    ) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
-        return self._reducer.normal_form(tuple(plus), tuple(minus))
-
-    def reduces_to_zero(self, b: Binomial) -> bool:
-        return self.normal_form(b.plus, b.minus) is None
 
     def to_json_dict(self) -> dict:
         return {
@@ -489,14 +446,7 @@ def _find_reducer(
     return None
 
 
-def buchberger(
-    gens: Sequence[Binomial],
-    order: TermOrder,
-    *,
-    step_limit: int | None = None,
-    degree_cap: int | None = None,
-    resume: tuple | None = None,
-) -> GroebnerBasis:
+def buchberger(gens: Sequence[Binomial], order: TermOrder) -> GroebnerBasis:
     """Reduced Groebner basis of the binomial ideal generated by gens.
 
     Normal selection strategy: S-pairs are processed by ascending lcm
@@ -504,18 +454,13 @@ def buchberger(
     elements appearing early.  New basis elements are gcd-stripped
     before insertion; this is sound for prime toric ideals because the
     stripped binomial still lies in the ideal and generates the
-    original one.  With `degree_cap`, insertion of an element of larger
-    degree aborts immediately (search mode).  With `step_limit`, the
-    run aborts after that many S-pair reductions carrying a resumable
-    state; pass it back as `resume` (with the same gens and order) to
-    continue.
+    original one.
     """
     key = order.key
     basis = _Reducer((), (), key)
     supports: list[frozenset[int]] = []
     pending: list[tuple[int, int, int, int]] = []
     counter = itertools.count()
-    steps = 0
 
     def push_pairs(new_idx: int) -> None:
         leads = basis.leads
@@ -537,32 +482,19 @@ def buchberger(
         u, v = _vec_strip(*nf)
         if key(u) < key(v):
             u, v = v, u
-        if degree_cap is not None and sum(u) > degree_cap:
-            raise BuchbergerAborted("degree-cap", degree=sum(u))
         basis.add(u, v)
         supports.append(frozenset(i for i, e in enumerate(u) if e))
         push_pairs(len(basis.leads) - 1)
 
-    if resume is not None:
-        leads, trails, pending, steps, count_start = resume
-        basis = _Reducer(leads, trails, key)
-        pending = list(pending)
-        supports = [frozenset(i for i, e in enumerate(L) if e) for L in leads]
-        counter = itertools.count(count_start)
-    else:
-        for g in gens:
-            insert(g.plus, g.minus)
+    for g in gens:
+        insert(g.plus, g.minus)
 
     leads, trails, moves = basis.leads, basis.trails, basis.moves
     while pending:
-        if step_limit is not None and steps >= step_limit:
-            state = (tuple(leads), tuple(trails), tuple(pending), steps, next(counter))
-            raise BuchbergerAborted("step-limit", state=state)
         _, _, i, j = heappop(pending)
         lcm = _vec_lcm(leads[i], leads[j])
         u = tuple(map(add, lcm, moves[i]))
         v = tuple(map(add, lcm, moves[j]))
-        steps += 1
         insert(u, v)
 
     # inter-reduce: keep the minimal leads, then reduce tails to a fixpoint
@@ -623,6 +555,63 @@ def verify_groebner(gb: GroebnerBasis, gens: Sequence[Binomial] | None = None) -
 
 
 # ---------------------------------------------------------------------------
+# quadratic bases read off the degree-2 and degree-3 fibers
+
+
+class QuadraticFibers(NamedTuple):
+    """The fibers `quadratic_basis` reads, walked once for any number of orders.
+
+    `quadrics` holds the degree-2 fibers and `cubics` the connected
+    components of the degree-3 fibers, each as its sorted index
+    multisets and only when it has more than one.
+    """
+
+    quadrics: list[list[tuple[int, ...]]]
+    cubics: list[list[tuple[int, ...]]]
+
+    @classmethod
+    def of(cls, omega: MonomialSet, guard: int = DEFAULT_GUARD) -> "QuadraticFibers":
+        quadrics = [f.elements for f in fibers_of_degree(omega, 2, guard).values() if len(f) > 1]
+        cubics = [comp for f in fibers_of_degree(omega, 3, guard).values() if len(f) > 1
+                  for comp in f.connected_components() if len(comp) > 1]
+        return cls(quadrics, cubics)
+
+
+def quadratic_basis(
+    omega: MonomialSet, order: TermOrder, fibers: QuadraticFibers
+) -> GroebnerBasis | None:
+    """The reduced basis of the ideal the degree-2 fibers generate, if quadratic.
+
+    A toric ideal has one standard monomial per fiber, so the only
+    candidate is G = { m - min(F) : F a degree-2 fiber, m in F, m !=
+    min(F) }, gcd-free as multisets of one degree-2 fiber share no index.
+    Leads that share a variable have a degree-3 lcm and coprime ones need
+    no S-pair, so G is a Groebner basis exactly when every degree-3 fiber
+    component (a class of that ideal) has one multiset with no lead among
+    its three sub-pairs; None otherwise.  Elements sort as in `buchberger`.
+    """
+    weights = order.weights
+    leads: dict[tuple[int, ...], tuple[int, ...]] = {}
+    for fiber in fibers.quadrics:
+        least = min(fiber, key=lambda pair: weights[pair[0]] + weights[pair[1]])
+        for pair in fiber:
+            if pair != least:
+                leads[pair] = least
+    for comp in fibers.cubics:
+        standard = sum(
+            (a, b) not in leads and (a, c) not in leads and (b, c) not in leads
+            for a, b, c in comp
+        )
+        if standard != 1:
+            return None
+    elements = sorted(
+        (Binomial.from_indices(omega, lead, trail) for lead, trail in leads.items()),
+        key=lambda g: (g.degree, g.plus, g.minus),
+    )
+    return GroebnerBasis(tuple(elements), order, 2 if elements else 0)
+
+
+# ---------------------------------------------------------------------------
 # order search
 
 
@@ -651,21 +640,6 @@ class SearchResult:
         return self.status == "found"
 
 
-def _rc_order(omega: MonomialSet, cert: SurfaceCertificate) -> TermOrder:
-    """The (r,c)-Lex order an rc certificate puts on its group's B_1.
-
-    With the certificate's coordinates (a, b, c) of the (0,1,k) pattern,
-    each member satisfies b + k*c == r*d for one r; variables rank by
-    the pair (r, c), the largest pair greatest, and compare by lex.
-    """
-    _, b, c = cert.roles
-    k, t = cert.k, cert.t
-    d = t * k * (k - 1)
-    pairs = [((m[b] + k * m[c]) // d, m[c]) for m in omega]
-    ranks = tuple(sorted(range(len(omega)), key=pairs.__getitem__, reverse=True))
-    return TermOrder("lex", ranks, origin=f"rc({d},{k},{t})")
-
-
 def ambient_ranks(omega: MonomialSet, xorder: TermOrder) -> tuple[int, ...]:
     """Presentation variables ranked by their members, greatest first.
 
@@ -688,47 +662,34 @@ def _candidate_orders(omega: MonomialSet, seed: int) -> Iterator[TermOrder]:
     revlex never repeats degrevlex on the same ranking.
     """
     mu = len(omega)
+
+    def stages() -> Iterator[TermOrder]:
+        cert = surface_certificate(omega.origin_group) if omega.origin_t == 1 else None
+        if cert is not None and cert.rule == "rc-order-quadratic-gb":
+            yield _rc_order(omega, cert)
+        for kind in ("degrevlex", "revlex", "lex", "deglex"):
+            yield TermOrder(kind, tuple(range(mu)))
+        for xperm in itertools.permutations(range(omega.n + 1)):
+            for xkind in ("degrevlex", "lex"):
+                ranks = ambient_ranks(omega, TermOrder(xkind, xperm))
+                for kind in ("revlex", "degrevlex", "lex"):
+                    yield TermOrder(kind, ranks)
+        kinds = ("degrevlex", "lex", "deglex", "revlex")
+        if mu <= 8:
+            for ranks in itertools.permutations(range(mu)):
+                for kind in kinds:
+                    yield TermOrder(kind, ranks)
+        else:
+            rng = random.Random(seed)
+            while True:
+                ranks = tuple(rng.sample(range(mu), mu))
+                yield TermOrder(kinds[rng.randrange(len(kinds))], ranks)
+
     seen: set[tuple[int, ...]] = set()
-
-    def emit(order: TermOrder) -> TermOrder | None:
-        if order.weights in seen:
-            return None
-        seen.add(order.weights)
-        return order
-
-    cert = surface_certificate(omega.origin_group) if omega.origin_t == 1 else None
-    if cert is not None and cert.rule == "rc-order-quadratic-gb":
-        yield emit(_rc_order(omega, cert))
-
-    identity = tuple(range(mu))
-    for kind in ("degrevlex", "revlex", "lex", "deglex"):
-        order = emit(TermOrder(kind, identity))
-        if order:
+    for order in stages():
+        if order.weights not in seen:
+            seen.add(order.weights)
             yield order
-
-    for xperm in itertools.permutations(range(omega.n + 1)):
-        for xkind in ("degrevlex", "lex"):
-            ranks = ambient_ranks(omega, TermOrder(xkind, xperm))
-            for kind in ("revlex", "degrevlex", "lex"):
-                order = emit(TermOrder(kind, ranks))
-                if order:
-                    yield order
-
-    kinds = ("degrevlex", "lex", "deglex", "revlex")
-    if mu <= 8:
-        for ranks in itertools.permutations(range(mu)):
-            for kind in kinds:
-                order = emit(TermOrder(kind, ranks))
-                if order:
-                    yield order
-    else:
-        rng = random.Random(seed)
-        while True:
-            ranks = tuple(rng.sample(range(mu), mu))
-            kind = kinds[rng.randrange(len(kinds))]
-            order = emit(TermOrder(kind, ranks))
-            if order:
-                yield order
 
 
 def search_quadratic_order(
@@ -737,7 +698,6 @@ def search_quadratic_order(
     seed: int = 0,
     k_max: int | None = None,
     bound: str | None = None,
-    step_limit: int | None = 200_000,
     guard: int = DEFAULT_GUARD,
     table: GeneratorTable | None = None,
 ) -> SearchResult:
@@ -745,67 +705,39 @@ def search_quadratic_order(
 
     Candidates come from `_candidate_orders` and are tried in that
     fixed sequence, so the first success is deterministic for a given
-    seed.  Runs abort as soon as a basis element of degree > 2 appears.
-    When the generator table contains a minimal generator of degree 3
-    or more, no quadratic basis can exist (basis degrees dominate
-    minimal generator degrees) and the search returns immediately with
-    a warning instead of burning the budget.  The same table seeds the
-    generators when it carries representatives.
+    seed.  Each one is decided by `quadratic_basis` on fibers walked
+    once per call.  When the generator table contains a minimal
+    generator of degree 3 or more, no quadratic basis can exist (basis
+    degrees dominate minimal generator degrees) and the search returns
+    immediately with a warning instead of burning the budget.  A table
+    verified only to degree 2 makes the search one for the ideal its
+    degree-2 generators span.
     """
     if table is None:
-        table = minimal_generator_table(
-            omega, k_max=k_max, bound=bound, guard=guard, representatives=True
-        )
+        table = minimal_generator_table(omega, k_max=k_max, bound=bound, guard=guard)
     answer = table.quadraticity()
     if answer.status == "no":
-        return SearchResult(
-            status="not-found-within",
-            order=None,
-            basis=None,
-            tried=0,
-            budget=budget,
-            seed=seed,
-            warning=(
-                "no quadratic Groebner basis exists: the ideal has a minimal "
-                f"generator of degree {answer.witness_degree} (table {table.degrees})"
-            ),
-            impossible=True,
+        warning = (
+            "no quadratic Groebner basis exists: the ideal has a minimal "
+            f"generator of degree {answer.witness_degree} (table {table.degrees})"
         )
+        return SearchResult("not-found-within", None, None, 0, budget, seed, warning, impossible=True)
     warning = None
     if answer.status == "unknown-above":
         warning = (
             f"generator table only certified up to degree {answer.verified_up_to}; "
             "a found basis is quadratic for the ideal generated by that table"
         )
-    gens = toric_generators(omega, k_max=k_max, bound=bound, guard=guard, table=table)
+    fibers = QuadraticFibers.of(omega, guard)
     tried = 0
     for order in _candidate_orders(omega, seed):
         if tried >= budget:
             break
         tried += 1
-        try:
-            gb = buchberger(gens, order, degree_cap=2, step_limit=step_limit)
-        except BuchbergerAborted:
-            continue
-        if gb.max_degree <= 2:
-            return SearchResult(
-                status="found",
-                order=order,
-                basis=gb,
-                tried=tried,
-                budget=budget,
-                seed=seed,
-                warning=warning,
-            )
-    return SearchResult(
-        status="not-found-within",
-        order=None,
-        basis=None,
-        tried=tried,
-        budget=budget,
-        seed=seed,
-        warning=warning,
-    )
+        gb = quadratic_basis(omega, order, fibers)
+        if gb is not None:
+            return SearchResult("found", order, gb, tried, budget, seed, warning)
+    return SearchResult("not-found-within", None, None, tried, budget, seed, warning)
 
 
 # ---------------------------------------------------------------------------

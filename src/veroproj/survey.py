@@ -4,7 +4,7 @@ A survey row records, for one diagonal group, the computed generator
 table, the quadraticity and Koszulness verdicts with their provenance,
 and the outcome of a quadratic-order search.  Rows are persisted as
 append-only line-delimited JSON keyed by the group spec, so an
-interrupted survey resumes without recomputing, and a CSV digest is
+interrupted survey picks up without recomputing, and a CSV digest is
 regenerated after every run.  The two conjecture checkers compare
 independently computed routes and flag mismatches as counterexample
 candidates with full witness data, never as bare refutations.
@@ -15,6 +15,7 @@ import csv
 import json
 import logging
 import math
+import os
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -114,7 +115,7 @@ def canonicalize_weights(d: int, weights: tuple[int, ...]) -> dict:
 
 
 def canonical_group(group: DiagonalGroup) -> tuple[DiagonalGroup, dict | None]:
-    """The canonical presentation of a cyclic group, plus the audit record.
+    """The canonical presentation of a cyclic group, plus its canonicalization record.
 
     Noncyclic presentations pass through unchanged (no canonicalization
     is defined for them); a cyclic one already in canonical form returns
@@ -257,9 +258,7 @@ def build_survey_row(group: DiagonalGroup, options: SurveyOptions = SurveyOption
         b1 = invariants_of_degree(group, 1, guard=options.guard)
         timings["invariants_ms"] = _ms() - t0
         t0 = _ms()
-        table = minimal_generator_table(
-            b1, bound="group", guard=options.guard, representatives=options.search
-        )
+        table = minimal_generator_table(b1, bound="group", guard=options.guard)
         timings["table_ms"] = _ms() - t0
     except GuardExceeded as exc:
         return SurveyRow(
@@ -280,13 +279,7 @@ def build_survey_row(group: DiagonalGroup, options: SurveyOptions = SurveyOption
         f"computation:fiber-components-up-to-{answer.verified_up_to}",
     )
     if quadratic.value == "no":
-        search = {
-            "status": "impossible-non-quadratic",
-            "order": None,
-            "tried": 0,
-            "budget": options.budget,
-            "seed": options.seed,
-        }
+        search = {**not_attempted, "status": "impossible-non-quadratic"}
     elif options.search:
         t0 = _ms()
         result = search_quadratic_order(
@@ -294,14 +287,13 @@ def build_survey_row(group: DiagonalGroup, options: SurveyOptions = SurveyOption
         )
         timings["search_ms"] = _ms() - t0
         search = {
+            **not_attempted,
             "status": result.status,
             "order": result.order.spec_string() if result.order is not None else None,
             "tried": result.tried,
-            "budget": result.budget,
-            "seed": result.seed,
         }
     else:
-        search = dict(not_attempted)
+        search = not_attempted
     return SurveyRow(
         spec=spec,
         n=group.n,
@@ -440,7 +432,9 @@ def _load_jsonl(path: Path) -> dict[str, SurveyRow]:
 
 
 def _write_csv(path: Path, rows: list[SurveyRow]) -> None:
-    with path.open("w", encoding="utf-8", newline="") as fh:
+    """Write the digest beside the old one, then swap it in atomically."""
+    tmp = path.with_name(path.name + ".tmp")
+    with tmp.open("w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow([
             "spec", "n", "d",
@@ -458,6 +452,21 @@ def _write_csv(path: Path, rows: list[SurveyRow]) -> None:
                 row.gq_search.get("status"), row.gq_search.get("order") or "",
                 degrees, row.guard_error or "",
             ])
+    os.replace(tmp, path)
+
+
+def _reusable(row: SurveyRow, options: SurveyOptions) -> bool:
+    """Whether a stored row answers for these options.
+
+    Its search must have the options' budget and seed, and must have
+    been attempted when the options ask for a search.
+    """
+    search = row.gq_search
+    return (
+        search.get("budget") == options.budget
+        and search.get("seed") == options.seed
+        and not (options.search and search.get("status") == "not-attempted")
+    )
 
 
 def survey_groups(
@@ -469,9 +478,11 @@ def survey_groups(
 
     Rows are computed one after another in spec order; the returned
     list is sorted canonically.  With a jsonl_path, rows already present
-    in the file are reused (resuming is keyed by group spec) and new
-    rows are appended as they finish; a csv_path gets a digest of every
-    row in the store, rewritten at the end of each run.
+    in the file are reused when they answer for the same options (see
+    `_reusable`; rows are keyed by group spec) and new rows are
+    appended as they finish, a later line superseding an earlier one; a
+    csv_path gets a digest of every row in the store, rewritten at the
+    end of each run.
     """
     specs: dict[str, DiagonalGroup] = {}
     for d in d_values:
@@ -482,7 +493,7 @@ def survey_groups(
     jsonl_path = Path(options.jsonl_path) if options.jsonl_path is not None else None
     existing = _load_jsonl(jsonl_path) if jsonl_path is not None else {}
     rows: dict[str, SurveyRow] = {
-        spec: row for spec, row in existing.items() if spec in specs
+        spec: row for spec, row in existing.items() if spec in specs and _reusable(row, options)
     }
 
     for spec, g in specs.items():

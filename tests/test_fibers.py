@@ -72,6 +72,15 @@ def test_guard_trips_with_exact_count():
     assert exc.value.count == math.comb(len(omega) + 4, 5)
 
 
+def test_fiber_of_checks_its_guard_before_walking():
+    omega = MonomialSet.full(2, 3)
+    with pytest.raises(GuardExceeded) as exc:
+        fiber_of(omega, (5, 5, 5), guard=100)
+    assert exc.value.count == math.comb(len(omega) + 4, 5)
+    fib = fiber_of(omega, (5, 5, 5), guard=exc.value.count)
+    assert fib.elements == fibers_of_degree(omega, 5)[Monomial((5, 5, 5))].elements
+
+
 def test_escalating_generator_tables():
     expected = {
         4: {2: 2, 4: 1},

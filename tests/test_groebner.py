@@ -10,22 +10,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from veroproj.errors import GuardExceeded, SpecParseError
-from veroproj.fibers import minimal_generator_table
+from veroproj.fibers import fibers_of_degree, minimal_generator_table
 from veroproj.groebner import (
     KEY_DEGREE_BOUND,
     Binomial,
-    BuchbergerAborted,
+    QuadraticFibers,
     TermOrder,
     buchberger,
     lift_omega,
     lift_order,
     parse_order,
+    quadratic_basis,
     rc_term_order,
     search_quadratic_order,
     toric_generators,
     verify_groebner,
 )
-from veroproj.families import FamilySpec, koszul_label
+from veroproj.families import FamilySpec, koszul_label, parse_family
 from veroproj.groebner import _candidate_orders
 from veroproj.groups import block_group, cyclic_group, invariants_of_degree
 from veroproj.survey import canonical_surface_weights
@@ -259,16 +260,25 @@ def test_term_order_spec_and_rank_validation():
         TermOrder("lex", (0, 0, 1))
 
 
+def _rc_pairs(omega: MonomialSet, k: int) -> list[tuple[int, int]]:
+    """The (r, c) pair of each member (a, b, c), with r = (b + k*c)/d exact."""
+    pairs = []
+    for a, b, c in omega:
+        r, rest = divmod(b + k * c, omega.d)
+        assert rest == 0 and 0 <= r <= k, (a, b, c)
+        pairs.append((r, c))
+    return pairs
+
+
 def test_rc_order_frozen_table():
     order, omega = rc_term_order(6, 3)
     assert order.spec_string() == "rc(6,3,1)"
     assert len(omega) == 7
-    assert {(r, c) for r, c, _ in order.audit} == {rc for rc, _ in W6_ROWS}
-    table = {m: rc for rc, m in W6_ROWS}
-    for r, c, member in order.audit:
-        assert table[member] == (r, c)
-    # rank 0 is the largest (r, c) pair, i.e. the pure power of the
-    # k-weighted variable
+    pairs = _rc_pairs(omega, 3)
+    assert {tuple(m): rc for m, rc in zip(omega, pairs)} == {m: rc for rc, m in W6_ROWS}
+    # variables rank by (r, c), so rank 0 is the largest pair, i.e. the
+    # pure power of the k-weighted variable
+    assert [pairs[v] for v in order.variable_rank] == sorted(pairs, reverse=True)
     greatest = omega[order.variable_rank[0]]
     assert tuple(greatest) == (0, 0, 6)
     assert tuple(omega[order.variable_rank[-1]]) == (6, 0, 0)
@@ -281,10 +291,13 @@ def test_rc_order_sizes_and_errors():
     for k, t in [(2, 3), (3, 2), (4, 1)]:
         d = t * k * (k - 1)
         order, omega = rc_term_order(d, k)
-        rows = order.audit
+        assert order.spec_string() == f"rc({d},{k},{t})"
+        pairs = _rc_pairs(omega, k)
+        assert len(set(pairs)) == len(pairs)
         for r in range(1, k + 1):
-            assert sum(1 for rr, _, _ in rows if rr == r) == t * (k - r) + 1
-        assert sum(1 for rr, _, _ in rows if rr == 0) == 1
+            assert sum(1 for rr, _ in pairs if rr == r) == t * (k - r) + 1
+        assert sum(1 for rr, _ in pairs if rr == 0) == 1
+        assert [pairs[v] for v in order.variable_rank] == sorted(pairs, reverse=True)
     with pytest.raises(ValueError):
         rc_term_order(5, 2)
     with pytest.raises(ValueError):
@@ -364,7 +377,7 @@ def test_buchberger_quartic_group_recipe():
     assert verify_groebner(gb, gens)
 
 
-def test_buchberger_deterministic_and_resumable():
+def test_buchberger_deterministic():
     b512 = invariants_of_degree(cyclic_group(5, (0, 1, 2)), 1)
     gens = toric_generators(b512)
     order = TermOrder("degrevlex", tuple(range(len(b512))))
@@ -374,24 +387,6 @@ def test_buchberger_deterministic_and_resumable():
         (g.plus, g.minus) for g in second.elements
     ]
 
-    with pytest.raises(BuchbergerAborted) as info:
-        buchberger(gens, order, step_limit=1)
-    assert info.value.reason == "step-limit"
-    resumed = buchberger(gens, order, resume=info.value.state)
-    assert [(g.plus, g.minus) for g in resumed.elements] == [
-        (g.plus, g.minus) for g in first.elements
-    ]
-
-
-def test_buchberger_degree_cap_aborts():
-    b512 = invariants_of_degree(cyclic_group(5, (0, 1, 2)), 1)
-    gens = toric_generators(b512)
-    order = TermOrder("degrevlex", tuple(range(len(b512))))
-    with pytest.raises(BuchbergerAborted) as info:
-        buchberger(gens, order, degree_cap=2)
-    assert info.value.reason == "degree-cap"
-    assert info.value.degree and info.value.degree > 2
-
 
 def test_groebner_degree_dominates_generator_degrees():
     # basis degrees can never undercut the minimal generator degrees
@@ -399,7 +394,7 @@ def test_groebner_degree_dominates_generator_degrees():
     b512 = invariants_of_degree(cyclic_group(5, (0, 1, 2)), 1)
     table = minimal_generator_table(b512)
     want = max(table.degrees)
-    gens = toric_generators(b512, table=None)
+    gens = toric_generators(b512)
     mu = len(b512)
     for kind in ("degrevlex", "lex"):
         ranks = tuple(rng.sample(range(mu), mu))
@@ -460,6 +455,82 @@ def test_search_full_veronese_small():
     for n, d in [(1, 2), (1, 3), (2, 2), (2, 3), (3, 2)]:
         res = search_quadratic_order(MonomialSet.full(n, d), budget=60, seed=0)
         assert res.found, (n, d)
+
+
+# 2-normal families, whose tables certify the ideal up to degree 3
+TWO_NORMAL_FAMILIES = ("full(1,4)", "full(2,2)", "full(2,3)", "pinched(2,4,2)", "pinched(3,2,2)")
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_quadratic_basis_agrees_with_buchberger(data):
+    """The fiber criterion against Buchberger on the table's generators.
+
+    A non-quadratic group is read through a table verified to degree 2
+    only, so both sides work on the ideal its degree-2 generators span.
+    """
+    if data.draw(st.booleans()):
+        omega = parse_family(data.draw(st.sampled_from(TWO_NORMAL_FAMILIES))).build()
+    else:
+        d = data.draw(st.integers(2, 9))
+        weights = (0, data.draw(st.integers(0, d - 1)), data.draw(st.integers(1, d - 1)))
+        omega = invariants_of_degree(cyclic_group(d, weights), 1)
+    quadratic = bool(minimal_generator_table(omega).quadraticity())
+    k_max = None if quadratic and data.draw(st.booleans()) else 2
+    gens = toric_generators(omega, k_max=k_max)
+    mu = len(omega)
+    order = TermOrder(data.draw(st.sampled_from(KINDS)), tuple(data.draw(st.permutations(range(mu)))))
+    gb = buchberger(gens, order)
+    found = quadratic_basis(omega, order, QuadraticFibers.of(omega))
+    assert (found is not None) == (gb.max_degree <= 2)
+    if found is not None:
+        assert found.elements == gb.elements and found.max_degree == gb.max_degree
+
+
+def test_quadratic_basis_on_a_degree_two_table_of_a_cubic_ideal():
+    # C(7;0,1,3) has a cubic minimal generator, so some degree-3 fiber has
+    # two components: a whole-fiber count would reject every order, while
+    # the ideal its quadrics span has quadratic bases under some of them
+    b713 = invariants_of_degree(cyclic_group(7, (0, 1, 3)), 1)
+    fibers = QuadraticFibers.of(b713)
+    gens = toric_generators(b713, k_max=2)
+    verdicts = set()
+    for ranks in itertools.islice(itertools.permutations(range(len(b713))), 0, 720, 7):
+        for kind in ("lex", "degrevlex"):
+            order = TermOrder(kind, ranks)
+            gb = buchberger(gens, order)
+            found = quadratic_basis(b713, order, fibers)
+            assert (found is not None) == (gb.max_degree <= 2), order
+            if found is not None:
+                assert found.elements == gb.elements
+            verdicts.add(found is not None)
+    assert verdicts == {True, False}
+
+
+def test_search_reads_fibers_once_and_never_runs_buchberger(monkeypatch):
+    import veroproj.groebner
+
+    walks = []
+
+    def counting(omega, k, guard):
+        walks.append(k)
+        return fibers_of_degree(omega, k, guard)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the search ran buchberger")
+
+    monkeypatch.setattr(veroproj.groebner, "fibers_of_degree", counting)
+    monkeypatch.setattr(veroproj.groebner, "buchberger", forbidden)
+    bq = invariants_of_degree(cyclic_group(4, (0, 1, 2, 3)), 1)
+    res = search_quadratic_order(bq, budget=400, seed=0)
+    assert res.found and res.tried > 1
+    assert walks == [2, 3]
+    miss = search_quadratic_order(bq, budget=5, seed=0)
+    assert miss.tried == 5 and not miss.found
+    assert walks == [2, 3, 2, 3]
+    # a table with a cubic generator settles the search before any walk
+    assert search_quadratic_order(invariants_of_degree(cyclic_group(7, (0, 1, 3)), 1)).impossible
+    assert walks == [2, 3, 2, 3]
 
 
 def test_lift_omega_examples():

@@ -222,6 +222,60 @@ def test_survey_resume_drops_a_torn_final_line(tmp_path, caplog):
         survey_groups(2, range(2, 4), options)
 
 
+def test_survey_resume_reuses_only_rows_of_the_same_options(tmp_path):
+    jsonl = tmp_path / "rows.jsonl"
+    plain = survey_groups(2, [4], SurveyOptions(jsonl_path=jsonl, search=False))
+    assert {row.gq_search["status"] for row in plain} == {"not-attempted"}
+
+    # rows stored without a search are searched now, each on a new line
+    searched = survey_groups(2, [4], SurveyOptions(jsonl_path=jsonl))
+    assert {row.gq_search["status"] for row in searched} == {"found"}
+    assert len(jsonl.read_text().splitlines()) == 6
+    assert survey_groups(2, [4], SurveyOptions(jsonl_path=jsonl)) == searched
+    assert len(jsonl.read_text().splitlines()) == 6
+
+    # another seed or budget is another search
+    reseeded = survey_groups(2, [4], SurveyOptions(jsonl_path=jsonl, seed=5, budget=7))
+    assert all((row.gq_search["seed"], row.gq_search["budget"]) == (5, 7) for row in reseeded)
+    assert len(jsonl.read_text().splitlines()) == 9
+
+    # a searched row answers a run without search
+    options = SurveyOptions(jsonl_path=jsonl, seed=5, budget=7, search=False)
+    assert survey_groups(2, [4], options) == reseeded
+    assert len(jsonl.read_text().splitlines()) == 9
+
+
+def test_survey_csv_digest_is_replaced_atomically(tmp_path, monkeypatch):
+    import veroproj.survey
+
+    jsonl, digest = tmp_path / "rows.jsonl", tmp_path / "rows.csv"
+    options = SurveyOptions(jsonl_path=jsonl, csv_path=digest, search=False)
+    survey_groups(2, range(2, 4), options)
+    before = digest.read_text()
+
+    real_writer = csv.writer
+
+    class DiesMidway:
+        def __init__(self, fh):
+            self.writer = real_writer(fh)
+
+        def writerow(self, row):
+            if row[0] == "C(4;0,0,3)":
+                raise OSError("disk full")
+            self.writer.writerow(row)
+
+    # a digest write that dies halfway leaves the previous digest whole
+    monkeypatch.setattr(veroproj.survey.csv, "writer", DiesMidway)
+    with pytest.raises(OSError, match="disk full"):
+        survey_groups(2, range(2, 5), options)
+    assert digest.read_text() == before
+    monkeypatch.undo()
+
+    survey_groups(2, range(2, 5), options)
+    with digest.open() as fh:
+        assert len(list(csv.reader(fh))) == 1 + 7
+
+
 def test_survey_search_builds_one_table_per_row(monkeypatch):
     import veroproj.fibers
     import veroproj.groebner
