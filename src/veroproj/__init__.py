@@ -34,6 +34,7 @@ from .fibers import (
     Factorization,
     Fiber,
     GeneratorTable,
+    QuadraticFibers,
     fiber_of,
     fibers_of_degree,
     h_polynomial,
@@ -45,7 +46,6 @@ from .fibers import (
 from .groebner import (
     Binomial,
     GroebnerBasis,
-    QuadraticFibers,
     TermOrder,
     buchberger,
     lift_omega,

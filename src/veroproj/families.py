@@ -24,7 +24,6 @@ from .fibers import (
     minimal_generator_table,
 )
 from .groebner import (
-    QuadraticFibers,
     TermOrder,
     ambient_ranks,
     buchberger,
@@ -864,8 +863,9 @@ def _scenario_lift(opts: ScenarioOptions) -> list[dict]:
                 # the fiber criterion decides a lift whose ideal is generated in
                 # degree 2; Buchberger reports the true degree of any other answer
                 gb = None
-                if minimal_generator_table(block, guard=opts.guard).quadraticity():
-                    gb = quadratic_basis(block, order, QuadraticFibers.of(block, opts.guard))
+                table = minimal_generator_table(block, guard=opts.guard)
+                if table.quadraticity():
+                    gb = quadratic_basis(block, order, table.fibers)
                 if gb is None:
                     gb = buchberger(toric_generators(block, guard=opts.guard), order)
                 steps.append(_step(

@@ -19,9 +19,10 @@ index, so every fiber is an independent set and the count is just
 
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import dataclass
-from typing import Sequence
+from dataclasses import dataclass, field
+from typing import Iterator, NamedTuple, Sequence
 
 from .errors import DEFAULT_GUARD, GuardExceeded
 from .monomials import Monomial, MonomialSet, enumerate_degree
@@ -70,34 +71,127 @@ class Fiber:
 
         Components come ordered by their lex-least element.
         """
-        if self.elements and len(self.elements[0]) == 2:
-            # distinct degree-2 multisets with one product never share an index
-            return [[e] for e in self.elements]
-        parent = list(range(len(self.elements)))
+        return _components(self.elements)
 
-        def find(a: int) -> int:
-            while parent[a] != a:
-                parent[a] = parent[parent[a]]
-                a = parent[a]
-            return a
 
-        owner: dict[int, int] = {}
-        for pos, elem in enumerate(self.elements):
-            for idx in set(elem):
-                if idx in owner:
-                    ra, rb = find(owner[idx]), find(pos)
-                    if ra != rb:
-                        parent[rb] = ra
-                else:
-                    owner[idx] = pos
-        groups: dict[int, list[tuple[int, ...]]] = {}
-        for pos, elem in enumerate(self.elements):
-            groups.setdefault(find(pos), []).append(elem)
-        return sorted(groups.values(), key=lambda comp: comp[0])
+def _components(elements: list[tuple[int, ...]]) -> list[list[tuple[int, ...]]]:
+    """Components of one fiber's sorted multisets, ordered by lex-least element.
+
+    The union runs over indices, not multisets: each multiset joins its own
+    indices, and two multisets of one fiber share an index exactly when
+    they are joined.  A merge relabels the indices of the smaller side.
+    """
+    if elements and len(elements[0]) == 2:
+        # distinct degree-2 multisets with one product never share an index
+        return [[e] for e in elements]
+    owner: dict[int, list] = {}  # index -> [multisets, indices] of its component
+    comps = []
+    for e in elements:
+        comp = owner.get(e[0])
+        if comp is None:
+            comp = owner[e[0]] = [[], [e[0]]]
+            comps.append(comp)
+        for i in e:
+            other = owner.get(i)
+            if other is comp:
+                continue
+            if other is None:
+                owner[i] = comp
+                comp[1].append(i)
+                continue
+            if len(other[1]) > len(comp[1]):
+                comp, other = other, comp
+            comp[0] += other[0]
+            comp[1] += other[1]
+            for j in other[1]:
+                owner[j] = comp
+            other[1] = None  # merged away
+        comp[0].append(e)
+    return sorted(sorted(c[0]) for c in comps if c[1] is not None)
 
 
 def _multiset_count(mu: int, k: int) -> int:
     return math.comb(mu + k - 1, k)
+
+
+def _radix(omega: MonomialSet, k: int) -> int:
+    """The radix that packs every product of up to k members into one int."""
+    return k * omega.d + 1
+
+
+def _pack(m: Sequence[int], radix: int) -> int:
+    """An exponent vector as one int, first exponent most significant.
+
+    With every exponent below the radix, int order is lex order, and the
+    pack of a product is the sum of the packs.
+    """
+    v = 0
+    for e in m:
+        v = v * radix + e
+    return v
+
+
+def _unpack(v: int, radix: int, nvars: int) -> Monomial:
+    exps = [0] * nvars
+    for p in range(nvars - 1, -1, -1):
+        v, exps[p] = divmod(v, radix)
+    return Monomial(exps)
+
+
+def _walk(omega: MonomialSet, k_max: int, distinct: bool = False) -> Iterator[dict]:
+    """Omega's index multisets degree by degree, bucketed by packed product.
+
+    Yields, for k = 1..k_max, a dict from each degree-k product (packed in
+    `_radix(omega, k_max)`) to its k-multisets, sorted ascending.  The
+    degree-k multisets extend the degree-(k-1) ones by an index >= their
+    last, and each level is built only when asked for, so a caller checks
+    its guard first.  With `distinct` a product maps to the least last
+    index among its multisets instead, which still reaches every product
+    one degree up: all that Hilbert values and 2-normality read.
+    """
+    radix = _radix(omega, k_max)
+    members = [_pack(m, radix) for m in omega]
+    mu = len(members)
+    level: dict = {p: i if distinct else [(i,)] for i, p in enumerate(members)}
+    yield level
+    for k in range(2, k_max + 1):
+        nxt: dict = {}
+        if distinct:
+            for p, last in level.items():
+                for j in range(last, mu):
+                    q = p + members[j]
+                    if nxt.get(q, mu) > j:
+                        nxt[q] = j
+        else:
+            for p, elems in level.items():
+                for e in elems:
+                    for j in range(e[-1], mu):
+                        q = p + members[j]
+                        bucket = nxt.get(q)
+                        if bucket is None:
+                            nxt[q] = [e + (j,)]
+                        else:
+                            bucket.append(e + (j,))
+            seen = 0
+            for elems in nxt.values():
+                seen += len(elems)
+                if len(elems) > 1:
+                    elems.sort()
+            if seen != _multiset_count(mu, k):
+                raise RuntimeError(
+                    f"fiber partition check failed: walked {seen} multisets, "
+                    f"expected {_multiset_count(mu, k)}"
+                )
+        level = nxt
+        yield level
+
+
+def _check_fiber_guard(mu: int, k_min: int, k_max: int, guard: int) -> None:
+    # the levels below k_min hold no more multisets than level k_min
+    for k in range(k_min, k_max + 1):
+        total = _multiset_count(mu, k)
+        if total > guard:
+            raise GuardExceeded(f"degree-{k} fibers over {mu} members", total, guard)
 
 
 def fibers_of_degree(
@@ -110,41 +204,11 @@ def fibers_of_degree(
     """
     if k < 1:
         raise ValueError(f"need k >= 1, got {k}")
-    mu = len(omega)
-    total = _multiset_count(mu, k)
-    if total > guard:
-        raise GuardExceeded(f"degree-{k} fibers over {mu} members", total, guard)
-    members = [tuple(m) for m in omega]
-    nv = omega.n + 1
-    buckets: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
-    prefix = [0] * nv
-    chosen: list[int] = []
-    seen = 0
-
-    def rec(start: int, left: int) -> None:
-        nonlocal seen
-        if left == 0:
-            seen += 1
-            buckets.setdefault(tuple(prefix), []).append(tuple(chosen))
-            return
-        for i in range(start, mu):
-            m = members[i]
-            for p in range(nv):
-                prefix[p] += m[p]
-            chosen.append(i)
-            rec(i, left - 1)
-            chosen.pop()
-            for p in range(nv):
-                prefix[p] -= m[p]
-
-    rec(0, k)
-    if seen != total:
-        raise RuntimeError(
-            f"fiber partition check failed: walked {seen} multisets, expected {total}"
-        )
-    return {
-        Monomial(t): Fiber(Monomial(t), elems) for t, elems in buckets.items()
-    }
+    _check_fiber_guard(len(omega), k, k, guard)
+    *_, level = _walk(omega, k)
+    radix, nvars = _radix(omega, k), omega.n + 1
+    fibers = (Fiber(_unpack(p, radix, nvars), elems) for p, elems in level.items())
+    return {fib.target: fib for fib in fibers}
 
 
 def fiber_of(
@@ -192,20 +256,16 @@ def fiber_of(
 def hilbert_values(
     omega: MonomialSet, k_max: int, guard: int = DEFAULT_GUARD
 ) -> list[int]:
-    """Hilbert function values for degrees 0..k_max by iterated products."""
+    """Hilbert function values for degrees 0..k_max: distinct member products."""
     if k_max < 0:
         raise ValueError(f"need k_max >= 0, got {k_max}")
-    members = [tuple(m) for m in omega]
     values = [1]
-    current: set[tuple[int, ...]] = {tuple([0] * (omega.n + 1))}
+    walk = _walk(omega, k_max, distinct=True)
     for k in range(1, k_max + 1):
-        work = len(current) * len(members)
+        work = values[-1] * len(omega)
         if work > guard:
             raise GuardExceeded(f"Hilbert value at degree {k}", work, guard)
-        current = {
-            tuple(a + b for a, b in zip(p, m)) for p in current for m in members
-        }
-        values.append(len(current))
+        values.append(len(next(walk)))
     return values
 
 
@@ -236,18 +296,11 @@ def is_2_normal(
     total = math.comb(n + 2 * d, n)
     if total > guard:
         raise GuardExceeded("2-normality check", total, guard)
-    members = [tuple(m) for m in omega]
-    products = {
-        tuple(a + b for a, b in zip(members[i], members[j]))
-        for i in range(len(members))
-        for j in range(i, len(members))
-    }
+    *_, products = _walk(omega, 2, distinct=True)
     if len(products) == total:
         return True, None
-    missing = min(
-        tuple(m) for m in enumerate_degree(n, 2 * d) if tuple(m) not in products
-    )
-    return False, Monomial(missing)
+    radix = _radix(omega, 2)
+    return False, min(m for m in enumerate_degree(n, 2 * d) if _pack(m, radix) not in products)
 
 
 @dataclass(frozen=True)
@@ -262,6 +315,23 @@ class QuadraticityAnswer:
         return self.status == "yes"
 
 
+class QuadraticFibers(NamedTuple):
+    """The fibers a quadratic Groebner basis is read off, for any number of orders.
+
+    `quadrics` holds the degree-2 fibers and `cubics` the connected
+    components of the degree-3 fibers, each as its sorted index
+    multisets and only when it has more than one.
+    """
+
+    quadrics: list[list[tuple[int, ...]]]
+    cubics: list[list[tuple[int, ...]]]
+
+    @classmethod
+    def of(cls, omega: MonomialSet, guard: int = DEFAULT_GUARD) -> "QuadraticFibers":
+        """Walk them for omega; a table verified to degree 3 already holds them."""
+        return minimal_generator_table(omega, k_max=3, bound="user", guard=guard).fibers
+
+
 @dataclass
 class GeneratorTable:
     """Minimal generator counts of the toric ideal, by degree.
@@ -269,12 +339,15 @@ class GeneratorTable:
     degrees holds only the nonzero counts.  bound records what certifies
     completeness up to verified_up_to: "two-normal" and "group" both cap
     the generation degree at 3, "user" means the caller chose the cap.
+    `fibers` keeps the fibers the walk found for `quadratic_basis` when
+    the table reaches degree 3.
     """
 
     degrees: dict[int, int]
     verified_up_to: int
     bound: str
     representatives: dict[int, list[tuple[tuple[int, ...], tuple[int, ...]]]] | None = None
+    fibers: QuadraticFibers | None = field(default=None, compare=False, repr=False)
 
     def quadraticity(self) -> QuadraticityAnswer:
         beyond = sorted(k for k, c in self.degrees.items() if k > 2 and c > 0)
@@ -349,29 +422,30 @@ def minimal_generator_table(
 
     degrees: dict[int, int] = {}
     reps: dict[int, list[tuple[tuple[int, ...], tuple[int, ...]]]] = {}
-    for k in range(2, k_max + 1):
+    quadrics: list[list[tuple[int, ...]]] = []
+    cubics: list[list[tuple[int, ...]]] = []
+    _check_fiber_guard(len(omega), 2, k_max, guard)
+    for k, level in enumerate(itertools.islice(_walk(omega, k_max), 1, None), start=2):
+        # only multi-element fibers count, in descending target order
+        multi = sorted(((t, e) for t, e in level.items() if len(e) > 1), reverse=True)
         count = 0
         found: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
-        fib_map = fibers_of_degree(omega, k, guard)
-        for target in sorted(fib_map, reverse=True):
-            fib = fib_map[target]
-            if len(fib) <= 1:
-                continue
-            comps = fib.connected_components()
-            if len(comps) <= 1:
-                continue
+        for _, elements in multi:
+            comps = _components(elements)
             count += len(comps) - 1
             if representatives:
-                principal = comps[0]  # holds the lex-least element
-                for comp in comps[1:]:
-                    found.append((comp[0], principal[0]))
+                principal = comps[0][0]  # the lex-least element
+                found.extend((comp[0], principal) for comp in comps[1:])
+            if k == 2:
+                quadrics.append(elements)
+            elif k == 3:
+                cubics.extend(comp for comp in comps if len(comp) > 1)
         if count:
             degrees[k] = count
             if representatives:
                 reps[k] = found
-    return GeneratorTable(
-        degrees, k_max, bound, reps if representatives else None
-    )
+    fibers = QuadraticFibers(quadrics, cubics) if k_max >= 3 else None
+    return GeneratorTable(degrees, k_max, bound, reps if representatives else None, fibers)
 
 
 def ik_sequence_witness(

@@ -29,10 +29,10 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from heapq import heappop, heappush
 from operator import add, mul, sub
-from typing import Iterator, NamedTuple, Sequence
+from typing import Iterator, Sequence
 
 from .errors import DEFAULT_GUARD, GuardExceeded, SpecParseError
-from .fibers import GeneratorTable, fibers_of_degree, minimal_generator_table
+from .fibers import GeneratorTable, QuadraticFibers, minimal_generator_table
 from .groups import SurfaceCertificate, cyclic_group, invariants_of_degree, surface_certificate
 from .monomials import MonomialSet
 
@@ -250,14 +250,20 @@ def rc_term_order(d: int, k: int) -> tuple[TermOrder, MonomialSet]:
     together with the invariant set it ranks, tagged with its group so
     generator tables certify automatically.
     """
+    _rc_step(d, k)
+    group = cyclic_group(d, (0, 1, k))
+    omega = invariants_of_degree(group, 1)
+    return _rc_order(omega, surface_certificate(group)), omega
+
+
+def _rc_step(d: int, k: int) -> int:
+    """k(k-1), once d and k are checked to admit the (r,c)-Lex order."""
     if k < 2:
         raise ValueError(f"need k >= 2, got {k}")
     step = k * (k - 1)
     if d <= 0 or d % step != 0:
         raise ValueError(f"degree {d} is not a positive multiple of k(k-1) = {step}")
-    group = cyclic_group(d, (0, 1, k))
-    omega = invariants_of_degree(group, 1)
-    return _rc_order(omega, surface_certificate(group)), omega
+    return step
 
 
 def _rc_order(omega: MonomialSet, cert: SurfaceCertificate) -> TermOrder:
@@ -558,25 +564,6 @@ def verify_groebner(gb: GroebnerBasis, gens: Sequence[Binomial] | None = None) -
 # quadratic bases read off the degree-2 and degree-3 fibers
 
 
-class QuadraticFibers(NamedTuple):
-    """The fibers `quadratic_basis` reads, walked once for any number of orders.
-
-    `quadrics` holds the degree-2 fibers and `cubics` the connected
-    components of the degree-3 fibers, each as its sorted index
-    multisets and only when it has more than one.
-    """
-
-    quadrics: list[list[tuple[int, ...]]]
-    cubics: list[list[tuple[int, ...]]]
-
-    @classmethod
-    def of(cls, omega: MonomialSet, guard: int = DEFAULT_GUARD) -> "QuadraticFibers":
-        quadrics = [f.elements for f in fibers_of_degree(omega, 2, guard).values() if len(f) > 1]
-        cubics = [comp for f in fibers_of_degree(omega, 3, guard).values() if len(f) > 1
-                  for comp in f.connected_components() if len(comp) > 1]
-        return cls(quadrics, cubics)
-
-
 def quadratic_basis(
     omega: MonomialSet, order: TermOrder, fibers: QuadraticFibers
 ) -> GroebnerBasis | None:
@@ -705,8 +692,9 @@ def search_quadratic_order(
 
     Candidates come from `_candidate_orders` and are tried in that
     fixed sequence, so the first success is deterministic for a given
-    seed.  Each one is decided by `quadratic_basis` on fibers walked
-    once per call.  When the generator table contains a minimal
+    seed.  Each one is decided by `quadratic_basis` on the fibers the
+    generator table kept; only a table verified below degree 3 has them
+    walked again.  When the generator table contains a minimal
     generator of degree 3 or more, no quadratic basis can exist (basis
     degrees dominate minimal generator degrees) and the search returns
     immediately with a warning instead of burning the budget.  A table
@@ -728,7 +716,7 @@ def search_quadratic_order(
             f"generator table only certified up to degree {answer.verified_up_to}; "
             "a found basis is quadratic for the ideal generated by that table"
         )
-    fibers = QuadraticFibers.of(omega, guard)
+    fibers = table.fibers if table.fibers is not None else QuadraticFibers.of(omega, guard)
     tried = 0
     for order in _candidate_orders(omega, seed):
         if tried >= budget:
@@ -849,9 +837,10 @@ def parse_order(text: str, omega: MonomialSet) -> TermOrder:
             d, k, t = (int(p) for p in parts)
         except ValueError:
             raise SpecParseError("order", text, body, "rc parameters must be integers") from None
-        step = k * (k - 1)
-        if k < 2 or d < 1 or d % step != 0:
-            raise SpecParseError("order", text, body, "need k >= 2 and d a positive multiple of k(k-1)")
+        try:
+            step = _rc_step(d, k)
+        except ValueError as exc:
+            raise SpecParseError("order", text, body, str(exc)) from None
         if d != t * step:
             raise SpecParseError("order", text, body, f"t must be {d // step}")
         group = omega.origin_group

@@ -255,6 +255,13 @@ def _invariant_monomials(
     yield from rec(0, degree, tuple(0 for _ in factors))
 
 
+def _check_candidates(group: DiagonalGroup, degree: int, guard: int) -> None:
+    # the walk's candidates are bounded by every monomial of the degree
+    candidates = math.comb(group.n + degree, group.n)
+    if candidates > guard:
+        raise GuardExceeded(f"invariants of degree {degree} in {group.n + 1} variables", candidates, guard)
+
+
 def invariants_of_degree(
     group: DiagonalGroup, t: int = 1, guard: int = DEFAULT_GUARD
 ) -> MonomialSet:
@@ -277,9 +284,7 @@ def invariants_of_degree(
     if t < 1:
         raise ValueError(f"need t >= 1, got {t}")
     degree = t * group.order
-    candidates = math.comb(group.n + degree, group.n)
-    if candidates > guard:
-        raise GuardExceeded(f"invariants of degree {degree} in {group.n + 1} variables", candidates, guard)
+    _check_candidates(group, degree, guard)
     members = list(_invariant_monomials(group, degree, scale=t))
     if not members:
         raise ValueError(
@@ -288,8 +293,11 @@ def invariants_of_degree(
     return MonomialSet(members).tagged(group, t)
 
 
-def count_invariants(group: DiagonalGroup, degree: int, cap: int | None = None) -> int:
+def count_invariants(
+    group: DiagonalGroup, degree: int, cap: int | None = None, guard: int = DEFAULT_GUARD
+) -> int:
     """Number of invariant monomials of a given total degree."""
+    _check_candidates(group, degree, guard)
     return sum(1 for _ in _invariant_monomials(group, degree, cap))
 
 
@@ -518,15 +526,7 @@ def h_vector_group(group: DiagonalGroup, guard: int = DEFAULT_GUARD) -> HVector:
     if d == 1:
         # every exponent would need to be < 1, only the empty monomial counts
         return HVector((1,) + (0,) * n, 1)
-    h = []
-    for i in range(n + 1):
-        degree = i * d
-        candidates = math.comb(n + degree, n)
-        if candidates > guard:
-            raise GuardExceeded(
-                f"h-vector slice {i} of {group.spec_string()}", candidates, guard
-            )
-        h.append(count_invariants(group, degree, cap=d - 1))
+    h = [count_invariants(group, i * d, cap=d - 1, guard=guard) for i in range(n + 1)]
     last = max(i for i, v in enumerate(h) if v != 0)
     return HVector(tuple(h), last + 1)
 

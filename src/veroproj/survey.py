@@ -52,7 +52,9 @@ __all__ = [
 # weight canonicalization
 
 
-def canonical_weight_vectors(n: int, d: int) -> list[tuple[int, ...]]:
+def canonical_weight_vectors(
+    n: int, d: int, guard: int = DEFAULT_GUARD
+) -> list[tuple[int, ...]]:
     """All canonical cyclic weight vectors for order d on n+1 variables.
 
     Canonical means: the lexicographically least among the sorted shifts
@@ -60,10 +62,14 @@ def canonical_weight_vectors(n: int, d: int) -> list[tuple[int, ...]]:
     invariant slices, sorting permutes variables), nontrivial, and with
     gcd(d, weights) = 1 so the presented order is the effective one.
     Exactly one vector per equivalence class survives, which is what
-    keeps survey rows unique and resumable.
+    keeps survey rows unique and resumable.  The walk visits every sorted
+    vector with first weight 0, and the guard bounds their count first.
     """
     if n < 1 or d < 1:
         raise ValueError(f"need n >= 1 and d >= 1, got n={n}, d={d}")
+    total = math.comb(d - 1 + n, n)
+    if total > guard:
+        raise GuardExceeded(f"weight vectors of order {d} on {n + 1} variables", total, guard)
     out: list[tuple[int, ...]] = []
 
     def rec(prefix: tuple[int, ...], lo: int) -> None:
@@ -167,6 +173,7 @@ class SurveyRow:
     timings_ms: dict[str, int] = field(default_factory=dict)
     canonicalization: dict | None = None
     guard_error: str | None = None
+    guard: int | None = None  # the guard a guard_error tripped
 
     def __post_init__(self) -> None:
         status = self.gq_search.get("status")
@@ -193,6 +200,8 @@ class SurveyRow:
             out["canonicalization"] = self.canonicalization
         if self.guard_error is not None:
             out["guard_error"] = self.guard_error
+        if self.guard is not None:
+            out["guard"] = self.guard
         return out
 
     @classmethod
@@ -208,6 +217,7 @@ class SurveyRow:
             timings_ms=data.get("timings_ms", {}),
             canonicalization=data.get("canonicalization"),
             guard_error=data.get("guard_error"),
+            guard=data.get("guard"),
         )
 
 
@@ -272,6 +282,7 @@ def build_survey_row(group: DiagonalGroup, options: SurveyOptions = SurveyOption
             timings_ms=timings,
             canonicalization=record,
             guard_error=str(exc),
+            guard=exc.guard,
         )
     answer = table.quadraticity()
     quadratic = TriState(
@@ -459,14 +470,16 @@ def _reusable(row: SurveyRow, options: SurveyOptions) -> bool:
     """Whether a stored row answers for these options.
 
     Its search must have the options' budget and seed, and must have
-    been attempted when the options ask for a search.
+    been attempted when the options ask for a search.  A guard-error row
+    never got to search; it answers while the guard it tripped is the
+    options' guard.
     """
     search = row.gq_search
-    return (
-        search.get("budget") == options.budget
-        and search.get("seed") == options.seed
-        and not (options.search and search.get("status") == "not-attempted")
-    )
+    if search.get("budget") != options.budget or search.get("seed") != options.seed:
+        return False
+    if row.guard_error is not None:
+        return row.guard == options.guard
+    return not (options.search and search.get("status") == "not-attempted")
 
 
 def survey_groups(
@@ -486,7 +499,7 @@ def survey_groups(
     """
     specs: dict[str, DiagonalGroup] = {}
     for d in d_values:
-        for weights in canonical_weight_vectors(n, d):
+        for weights in canonical_weight_vectors(n, d, options.guard):
             g = cyclic_group(d, weights)
             specs[g.spec_string()] = g
 

@@ -5,6 +5,8 @@ import random
 from itertools import combinations_with_replacement
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from veroproj import fibers
 from veroproj.errors import GuardExceeded
@@ -305,3 +307,92 @@ def test_h_polynomial_errors():
     b1 = invariants_of_degree(g, 1)
     with pytest.raises(ValueError, match="insufficient"):
         h_polynomial(b1, k_max=3)
+
+
+def _brute_fibers(omega: MonomialSet, k: int) -> dict[tuple[int, ...], list[tuple[int, ...]]]:
+    out: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+    for combo in combinations_with_replacement(range(len(omega)), k):
+        target = tuple(sum(col) for col in zip(*(omega[i] for i in combo)))
+        out.setdefault(target, []).append(combo)
+    return out
+
+
+def _brute_components(elements: list[tuple[int, ...]]) -> list[list[tuple[int, ...]]]:
+    left = sorted(elements)
+    comps = []
+    while left:
+        comp = [left.pop(0)]
+        grown = True
+        while grown:
+            joined = [e for e in left if any(set(e) & set(c) for c in comp)]
+            grown = bool(joined)
+            comp.extend(joined)
+            left = [e for e in left if e not in joined]
+        comps.append(sorted(comp))
+    return comps
+
+
+@st.composite
+def _small_omegas(draw) -> MonomialSet:
+    n = draw(st.integers(1, 3))
+    d = draw(st.integers(1, 4))
+    pool = enumerate_degree(n, d)
+    size = draw(st.integers(1, min(12, len(pool))))
+    return MonomialSet(draw(st.permutations(pool))[:size])
+
+
+@settings(max_examples=60, deadline=None)
+@given(_small_omegas(), st.integers(1, 4))
+def test_walker_agrees_with_bruteforce(omega, k_max):
+    brute = {k: _brute_fibers(omega, k) for k in range(1, k_max + 1)}
+    for k, fibs in brute.items():
+        got = fibers_of_degree(omega, k)
+        assert {tuple(t): f.elements for t, f in got.items()} == fibs
+        for target, fib in got.items():
+            assert fib.connected_components() == _brute_components(fibs[tuple(target)])
+
+    table = minimal_generator_table(omega, k_max=k_max, representatives=True)
+    degrees, reps = {}, {}
+    for k in range(2, k_max + 1):
+        for target in sorted(brute[k], reverse=True):
+            comps = _brute_components(brute[k][target])
+            if len(comps) > 1:
+                degrees[k] = degrees.get(k, 0) + len(comps) - 1
+                reps.setdefault(k, []).extend((c[0], comps[0][0]) for c in comps[1:])
+    assert table.degrees == degrees and table.representatives == reps
+    if k_max >= 3:
+        quadrics = [e for e in brute[2].values() if len(e) > 1]
+        cubics = [c for e in brute[3].values() for c in _brute_components(e) if len(c) > 1]
+        assert sorted(table.fibers.quadrics) == sorted(quadrics)
+        assert sorted(table.fibers.cubics) == sorted(cubics)
+    else:
+        assert table.fibers is None
+
+    assert hilbert_values(omega, k_max) == [1] + [len(brute[k]) for k in range(1, k_max + 1)]
+
+    products = set(_brute_fibers(omega, 2))
+    missing = [tuple(m) for m in enumerate_degree(omega.n, 2 * omega.d) if tuple(m) not in products]
+    ok, witness = is_2_normal(omega)
+    assert ok == (not missing)
+    assert witness == (min(missing) if missing else None)
+
+
+def test_walker_checks_its_guard_before_allocating(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the walk started past its guard")
+
+    monkeypatch.setattr(fibers, "_pack", forbidden)
+    omega = MonomialSet.full(2, 3)  # mu = 10
+    with pytest.raises(GuardExceeded) as exc:
+        fibers_of_degree(omega, 4, guard=700)
+    assert exc.value.count == math.comb(13, 4)
+    # degree 2 (55 multisets) fits, degree 3 (220) does not: nothing is walked
+    with pytest.raises(GuardExceeded, match="degree-3 fibers") as exc:
+        minimal_generator_table(omega, k_max=3, guard=100)
+    assert exc.value.count == 220
+    with pytest.raises(GuardExceeded, match="Hilbert value at degree 1") as exc:
+        hilbert_values(omega, 3, guard=9)
+    assert exc.value.count == 10
+    with pytest.raises(GuardExceeded, match="2-normality") as exc:
+        is_2_normal(omega, guard=27)
+    assert exc.value.count == math.comb(8, 2)

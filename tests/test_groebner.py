@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from veroproj.errors import GuardExceeded, SpecParseError
-from veroproj.fibers import fibers_of_degree, minimal_generator_table
+from veroproj.fibers import minimal_generator_table
 from veroproj.groebner import (
     KEY_DEGREE_BOUND,
     Binomial,
@@ -508,29 +508,34 @@ def test_quadratic_basis_on_a_degree_two_table_of_a_cubic_ideal():
 
 
 def test_search_reads_fibers_once_and_never_runs_buchberger(monkeypatch):
+    import veroproj.fibers
     import veroproj.groebner
 
+    walk = veroproj.fibers._walk
     walks = []
 
-    def counting(omega, k, guard):
-        walks.append(k)
-        return fibers_of_degree(omega, k, guard)
+    def counting(omega, k_max, distinct=False):
+        walks.append((k_max, distinct))
+        return walk(omega, k_max, distinct)
 
     def forbidden(*args, **kwargs):
         raise AssertionError("the search ran buchberger")
 
-    monkeypatch.setattr(veroproj.groebner, "fibers_of_degree", counting)
+    monkeypatch.setattr(veroproj.fibers, "_walk", counting)
     monkeypatch.setattr(veroproj.groebner, "buchberger", forbidden)
     bq = invariants_of_degree(cyclic_group(4, (0, 1, 2, 3)), 1)
     res = search_quadratic_order(bq, budget=400, seed=0)
     assert res.found and res.tried > 1
-    assert walks == [2, 3]
+    assert walks == [(3, False)]
     miss = search_quadratic_order(bq, budget=5, seed=0)
     assert miss.tried == 5 and not miss.found
-    assert walks == [2, 3, 2, 3]
-    # a table with a cubic generator settles the search before any walk
+    assert walks == [(3, False)] * 2
+    # a table with a cubic generator settles the search after its one walk
     assert search_quadratic_order(invariants_of_degree(cyclic_group(7, (0, 1, 3)), 1)).impossible
-    assert walks == [2, 3, 2, 3]
+    assert walks == [(3, False)] * 3
+    # a table verified only to degree 2 walks up to degree 3 once more
+    search_quadratic_order(bq, budget=5, seed=0, k_max=2)
+    assert walks == [(3, False)] * 3 + [(2, False), (3, False)]
 
 
 def test_lift_omega_examples():

@@ -22,7 +22,7 @@ from veroproj.groups import (
     surface_quadraticity,
     triple_projections,
 )
-from veroproj.errors import SpecParseError
+from veroproj.errors import GuardExceeded, SpecParseError
 from veroproj.monomials import enumerate_degree
 
 # invariant monomials of the order-4 cyclic action with weights (0,1,2,3),
@@ -247,6 +247,27 @@ def test_h_vector_quartic_group():
     )
     assert hv.h == brute == (1, 6, 9, 0)
     assert hv.regularity == 3
+
+
+def test_count_invariants_checks_its_guard_before_walking(monkeypatch):
+    import veroproj.groups
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the walk started past its guard")
+
+    g = parse_group("C(4;0,1,2,3)")
+    monkeypatch.setattr(veroproj.groups, "_invariant_monomials", forbidden)
+    with pytest.raises(GuardExceeded) as exc:
+        count_invariants(g, 8, guard=164)
+    assert exc.value.count == math.comb(11, 3)
+    monkeypatch.undo()
+    # the h-vector counts its slices through the same guard: slice 1 trips it
+    with pytest.raises(GuardExceeded) as exc:
+        h_vector_group(g, guard=34)
+    assert exc.value.count == math.comb(7, 3)
+    brute = sum(1 for m in enumerate_degree(3, 8) if g.is_invariant(m))
+    assert count_invariants(g, 8, guard=165) == brute
+    assert h_vector_group(g, guard=math.comb(15, 3)).h == (1, 6, 9, 0)
 
 
 def test_h_vector_invariants():

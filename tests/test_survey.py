@@ -4,10 +4,12 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import random
 
 import pytest
 
+from veroproj.errors import GuardExceeded
 from veroproj.groups import cyclic_group, parse_group
 from veroproj.survey import (
     SurveyOptions,
@@ -243,6 +245,39 @@ def test_survey_resume_reuses_only_rows_of_the_same_options(tmp_path):
     options = SurveyOptions(jsonl_path=jsonl, seed=5, budget=7, search=False)
     assert survey_groups(2, [4], options) == reseeded
     assert len(jsonl.read_text().splitlines()) == 9
+
+
+def test_survey_resume_reuses_guard_error_rows_of_the_same_guard(tmp_path):
+    jsonl = tmp_path / "rows.jsonl"
+    # 21 weight vectors fit the guard, the 28 candidate invariants of degree 6 do not
+    for guard, lines in ((21, 5), (21, 5), (21, 5), (27, 10), (27, 10)):
+        rows = survey_groups(2, [6], SurveyOptions(guard=guard, jsonl_path=jsonl))
+        assert len(jsonl.read_text().splitlines()) == lines
+        assert len(rows) == 5
+        assert all(row.guard_error and row.guard == guard for row in rows)
+    stored = [json.loads(line) for line in jsonl.read_text().splitlines()]
+    assert [row["guard"] for row in stored] == [21] * 5 + [27] * 5
+    # only guard-error rows record the guard
+    row = build_survey_row(cyclic_group(6, (0, 1, 3)))
+    assert row.guard is None and "guard" not in row.to_json_dict()
+
+
+def test_canonical_weight_vectors_checks_its_guard_before_walking(monkeypatch):
+    import veroproj.survey
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the walk started past its guard")
+
+    monkeypatch.setattr(veroproj.survey, "canonicalize_weights", forbidden)
+    with pytest.raises(GuardExceeded) as exc:
+        canonical_weight_vectors(6, 60, guard=10**6)
+    assert exc.value.count == math.comb(65, 6)
+    monkeypatch.undo()
+    assert len(canonical_weight_vectors(2, 6, guard=21)) == 5
+    with pytest.raises(GuardExceeded):
+        canonical_weight_vectors(2, 6, guard=20)
+    with pytest.raises(GuardExceeded):
+        survey_groups(2, [6], SurveyOptions(guard=20))
 
 
 def test_survey_csv_digest_is_replaced_atomically(tmp_path, monkeypatch):
