@@ -290,12 +290,15 @@ def is_2_normal(
     """Whether every degree-2d monomial is a product of two members.
 
     Returns (True, None) or (False, witness) with the lex-least
-    unreachable monomial as witness.
+    unreachable monomial as witness.  Raises GuardExceeded before the
+    walk when the degree-2d monomials or the degree-2 multisets it
+    walks number more than `guard`.
     """
     n, d = omega.n, omega.d
     total = math.comb(n + 2 * d, n)
     if total > guard:
         raise GuardExceeded("2-normality check", total, guard)
+    _check_fiber_guard(len(omega), 2, 2, guard)
     *_, products = _walk(omega, 2, distinct=True)
     if len(products) == total:
         return True, None

@@ -13,6 +13,13 @@ a normal selection strategy, the quadratic basis an order induces read
 straight off the degree-2 and degree-3 fibers, and a deterministic
 search for orders that make the reduced basis quadratic.
 
+Buchberger's reducer (`_Reducer`) files every lead, whatever its
+degree, under its two least support variables, so a lookup probes only
+the variable pairs of the monomial it reduces.  The reduced basis needs
+no inter-reduction loop: the minimal leads form a Groebner basis, and
+each fiber of a toric ideal has one standard monomial, which reducing a
+kept trail once by them reaches.
+
 Exponent-vector conventions: an S-monomial is a tuple of mu
 non-negative ints; multiplication is componentwise addition, and
 divisibility is componentwise <=.  Every order here is a matrix
@@ -29,7 +36,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from heapq import heappop, heappush
 from operator import add, mul, sub
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import DEFAULT_GUARD, GuardExceeded, SpecParseError
 from .fibers import GeneratorTable, QuadraticFibers, minimal_generator_table
@@ -47,14 +54,6 @@ KEY_DEGREE_BOUND = 1 << (KEY_RADIX_BITS - 1)
 
 # ---------------------------------------------------------------------------
 # exponent-vector arithmetic
-
-
-def _vec_divides(u: tuple[int, ...], v: tuple[int, ...]) -> bool:
-    return all(a <= b for a, b in zip(u, v))
-
-
-def _vec_lcm(u: tuple[int, ...], v: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(a if a >= b else b for a, b in zip(u, v))
 
 
 def _vec_strip(u: tuple[int, ...], v: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -289,7 +288,6 @@ def _rc_order(omega: MonomialSet, cert: SurfaceCertificate) -> TermOrder:
 def toric_generators(
     omega: MonomialSet,
     k_max: int | None = None,
-    bound: str | None = None,
     guard: int = DEFAULT_GUARD,
 ) -> list[Binomial]:
     """Markov-style binomial generators of the toric ideal of omega.
@@ -300,9 +298,7 @@ def toric_generators(
     silently partial, so that case is an error instead.
     """
     try:
-        table = minimal_generator_table(
-            omega, k_max=k_max, bound=bound, guard=guard, representatives=True
-        )
+        table = minimal_generator_table(omega, k_max=k_max, guard=guard, representatives=True)
     except ValueError as exc:
         raise ValueError(f"uncertified seed: {exc}") from exc
     gens: list[Binomial] = []
@@ -339,12 +335,6 @@ class GroebnerBasis:
     def is_quadratic(self) -> bool:
         return self.max_degree <= 2
 
-    @cached_property
-    def _reducer(self) -> _Reducer:
-        return _Reducer(
-            [g.plus for g in self.elements], [g.minus for g in self.elements], self.order.key
-        )
-
     def to_json_dict(self) -> dict:
         return {
             "order": self.order.spec_string(),
@@ -354,40 +344,61 @@ class GroebnerBasis:
 
 
 class _Reducer:
-    """Oriented binomials indexed for reduction.
+    """Oriented binomials with one lead index for every lead degree.
 
-    Keeps each element's lead and trail, its move trail - lead and key
-    step key(trail) - key(lead), which reducing a side by it adds to the
-    side and to the side's key, and the lookup `_find_reducer` reads: a
-    support-pair dict for degree-2 leads and a linear-scan list for the
-    rest, both in insertion order.
+    Keeps each element's lead and trail, the lead's support, its move
+    trail - lead and key step key(trail) - key(lead), which reducing a
+    side by it adds to the side and to the side's key.  One index serves
+    leads of every degree: a lead is filed under its two least support
+    variables (i, j), a pure power w_i^e under (i, i), with the exponents
+    that key does not show (it shows w_i w_j, or w_i^2).  `find` probes
+    only buckets whose key divides the monomial, so a degree-2 lead needs
+    no divisibility test.
     """
 
-    def __init__(self, leads: Sequence[tuple[int, ...]], trails: Sequence[tuple[int, ...]], key):
+    def __init__(self, key, elements: Iterable[tuple[tuple[int, ...], tuple[int, ...]]] = ()):
         self.key = key
         self.leads: list[tuple[int, ...]] = []
         self.trails: list[tuple[int, ...]] = []
+        self.supports: list[frozenset[int]] = []
         self.moves: list[tuple[int, ...]] = []
         self.deltas: list[int] = []
-        self.quad_leads: dict[tuple[int, int], int] = {}
-        self.other: list[int] = []
-        for lead, trail in zip(leads, trails):
+        self.index: dict[tuple[int, int], list[tuple[int, tuple[tuple[int, int], ...]]]] = {}
+        for lead, trail in elements:
             self.add(lead, trail)
 
     def add(self, lead: tuple[int, ...], trail: tuple[int, ...]) -> None:
-        idx = len(self.leads)
+        support = [i for i, e in enumerate(lead) if e]
+        pair = (support[0], support[1] if len(support) > 1 else support[0])
+        rest = tuple((t, lead[t]) for t in support if lead[t] > pair.count(t))
+        self.index.setdefault(pair, []).append((len(self.leads), rest))
         self.leads.append(lead)
         self.trails.append(trail)
+        self.supports.append(frozenset(support))
         self.moves.append(tuple(map(sub, trail, lead)))
         self.deltas.append(self.key(trail) - self.key(lead))
-        if sum(lead) == 2:
-            support = [i for i, e in enumerate(lead) if e]
-            self.quad_leads.setdefault((support[0], support[-1]), idx)
-        else:
-            self.other.append(idx)
 
-    def find(self, vec: tuple[int, ...], skip: int = -1) -> int | None:
-        return _find_reducer(vec, self.quad_leads, self.other, self.leads, skip)
+    def find(self, vec: tuple[int, ...]) -> int | None:
+        """Index of an element whose lead divides vec, or None.
+
+        Probes the (i, i) and (i, j) buckets of vec's own support, i
+        ascending and j ascending after each (i, i), and each bucket in
+        insertion order, so reduction is deterministic.
+        """
+        index = self.index
+        support = [i for i, e in enumerate(vec) if e]
+        for a, i in enumerate(support):
+            for j in support[a if vec[i] >= 2 else a + 1 :]:
+                for idx, rest in index.get((i, j), ()):
+                    if not rest or all(vec[t] >= e for t, e in rest):
+                        return idx
+        return None
+
+    def reduce(self, vec: tuple[int, ...]) -> tuple[int, ...]:
+        """Reduce one monomial until no lead divides it."""
+        while (hit := self.find(vec)) is not None:
+            vec = tuple(map(add, vec, self.moves[hit]))
+        return vec
 
     def normal_form(
         self, u: tuple[int, ...], v: tuple[int, ...]
@@ -395,61 +406,35 @@ class _Reducer:
         """Fully reduce the binomial u - v; None when it reduces to zero.
 
         Plain division-algorithm reduction: add a lead's move to a side
-        whenever the lead divides it.  Each step strictly decreases that
-        side in the order, so this terminates; a binomial always reduces
-        to a binomial or to zero.  The two keys are computed once and
-        then carried along by adding the reducer's key step, which is
-        exact because keys are linear.
+        whenever the lead divides it, the greater side first.  Each step
+        strictly decreases that side in the order, so this terminates; a
+        binomial always reduces to zero or to an oriented binomial.  The
+        two keys are computed once and then carried along by adding the
+        reducer's key step, which is exact because keys are linear.
         """
-        leads, moves, deltas = self.leads, self.moves, self.deltas
-        quad_leads, other = self.quad_leads, self.other
+        moves, deltas, find = self.moves, self.deltas, self.find
         key_u, key_v = self.key(u), self.key(v)
         while True:
             if u == v:
                 return None
             if key_u < key_v:
                 u, v, key_u, key_v = v, u, key_v, key_u
-            hit = _find_reducer(u, quad_leads, other, leads)
+            hit = find(u)
             if hit is not None:
                 u = tuple(map(add, u, moves[hit]))
                 key_u += deltas[hit]
                 continue
-            hit = _find_reducer(v, quad_leads, other, leads)
+            hit = find(v)
             if hit is not None:
                 v = tuple(map(add, v, moves[hit]))
                 key_v += deltas[hit]
                 continue
             return (u, v)
 
-
-def _find_reducer(
-    vec: tuple[int, ...],
-    quad_leads: dict[tuple[int, int], int],
-    other: list[int],
-    leads: list[tuple[int, ...]],
-    skip: int = -1,
-) -> int | None:
-    """Index of an element whose lead divides vec, or None.
-
-    Degree-2 leads are found through a support-pair dictionary (the
-    common case in quadratic runs); everything else by linear scan.
-    The scan order is fixed, so reduction is deterministic.
-    """
-    support = [i for i, e in enumerate(vec) if e]
-    for a in range(len(support)):
-        i = support[a]
-        if vec[i] >= 2:
-            hit = quad_leads.get((i, i))
-            if hit is not None and hit != skip:
-                return hit
-        for b in range(a + 1, len(support)):
-            hit = quad_leads.get((i, support[b]))
-            if hit is not None and hit != skip:
-                return hit
-    for idx in other:
-        if idx != skip and _vec_divides(leads[idx], vec):
-            return idx
-    return None
+    def s_pair(self, i: int, j: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """The two sides of the S-binomial of elements i and j."""
+        lcm = tuple(a if a >= b else b for a, b in zip(self.leads[i], self.leads[j]))
+        return tuple(map(add, lcm, self.moves[i])), tuple(map(add, lcm, self.moves[j]))
 
 
 def buchberger(gens: Sequence[Binomial], order: TermOrder) -> GroebnerBasis:
@@ -460,70 +445,46 @@ def buchberger(gens: Sequence[Binomial], order: TermOrder) -> GroebnerBasis:
     elements appearing early.  New basis elements are gcd-stripped
     before insertion; this is sound for prime toric ideals because the
     stripped binomial still lies in the ideal and generates the
-    original one.
+    original one.  The minimal leads then form a Groebner basis, and a
+    toric ideal has one standard monomial per fiber, so reducing each
+    kept trail once by them gives the reduced basis.
     """
     key = order.key
-    basis = _Reducer((), (), key)
-    supports: list[frozenset[int]] = []
+    basis = _Reducer(key)
     pending: list[tuple[int, int, int, int]] = []
     counter = itertools.count()
-
-    def push_pairs(new_idx: int) -> None:
-        leads = basis.leads
-        Snew = supports[new_idx]
-        Lnew = leads[new_idx]
-        dnew = sum(Lnew)
-        for i in range(new_idx):
-            if supports[i].isdisjoint(Snew):
-                continue  # coprime leads: the S-pair reduces to zero
-            Li = leads[i]
-            # degree of lcm(L_i, L_new): the shared variables count once
-            overlap = sum(min(Li[t], Lnew[t]) for t in supports[i] & Snew)
-            heappush(pending, (sum(Li) + dnew - overlap, next(counter), i, new_idx))
 
     def insert(u: tuple[int, ...], v: tuple[int, ...]) -> None:
         nf = basis.normal_form(u, v)
         if nf is None:
             return
-        u, v = _vec_strip(*nf)
-        if key(u) < key(v):
-            u, v = v, u
-        basis.add(u, v)
-        supports.append(frozenset(i for i, e in enumerate(u) if e))
-        push_pairs(len(basis.leads) - 1)
+        basis.add(*_vec_strip(*nf))  # stripping a common factor keeps the orientation
+        leads, supports = basis.leads, basis.supports
+        new = len(leads) - 1
+        Lnew, Snew = leads[new], supports[new]
+        dnew = sum(Lnew)
+        for i in range(new):
+            if supports[i].isdisjoint(Snew):
+                continue  # coprime leads: the S-pair reduces to zero
+            Li = leads[i]
+            # degree of lcm(L_i, L_new): the shared variables count once
+            overlap = sum(min(Li[t], Lnew[t]) for t in supports[i] & Snew)
+            heappush(pending, (sum(Li) + dnew - overlap, next(counter), i, new))
 
     for g in gens:
         insert(g.plus, g.minus)
-
-    leads, trails, moves = basis.leads, basis.trails, basis.moves
     while pending:
         _, _, i, j = heappop(pending)
-        lcm = _vec_lcm(leads[i], leads[j])
-        u = tuple(map(add, lcm, moves[i]))
-        v = tuple(map(add, lcm, moves[j]))
-        insert(u, v)
+        insert(*basis.s_pair(i, j))
 
-    # inter-reduce: keep the minimal leads, then reduce tails to a fixpoint
-    reduced = _Reducer((), (), key)
-    for i in sorted(range(len(leads)), key=lambda i: key(leads[i])):
-        if reduced.find(leads[i]) is None:
-            reduced.add(leads[i], trails[i])
-    rleads, rtrails = reduced.leads, reduced.trails
-    rmoves, rdeltas = reduced.moves, reduced.deltas
-    while True:
-        progressed = False
-        for i in range(len(rleads)):
-            hit = reduced.find(rtrails[i], skip=i)
-            if hit is not None:
-                rtrails[i] = tuple(map(add, rtrails[i], rmoves[hit]))
-                rmoves[i] = tuple(map(add, rmoves[i], rmoves[hit]))
-                rdeltas[i] += rdeltas[hit]
-                progressed = True
-        if not progressed:
-            break
+    minimal = _Reducer(key)
+    for i in sorted(range(len(basis.leads)), key=lambda i: key(basis.leads[i])):
+        if minimal.find(basis.leads[i]) is None:
+            minimal.add(basis.leads[i], basis.trails[i])
 
     elements = []
-    for L, T in zip(rleads, rtrails):
+    for L, T in zip(minimal.leads, minimal.trails):
+        T = minimal.reduce(T)
         if not all(a == 0 or b == 0 for a, b in zip(L, T)):
             raise AssertionError(f"reduced element {L} - {T} is not gcd-free")
         if not key(L) > key(T):
@@ -534,7 +495,7 @@ def buchberger(gens: Sequence[Binomial], order: TermOrder) -> GroebnerBasis:
     gb = GroebnerBasis(tuple(elements), order, max_degree)
 
     for g in gens:
-        if reduced.normal_form(g.plus, g.minus) is not None:
+        if minimal.normal_form(g.plus, g.minus) is not None:
             raise AssertionError("input generator does not reduce to zero against the basis")
     return gb
 
@@ -545,19 +506,11 @@ def verify_groebner(gb: GroebnerBasis, gens: Sequence[Binomial] | None = None) -
     Every pairwise S-binomial must reduce to zero, as must every
     supplied generator.
     """
-    basis = gb._reducer
-    leads, moves = basis.leads, basis.moves
-    for a in range(len(leads)):
-        for b in range(a + 1, len(leads)):
-            lcm = _vec_lcm(leads[a], leads[b])
-            u = tuple(map(add, lcm, moves[a]))
-            v = tuple(map(add, lcm, moves[b]))
-            if u != v and basis.normal_form(u, v) is not None:
-                return False
-    for g in gens or ():
-        if basis.normal_form(g.plus, g.minus) is not None:
-            return False
-    return True
+    basis = _Reducer(gb.order.key, ((g.plus, g.minus) for g in gb.elements))
+    pairs = itertools.combinations(range(len(gb.elements)), 2)
+    if any(basis.normal_form(*basis.s_pair(a, b)) is not None for a, b in pairs):
+        return False
+    return all(basis.normal_form(g.plus, g.minus) is None for g in gens or ())
 
 
 # ---------------------------------------------------------------------------
@@ -684,7 +637,6 @@ def search_quadratic_order(
     budget: int = 200,
     seed: int = 0,
     k_max: int | None = None,
-    bound: str | None = None,
     guard: int = DEFAULT_GUARD,
     table: GeneratorTable | None = None,
 ) -> SearchResult:
@@ -702,7 +654,7 @@ def search_quadratic_order(
     degree-2 generators span.
     """
     if table is None:
-        table = minimal_generator_table(omega, k_max=k_max, bound=bound, guard=guard)
+        table = minimal_generator_table(omega, k_max=k_max, guard=guard)
     answer = table.quadraticity()
     if answer.status == "no":
         warning = (

@@ -72,10 +72,6 @@ class Monomial(tuple):
         return f"Monomial({tuple(self)})"
 
 
-def support(m: Sequence[int]) -> tuple[int, ...]:
-    return tuple(i for i, e in enumerate(m) if e > 0)
-
-
 def enumerate_degree(n: int, d: int) -> list[Monomial]:
     """All monomials of degree d in n+1 variables, descending lex.
 

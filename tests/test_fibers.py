@@ -396,3 +396,7 @@ def test_walker_checks_its_guard_before_allocating(monkeypatch):
     with pytest.raises(GuardExceeded, match="2-normality") as exc:
         is_2_normal(omega, guard=27)
     assert exc.value.count == math.comb(8, 2)
+    # the 231 degree-20 monomials fit, the 2211 multisets of 66 members do not
+    with pytest.raises(GuardExceeded, match="degree-2 fibers over 66 members") as exc:
+        is_2_normal(MonomialSet.full(2, 10), guard=231)
+    assert exc.value.count == 2211

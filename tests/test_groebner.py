@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import hashlib
 import itertools
+import json
 import random
 
 import pytest
@@ -10,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from veroproj.errors import GuardExceeded, SpecParseError
-from veroproj.fibers import minimal_generator_table
+from veroproj.fibers import fibers_of_degree, hilbert_values, minimal_generator_table
 from veroproj.groebner import (
     KEY_DEGREE_BOUND,
     Binomial,
@@ -27,7 +29,7 @@ from veroproj.groebner import (
     verify_groebner,
 )
 from veroproj.families import FamilySpec, koszul_label, parse_family
-from veroproj.groebner import _candidate_orders
+from veroproj.groebner import _candidate_orders, _Reducer
 from veroproj.groups import block_group, cyclic_group, invariants_of_degree
 from veroproj.survey import canonical_surface_weights
 from veroproj.monomials import MonomialSet
@@ -388,6 +390,23 @@ def test_buchberger_deterministic():
     ]
 
 
+# SHA-256 of the sorted [plus, minus] pairs of grown bases (leads of degree
+# 2 to 4), recorded before the reducer had one lead index for every degree
+GROWN_BASES = [
+    ("pinched(2,4,2)", "lex", None, 58, "9cf4b9ffc26e1bf290dbe9d719f8cff5b03c9bd1bbec917ed93ea9ac1b92836e"),
+    ("pinched(3,3,2)", "degrevlex", 3, 64, "8f27db636616be8a2c3c410e17b6e4b15038932b8bd83c34adc7993fbe41594d"),
+]
+
+
+@pytest.mark.parametrize("family, order_text, k_max, size, digest", GROWN_BASES)
+def test_grown_bases_are_pinned(family, order_text, k_max, size, digest):
+    omega = parse_family(family).build()
+    gb = buchberger(toric_generators(omega, k_max=k_max), parse_order(order_text, omega))
+    pairs = sorted([list(g.plus), list(g.minus)] for g in gb.elements)
+    assert len(pairs) == size and gb.max_degree == 4
+    assert hashlib.sha256(json.dumps(pairs).encode()).hexdigest() == digest
+
+
 def test_groebner_degree_dominates_generator_degrees():
     # basis degrees can never undercut the minimal generator degrees
     rng = random.Random(77)
@@ -485,6 +504,74 @@ def test_quadratic_basis_agrees_with_buchberger(data):
     assert (found is not None) == (gb.max_degree <= 2)
     if found is not None:
         assert found.elements == gb.elements and found.max_degree == gb.max_degree
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_buchberger_bases_against_brute_force(data):
+    """Buchberger's basis of the whole ideal against independent routes.
+
+    Omegas are drawn as in `test_quadratic_basis_agrees_with_buchberger`,
+    with tables certified to degree 3, so the generators span the ideal.
+    """
+    if data.draw(st.booleans()):
+        omega = parse_family(data.draw(st.sampled_from(TWO_NORMAL_FAMILIES))).build()
+    else:
+        d = data.draw(st.integers(2, 9))
+        weights = (0, data.draw(st.integers(0, d - 1)), data.draw(st.integers(1, d - 1)))
+        omega = invariants_of_degree(cyclic_group(d, weights), 1)
+    table = minimal_generator_table(omega)
+    gens = toric_generators(omega)
+    mu = len(omega)
+    order = TermOrder(data.draw(st.sampled_from(KINDS)), tuple(data.draw(st.permutations(range(mu)))))
+    gb = buchberger(gens, order)
+    assert verify_groebner(gb, gens)
+    assert gb.max_degree >= max(table.degrees, default=0)
+    # the reduced basis is unique; a cubic of the ideal put first often
+    # leaves a lead that is not minimal
+    cubics = [
+        (p, q)
+        for fiber in fibers_of_degree(omega, 3).values()
+        for p, q in itertools.combinations(fiber.elements, 2)
+        if not set(p) & set(q)
+    ]
+    if cubics:
+        p, q = data.draw(st.sampled_from(cubics))
+        assert buchberger([Binomial.from_indices(omega, p, q), *gens], order).elements == gb.elements
+
+    def divides(u, v):
+        return all(a <= b for a, b in zip(u, v))
+
+    # reduced: each lead divides no monomial of the basis but itself
+    sides = [g.plus for g in gb.elements] + [g.minus for g in gb.elements]
+    for g in gb.elements:
+        assert sum(divides(g.plus, m) for m in sides) == 1
+
+    # the lead index answers exactly as a scan over every lead does
+    leads = [g.plus for g in gb.elements]
+    reducer = _Reducer(order.key, ((g.plus, g.minus) for g in gb.elements))
+
+    def standard(vec):
+        hit = reducer.find(vec)
+        assert (hit is not None) == any(divides(lead, vec) for lead in leads)
+        assert hit is None or divides(leads[hit], vec)
+        return hit is None
+
+    def monomial(multiset):
+        vec = [0] * mu
+        for i in multiset:
+            vec[i] += 1
+        return tuple(vec)
+
+    # one standard monomial per fiber: counts match the Hilbert values
+    counts = [
+        sum(standard(monomial(c)) for c in itertools.combinations_with_replacement(range(mu), k))
+        for k in range(4)
+    ]
+    assert counts == hilbert_values(omega, 3)
+    extra = st.lists(st.integers(0, mu - 1), min_size=4, max_size=8)
+    for multiset in data.draw(st.lists(extra, max_size=20)):
+        standard(monomial(multiset))
 
 
 def test_quadratic_basis_on_a_degree_two_table_of_a_cubic_ideal():
