@@ -15,27 +15,29 @@ search for orders that make the reduced basis quadratic.
 
 Buchberger's reducer (`_Reducer`) files every lead, whatever its
 degree, under its two least support variables, so a lookup probes only
-the variable pairs of the monomial it reduces.  The reduced basis needs
-no inter-reduction loop: the minimal leads form a Groebner basis, and
-each fiber of a toric ideal has one standard monomial, which reducing a
-kept trail once by them reaches.
+the variable pairs of the monomial it reduces, and it reduces each
+monomial once per basis, caching where it ends.  The minimal leads form
+a Groebner basis, and each fiber of a toric ideal has one standard
+monomial, which reducing a kept trail once by them reaches.
 
-Exponent-vector conventions: an S-monomial is a tuple of mu
-non-negative ints; multiplication is componentwise addition, and
-divisibility is componentwise <=.  Every order here is a matrix
-order; it compiles once to one integer weight per variable, and `key`
-is the weighted sum of the exponents, so orders compare plain ints.
+Conventions: an S-monomial is a tuple of mu non-negative ints;
+multiplication is componentwise addition, and divisibility is
+componentwise <=.  Inside Buchberger it is also a code, sum(e_t << 8t),
+so multiplying is adding codes.  Every order here is a matrix order; it
+compiles to one int weight per variable, and `key` is the weighted sum
+of the exponents, so orders compare plain ints.
 """
 
 from __future__ import annotations
 
 import itertools
+import logging
 import math
 import random
 from dataclasses import dataclass, field
 from functools import cached_property
 from heapq import heappop, heappush
-from operator import add, mul, sub
+from operator import mul
 from typing import Iterable, Iterator, Sequence
 
 from .errors import DEFAULT_GUARD, GuardExceeded, SpecParseError
@@ -44,12 +46,15 @@ from .groups import SurfaceCertificate, cyclic_group, invariants_of_degree, surf
 from .monomials import MonomialSet
 
 ORDER_KINDS = ("lex", "deglex", "degrevlex", "revlex")
+logger = logging.getLogger("veroproj")
 
 # Order weights pack the order's matrix rows in radix 2**KEY_RADIX_BITS.
 # Every row takes values of absolute value at most the degree of the
 # monomial, so keys compare exactly for degrees below KEY_DEGREE_BOUND.
 KEY_RADIX_BITS = 32
 KEY_DEGREE_BOUND = 1 << (KEY_RADIX_BITS - 1)
+# Buchberger's monomial codes hold one exponent per byte: exact below degree 256.
+CODE_DEGREE_BOUND = 1 << 8
 
 
 # ---------------------------------------------------------------------------
@@ -84,7 +89,7 @@ class Binomial:
     """A difference of two S-monomials, stored as exponent vectors.
 
     `plus` and `minus` play symmetric roles until an order orients the
-    binomial; `oriented` returns a copy with `plus` the leading side.
+    binomial, as Buchberger's elements are, with `plus` the leading side.
     Construction goes through `make`, which checks the two sides are
     balanced (same product of omega members) and strips any common
     variable so the stored form is gcd-reduced.
@@ -135,11 +140,6 @@ class Binomial:
     @property
     def is_gcd_reduced(self) -> bool:
         return all(a == 0 or b == 0 for a, b in zip(self.plus, self.minus))
-
-    def oriented(self, order: TermOrder) -> "Binomial":
-        if order.key(self.plus) >= order.key(self.minus):
-            return self
-        return Binomial(self.minus, self.plus)
 
     def to_json_dict(self) -> dict:
         return {"plus": list(self.plus), "minus": list(self.minus), "lead": "plus"}
@@ -346,24 +346,27 @@ class GroebnerBasis:
 class _Reducer:
     """Oriented binomials with one lead index for every lead degree.
 
-    Keeps each element's lead and trail, the lead's support, its move
-    trail - lead and key step key(trail) - key(lead), which reducing a
-    side by it adds to the side and to the side's key.  One index serves
-    leads of every degree: a lead is filed under its two least support
-    variables (i, j), a pure power w_i^e under (i, i), with the exponents
-    that key does not show (it shows w_i w_j, or w_i^2).  `find` probes
-    only buckets whose key divides the monomial, so a degree-2 lead needs
-    no divisibility test.
+    Keeps each element's lead and trail, the lead's support, its code and
+    its code step code(trail) - code(lead), which reducing a side by it
+    adds to the side's code.  One index serves leads of every degree: a
+    lead is filed under its two least support variables (i, j), a pure
+    power w_i^e under (i, i), with the exponents that key does not show
+    (it shows w_i w_j, or w_i^2).  `find` probes only buckets whose key
+    divides the monomial, so a degree-2 lead needs no divisibility test.
+    `terminals` maps the code of each monomial reduced since the last
+    `add` to the code of the monomial it reduces to.
     """
 
-    def __init__(self, key, elements: Iterable[tuple[tuple[int, ...], tuple[int, ...]]] = ()):
-        self.key = key
+    def __init__(self, order: TermOrder, elements: Iterable[tuple[tuple[int, ...], ...]] = ()):
+        self.key, self.mu = order.key, order.mu
         self.leads: list[tuple[int, ...]] = []
         self.trails: list[tuple[int, ...]] = []
         self.supports: list[frozenset[int]] = []
-        self.moves: list[tuple[int, ...]] = []
-        self.deltas: list[int] = []
+        self.codes: list[int] = []
+        self.steps: list[int] = []
         self.index: dict[tuple[int, int], list[tuple[int, tuple[tuple[int, int], ...]]]] = {}
+        self.terminals: dict[int, int] = {}
+        self.lookups = self.hits = self.reductions = self.zeros = 0  # logged by buchberger
         for lead, trail in elements:
             self.add(lead, trail)
 
@@ -375,10 +378,11 @@ class _Reducer:
         self.leads.append(lead)
         self.trails.append(trail)
         self.supports.append(frozenset(support))
-        self.moves.append(tuple(map(sub, trail, lead)))
-        self.deltas.append(self.key(trail) - self.key(lead))
+        self.codes.append(_code(lead))
+        self.steps.append(_code(trail) - self.codes[-1])
+        self.terminals.clear()
 
-    def find(self, vec: tuple[int, ...]) -> int | None:
+    def find(self, vec: Sequence[int]) -> int | None:
         """Index of an element whose lead divides vec, or None.
 
         Probes the (i, i) and (i, j) buckets of vec's own support, i
@@ -394,47 +398,51 @@ class _Reducer:
                         return idx
         return None
 
-    def reduce(self, vec: tuple[int, ...]) -> tuple[int, ...]:
-        """Reduce one monomial until no lead divides it."""
-        while (hit := self.find(vec)) is not None:
-            vec = tuple(map(add, vec, self.moves[hit]))
-        return vec
+    def reduce(self, code: int) -> int:
+        """Code of the monomial `code` reduces to: add code steps while `find`
+        has a divisor.  The walk is deterministic, so all of it is cached."""
+        terminals, path = self.terminals, []
+        while (terminal := terminals.get(code)) is None:
+            path.append(code)
+            if (hit := self.find(code.to_bytes(self.mu, "little"))) is None:
+                terminal = code
+                break
+            code += self.steps[hit]
+            self.reductions += 1
+        self.lookups += 1
+        self.hits += not path
+        terminals.update(dict.fromkeys(path, terminal))
+        return terminal
 
-    def normal_form(
-        self, u: tuple[int, ...], v: tuple[int, ...]
-    ) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
-        """Fully reduce the binomial u - v; None when it reduces to zero.
+    def normal_form(self, u: int, v: int) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
+        """Fully reduce the binomial of two codes; None when it reduces to zero.
 
-        Plain division-algorithm reduction: add a lead's move to a side
-        whenever the lead divides it, the greater side first.  Each step
-        strictly decreases that side in the order, so this terminates; a
-        binomial always reduces to zero or to an oriented binomial.  The
-        two keys are computed once and then carried along by adding the
-        reducer's key step, which is exact because keys are linear.
-        """
-        moves, deltas, find = self.moves, self.deltas, self.find
-        key_u, key_v = self.key(u), self.key(v)
-        while True:
-            if u == v:
-                return None
-            if key_u < key_v:
-                u, v, key_u, key_v = v, u, key_v, key_u
-            hit = find(u)
-            if hit is not None:
-                u = tuple(map(add, u, moves[hit]))
-                key_u += deltas[hit]
-                continue
-            hit = find(v)
-            if hit is not None:
-                v = tuple(map(add, v, moves[hit]))
-                key_v += deltas[hit]
-                continue
-            return (u, v)
+        A side reaches its terminal whichever side moves first, so this
+        is zero when the terminals agree and is them, oriented, if not."""
+        u, v = self.reduce(u), self.reduce(v)
+        if u == v:
+            self.zeros += 1
+            return None
+        u, v = tuple(u.to_bytes(self.mu, "little")), tuple(v.to_bytes(self.mu, "little"))
+        return (u, v) if self.key(u) > self.key(v) else (v, u)
 
-    def s_pair(self, i: int, j: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        """The two sides of the S-binomial of elements i and j."""
-        lcm = tuple(a if a >= b else b for a, b in zip(self.leads[i], self.leads[j]))
-        return tuple(map(add, lcm, self.moves[i])), tuple(map(add, lcm, self.moves[j]))
+    def s_pair(self, i: int, j: int) -> tuple[int, int]:
+        """Codes of the S-binomial's sides: lcm(L_i, L_j) plus each code step."""
+        Li, Lj = self.leads[i], self.leads[j]
+        gcd = sum(min(Li[t], Lj[t]) << (t << 3) for t in self.supports[i] & self.supports[j])
+        lcm = self.codes[i] + self.codes[j] - gcd
+        return lcm + self.steps[i], lcm + self.steps[j]
+
+
+def _check_code_degree(degree: int) -> None:
+    if degree >= CODE_DEGREE_BOUND:
+        raise ValueError(f"degree {degree} is at or past the code degree bound {CODE_DEGREE_BOUND}")
+
+
+def _code(vec: Sequence[int]) -> int:
+    """The code sum(e_t << 8t) of a monomial, one byte per exponent."""
+    _check_code_degree(sum(vec))
+    return int.from_bytes(bytes(vec), "little")
 
 
 def buchberger(gens: Sequence[Binomial], order: TermOrder) -> GroebnerBasis:
@@ -447,14 +455,15 @@ def buchberger(gens: Sequence[Binomial], order: TermOrder) -> GroebnerBasis:
     stripped binomial still lies in the ideal and generates the
     original one.  The minimal leads then form a Groebner basis, and a
     toric ideal has one standard monomial per fiber, so reducing each
-    kept trail once by them gives the reduced basis.
+    kept trail once by them gives the reduced basis.  Sides must stay
+    below CODE_DEGREE_BOUND; counters are logged at debug level.
     """
     key = order.key
-    basis = _Reducer(key)
+    basis = _Reducer(order)
     pending: list[tuple[int, int, int, int]] = []
-    counter = itertools.count()
+    counter = itertools.count()  # its next value is the number of pairs formed
 
-    def insert(u: tuple[int, ...], v: tuple[int, ...]) -> None:
+    def insert(u: int, v: int) -> None:
         nf = basis.normal_form(u, v)
         if nf is None:
             return
@@ -472,19 +481,27 @@ def buchberger(gens: Sequence[Binomial], order: TermOrder) -> GroebnerBasis:
             heappush(pending, (sum(Li) + dnew - overlap, next(counter), i, new))
 
     for g in gens:
-        insert(g.plus, g.minus)
+        insert(_code(g.plus), _code(g.minus))
     while pending:
-        _, _, i, j = heappop(pending)
+        degree, _, i, j = heappop(pending)
+        _check_code_degree(degree)
         insert(*basis.s_pair(i, j))
+    pairs, inserted = next(counter), len(basis.leads)
+    logger.debug(
+        "buchberger: %d inputs, %d inserted, %d pairs formed, %d skipped as coprime, "
+        "%d reduced to zero, %d of %d cache lookups hit, %d reduction steps",
+        len(gens), inserted, pairs, inserted * (inserted - 1) // 2 - pairs,
+        basis.zeros, basis.hits, basis.lookups, basis.reductions,
+    )
 
-    minimal = _Reducer(key)
-    for i in sorted(range(len(basis.leads)), key=lambda i: key(basis.leads[i])):
+    minimal = _Reducer(order)
+    for i in sorted(range(inserted), key=lambda i: key(basis.leads[i])):
         if minimal.find(basis.leads[i]) is None:
             minimal.add(basis.leads[i], basis.trails[i])
 
     elements = []
     for L, T in zip(minimal.leads, minimal.trails):
-        T = minimal.reduce(T)
+        T = tuple(minimal.reduce(_code(T)).to_bytes(order.mu, "little"))
         if not all(a == 0 or b == 0 for a, b in zip(L, T)):
             raise AssertionError(f"reduced element {L} - {T} is not gcd-free")
         if not key(L) > key(T):
@@ -495,22 +512,24 @@ def buchberger(gens: Sequence[Binomial], order: TermOrder) -> GroebnerBasis:
     gb = GroebnerBasis(tuple(elements), order, max_degree)
 
     for g in gens:
-        if minimal.normal_form(g.plus, g.minus) is not None:
+        if minimal.normal_form(_code(g.plus), _code(g.minus)) is not None:
             raise AssertionError("input generator does not reduce to zero against the basis")
     return gb
 
 
 def verify_groebner(gb: GroebnerBasis, gens: Sequence[Binomial] | None = None) -> bool:
-    """Full Buchberger-criterion check of a claimed basis (for tests).
+    """Full Buchberger-criterion check of a claimed basis.
 
     Every pairwise S-binomial must reduce to zero, as must every
-    supplied generator.
+    supplied generator.  Tests and the `quartic-group-quadratic-gb`
+    scenario's `verified` field rest on it.
     """
-    basis = _Reducer(gb.order.key, ((g.plus, g.minus) for g in gb.elements))
-    pairs = itertools.combinations(range(len(gb.elements)), 2)
-    if any(basis.normal_form(*basis.s_pair(a, b)) is not None for a, b in pairs):
-        return False
-    return all(basis.normal_form(g.plus, g.minus) is None for g in gens or ())
+    basis = _Reducer(gb.order, ((g.plus, g.minus) for g in gb.elements))
+    for a, b in itertools.combinations(range(len(gb.elements)), 2):
+        _check_code_degree(sum(map(max, basis.leads[a], basis.leads[b])))
+        if basis.normal_form(*basis.s_pair(a, b)) is not None:
+            return False
+    return all(basis.normal_form(_code(g.plus), _code(g.minus)) is None for g in gens or ())
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,9 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
+import logging
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -14,6 +16,7 @@ from hypothesis import strategies as st
 from veroproj.errors import GuardExceeded, SpecParseError
 from veroproj.fibers import fibers_of_degree, hilbert_values, minimal_generator_table
 from veroproj.groebner import (
+    CODE_DEGREE_BOUND,
     KEY_DEGREE_BOUND,
     Binomial,
     QuadraticFibers,
@@ -29,7 +32,7 @@ from veroproj.groebner import (
     verify_groebner,
 )
 from veroproj.families import FamilySpec, koszul_label, parse_family
-from veroproj.groebner import _candidate_orders, _Reducer
+from veroproj.groebner import _candidate_orders, _code, _Reducer, _vec_strip
 from veroproj.groups import block_group, cyclic_group, invariants_of_degree
 from veroproj.survey import canonical_surface_weights
 from veroproj.monomials import MonomialSet
@@ -391,10 +394,17 @@ def test_buchberger_deterministic():
 
 
 # SHA-256 of the sorted [plus, minus] pairs of grown bases (leads of degree
-# 2 to 4), recorded before the reducer had one lead index for every degree
+# 2 to 4), recorded before the reducer had one lead index for every degree,
+# and of two quadratic lift bases: the invariants of the block group of
+# C(6;0,1,3) split with sizes 1,1,2 and 1,2,1, under the lifted rc order,
+# recorded before the reducer cached its normal forms
 GROWN_BASES = [
     ("pinched(2,4,2)", "lex", None, 58, "9cf4b9ffc26e1bf290dbe9d719f8cff5b03c9bd1bbec917ed93ea9ac1b92836e"),
     ("pinched(3,3,2)", "degrevlex", 3, 64, "8f27db636616be8a2c3c410e17b6e4b15038932b8bd83c34adc7993fbe41594d"),
+    ("group(C(6;0,1,3,3))", "lift(rc(6,3,1); sizes=1,1,2)", None, 174,
+     "715fb89cd6dd6a14abb90c7132a3672bf8d1fcfde9273459946d9b1e826b1875"),
+    ("group(C(6;0,1,1,3))", "lift(rc(6,3,1); sizes=1,2,1)", None, 102,
+     "18130e615701ec083a1ae899995347898202a0d94148870606aac59cc4784ebb"),
 ]
 
 
@@ -403,8 +413,37 @@ def test_grown_bases_are_pinned(family, order_text, k_max, size, digest):
     omega = parse_family(family).build()
     gb = buchberger(toric_generators(omega, k_max=k_max), parse_order(order_text, omega))
     pairs = sorted([list(g.plus), list(g.minus)] for g in gb.elements)
-    assert len(pairs) == size and gb.max_degree == 4
+    assert len(pairs) == size and gb.max_degree == (2 if order_text.startswith("lift(") else 4)
     assert hashlib.sha256(json.dumps(pairs).encode()).hexdigest() == digest
+
+
+def test_code_degree_bound_is_checked_before_coding():
+    # over {x^2, xy, y^2}: w0^128 w2^128 and w1^256 are both x^256 y^256;
+    # coding w1^256 would need a 9-bit exponent
+    omega = MonomialSet([(2, 0), (1, 1), (0, 2)])
+    order = TermOrder("degrevlex", (0, 1, 2))
+    big = Binomial.make(omega, (128, 0, 128), (0, 256, 0))
+    below = Binomial.make(omega, (127, 0, 127), (0, 254, 0))
+    assert big.degree == CODE_DEGREE_BOUND
+    with pytest.raises(ValueError, match="code degree bound 256"):
+        buchberger([big], order)
+    gb = buchberger([below], order)
+    assert gb.elements == (Binomial((0, 254, 0), (127, 0, 127)),)
+    with pytest.raises(ValueError, match="code degree bound 256"):
+        verify_groebner(gb, [big])
+
+
+def test_buchberger_logs_its_counters(caplog):
+    omega = parse_family("pinched(2,4,2)").build()
+    gens = toric_generators(omega)
+    with caplog.at_level(logging.DEBUG, logger="veroproj"):
+        gb = buchberger(gens, parse_order("lex", omega))
+    [line] = [r.getMessage() for r in caplog.records if r.getMessage().startswith("buchberger:")]
+    inputs, inserted, pairs, coprime, zero, hits, lookups, steps = map(int, re.findall(r"\d+", line))
+    assert inputs == len(gens) and inserted >= len(gb.elements) > 0
+    assert zero + inserted == pairs + inputs and zero < pairs
+    assert coprime + pairs == inserted * (inserted - 1) // 2
+    assert 0 < hits < lookups and steps > 0
 
 
 def test_groebner_degree_dominates_generator_degrees():
@@ -549,7 +588,7 @@ def test_buchberger_bases_against_brute_force(data):
 
     # the lead index answers exactly as a scan over every lead does
     leads = [g.plus for g in gb.elements]
-    reducer = _Reducer(order.key, ((g.plus, g.minus) for g in gb.elements))
+    reducer = _Reducer(order, ((g.plus, g.minus) for g in gb.elements))
 
     def standard(vec):
         hit = reducer.find(vec)
@@ -572,6 +611,71 @@ def test_buchberger_bases_against_brute_force(data):
     extra = st.lists(st.integers(0, mu - 1), min_size=4, max_size=8)
     for multiset in data.draw(st.lists(extra, max_size=20)):
         standard(monomial(multiset))
+
+
+def _reference_reduce(reducer, vec):
+    """Reduce one monomial step by step, with nothing cached."""
+    while (hit := reducer.find(vec)) is not None:
+        vec = tuple(a + t - l for a, t, l in zip(vec, reducer.trails[hit], reducer.leads[hit]))
+    return vec
+
+
+def _reference_normal_form(reducer, u, v):
+    """The uncached alternating normal form: one step at a time, on the
+    greater side while it reduces, else on the lesser."""
+    while u != v:
+        if reducer.key(u) < reducer.key(v):
+            u, v = v, u
+        if (hit := reducer.find(u)) is not None:
+            u = tuple(a + t - l for a, t, l in zip(u, reducer.trails[hit], reducer.leads[hit]))
+        elif (hit := reducer.find(v)) is not None:
+            v = tuple(a + t - l for a, t, l in zip(v, reducer.trails[hit], reducer.leads[hit]))
+        else:
+            return u, v
+    return None
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_cached_reducer_agrees_with_uncached_reference(data):
+    """The cached reducer against the uncached alternating normal form.
+
+    Adds interleave with normal forms of inputs and of S-pairs, taken in
+    a drawn order, and with reductions of drawn monomials, each asked
+    twice so the second answer comes from the cache.  Every answer after
+    every add must match the reference, and S-pair codes the dense sides.
+    """
+    if data.draw(st.booleans()):
+        omega = parse_family(data.draw(st.sampled_from(TWO_NORMAL_FAMILIES))).build()
+    else:
+        d = data.draw(st.integers(2, 9))
+        weights = (0, data.draw(st.integers(0, d - 1)), data.draw(st.integers(1, d - 1)))
+        omega = invariants_of_degree(cyclic_group(d, weights), 1)
+    mu = len(omega)
+    order = TermOrder(data.draw(st.sampled_from(KINDS)), tuple(data.draw(st.permutations(range(mu)))))
+    reducer = _Reducer(order)
+    todo = [(g.plus, g.minus) for g in toric_generators(omega)]
+    monomials = st.lists(st.lists(st.integers(0, mu - 1), min_size=2, max_size=6), max_size=3)
+
+    def side(i, j):  # lcm(L_i, L_j) * trail_i / lead_i, dense
+        leads, trails = reducer.leads, reducer.trails
+        return tuple(max(a, b) + t - a for a, b, t in zip(leads[i], leads[j], trails[i]))
+
+    while todo and len(reducer.leads) < 12:
+        u, v = todo.pop(data.draw(st.integers(0, len(todo) - 1)))
+        nf = reducer.normal_form(_code(u), _code(v))
+        assert nf == _reference_normal_form(reducer, u, v)
+        for multiset in data.draw(monomials):
+            vec = tuple(multiset.count(i) for i in range(mu))
+            for _ in range(2):
+                assert reducer.reduce(_code(vec)) == _code(_reference_reduce(reducer, vec))
+        if nf is not None:
+            reducer.add(*_vec_strip(*nf))
+            new = len(reducer.leads) - 1
+            for i in range(new):
+                u, v = side(i, new), side(new, i)
+                assert reducer.s_pair(i, new) == (_code(u), _code(v))
+                todo.append((u, v))
 
 
 def test_quadratic_basis_on_a_degree_two_table_of_a_cubic_ideal():
