@@ -209,6 +209,9 @@ def _cmd_lift(args) -> int:
         base_order = parse_order(args.order, omega)
         lifted_order = lift_order(base_order, omega, lifted, sizes)
         block = invariants_of_degree(block_group(spec.group, sizes), spec.t, guard=args.guard)
+        if [tuple(m) for m in lifted] != [tuple(m) for m in block]:
+            # the order ranks the lifted members, the generators index the block's
+            raise AssertionError("the lifted members are not the block group's invariants in order")
         gens = toric_generators(block, guard=args.guard)
         gb = buchberger(gens, lifted_order)
         payload["order"] = lifted_order.spec_string()

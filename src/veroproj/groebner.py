@@ -16,9 +16,12 @@ search for orders that make the reduced basis quadratic.
 Buchberger's reducer (`_Reducer`) files every lead, whatever its
 degree, under its two least support variables, so a lookup probes only
 the variable pairs of the monomial it reduces, and it reduces each
-monomial once per basis, caching where it ends.  The minimal leads form
-a Groebner basis, and each fiber of a toric ideal has one standard
-monomial, which reducing a kept trail once by them reaches.
+monomial once per basis, caching where it ends.  New S-pairs come from
+the Gebauer-Moeller update: a new element's partners are read off an
+index of leads by variable, and a pair whose lcm a kept pair's lcm
+divides is dropped.  The minimal leads form a Groebner basis, and each
+fiber of a toric ideal has one standard monomial, which reducing a kept
+trail once by them reaches.
 
 Conventions: an S-monomial is a tuple of mu non-negative ints;
 multiplication is componentwise addition, and divisibility is
@@ -450,10 +453,13 @@ def buchberger(gens: Sequence[Binomial], order: TermOrder) -> GroebnerBasis:
 
     Normal selection strategy: S-pairs are processed by ascending lcm
     degree (insertion order breaking ties), which keeps low-degree
-    elements appearing early.  New basis elements are gcd-stripped
-    before insertion; this is sound for prime toric ideals because the
-    stripped binomial still lies in the ideal and generates the
-    original one.  The minimal leads then form a Groebner basis, and a
+    elements appearing early.  A new element is paired only with the
+    earlier leads it shares a variable with (coprime pairs reduce to
+    zero), and the Gebauer-Moeller M and F criteria drop each of those
+    pairs whose lcm a kept pair's lcm divides; the B criterion on pending
+    pairs is not applied.  New basis elements are gcd-stripped before
+    insertion; this is sound for prime toric ideals because the stripped
+    binomial still lies in the ideal and generates the original one.  The minimal leads then form a Groebner basis, and a
     toric ideal has one standard monomial per fiber, so reducing each
     kept trail once by them gives the reduced basis.  Sides must stay
     below CODE_DEGREE_BOUND; counters are logged at debug level.
@@ -462,6 +468,8 @@ def buchberger(gens: Sequence[Binomial], order: TermOrder) -> GroebnerBasis:
     basis = _Reducer(order)
     pending: list[tuple[int, int, int, int]] = []
     counter = itertools.count()  # its next value is the number of pairs formed
+    by_var: list[list[int]] = [[] for _ in range(order.mu)]  # elements whose lead has w_t
+    pruned = {"coprime": 0, "M": 0, "F": 0}
 
     def insert(u: int, v: int) -> None:
         nf = basis.normal_form(u, v)
@@ -470,15 +478,35 @@ def buchberger(gens: Sequence[Binomial], order: TermOrder) -> GroebnerBasis:
         basis.add(*_vec_strip(*nf))  # stripping a common factor keeps the orientation
         leads, supports = basis.leads, basis.supports
         new = len(leads) - 1
-        Lnew, Snew = leads[new], supports[new]
-        dnew = sum(Lnew)
-        for i in range(new):
-            if supports[i].isdisjoint(Snew):
-                continue  # coprime leads: the S-pair reduces to zero
+        Lnew, dnew = leads[new], sum(leads[new])
+        candidates = set().union(*(by_var[t] for t in supports[new]))
+        pruned["coprime"] += new - len(candidates)
+        # q_i = L_i / gcd(L_i, L_new) makes lcm(L_i, L_new) = L_new * q_i, and
+        # deg q_i >= 1 as no earlier lead divides the irreducible L_new
+        quotients = []
+        for i in candidates:
             Li = leads[i]
-            # degree of lcm(L_i, L_new): the shared variables count once
-            overlap = sum(min(Li[t], Lnew[t]) for t in supports[i] & Snew)
-            heappush(pending, (sum(Li) + dnew - overlap, next(counter), i, new))
+            q = {t: Li[t] - Lnew[t] for t in supports[i] if Li[t] > Lnew[t]}
+            quotients.append((sum(q.values()), i, q))
+        # Gebauer-Moeller: drop (i, new) when the lcm of a kept pair (j, new)
+        # divides its lcm, i.e. q_j | q_i: M when strictly, F when equal; a
+        # witness is the degree of q_j, so it is equal exactly when dq matches
+        linear: set[int] = set()  # the variables of kept degree-1 quotients
+        kept: list[tuple[int, dict[int, int]]] = []  # kept quotients of degree >= 2, ascending
+        for dq, i, q in sorted(quotients, key=lambda entry: entry[:2]):
+            witness = 1 if not linear.isdisjoint(q) else next(
+                (dj for dj, qj in kept if all(q.get(t, 0) >= e for t, e in qj.items())), 0
+            )
+            if witness:
+                pruned["F" if witness == dq else "M"] += 1
+                continue
+            if dq == 1:
+                linear.update(q)
+            else:
+                kept.append((dq, q))
+            heappush(pending, (dnew + dq, next(counter), i, new))
+        for t in supports[new]:
+            by_var[t].append(new)
 
     for g in gens:
         insert(_code(g.plus), _code(g.minus))
@@ -489,8 +517,9 @@ def buchberger(gens: Sequence[Binomial], order: TermOrder) -> GroebnerBasis:
     pairs, inserted = next(counter), len(basis.leads)
     logger.debug(
         "buchberger: %d inputs, %d inserted, %d pairs formed, %d skipped as coprime, "
-        "%d reduced to zero, %d of %d cache lookups hit, %d reduction steps",
-        len(gens), inserted, pairs, inserted * (inserted - 1) // 2 - pairs,
+        "%d pruned by M, %d pruned by F, %d reduced to zero, %d of %d cache lookups hit, "
+        "%d reduction steps",
+        len(gens), inserted, pairs, pruned["coprime"], pruned["M"], pruned["F"],
         basis.zeros, basis.hits, basis.lookups, basis.reductions,
     )
 

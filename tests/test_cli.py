@@ -8,7 +8,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import veroproj
+from veroproj import cli
 from veroproj.cli import main
 from veroproj.families import parse_family
 from veroproj.monomials import read_omega
@@ -122,6 +125,15 @@ def test_lift_with_certified_basis(capsys):
     assert code == 2 and "error:" in err
     code, _, err = run(capsys, "lift", "full(2,2)", "--sizes", "2,1,1", "--order", "degrevlex")
     assert code == 2 and "error:" in err
+
+
+def test_lift_order_checks_the_block_group(monkeypatch):
+    # the lifted order ranks the lifted members and Buchberger's generators
+    # index the block group's invariants, so the two must agree member for member
+    block_group = cli.block_group
+    monkeypatch.setattr(cli, "block_group", lambda group, sizes: block_group(group, sizes[::-1]))
+    with pytest.raises(AssertionError, match="not the block group's invariants"):
+        main(["lift", "group(C(4;0,1,3))", "--sizes", "2,1,1", "--order", "degrevlex"])
 
 
 def test_label_subcommand(capsys):

@@ -417,6 +417,23 @@ def test_grown_bases_are_pinned(family, order_text, k_max, size, digest):
     assert hashlib.sha256(json.dumps(pairs).encode()).hexdigest() == digest
 
 
+# Small inputs where a wrong pair criterion in Buchberger leaves a set that is
+# not a Groebner basis: M taking a kept pair whose quotient does not divide
+# as its witness (the first), F dropping every pair of an equal-lcm class
+# (the second).  Random draws reach such inputs only now and then.
+PAIR_CRITERIA_CASES = [
+    ((5, (0, 1, 2)), "deglex", (2, 0, 3, 4, 1)),
+    ((7, (0, 1, 4)), "lex", (1, 4, 0, 2, 5, 3)),
+]
+
+
+@pytest.mark.parametrize("group, kind, ranks", PAIR_CRITERIA_CASES)
+def test_pair_criteria_keep_a_groebner_basis(group, kind, ranks):
+    omega = invariants_of_degree(cyclic_group(*group), 1)
+    gens = toric_generators(omega)
+    assert verify_groebner(buchberger(gens, TermOrder(kind, ranks)), gens)
+
+
 def test_code_degree_bound_is_checked_before_coding():
     # over {x^2, xy, y^2}: w0^128 w2^128 and w1^256 are both x^256 y^256;
     # coding w1^256 would need a 9-bit exponent
@@ -439,10 +456,13 @@ def test_buchberger_logs_its_counters(caplog):
     with caplog.at_level(logging.DEBUG, logger="veroproj"):
         gb = buchberger(gens, parse_order("lex", omega))
     [line] = [r.getMessage() for r in caplog.records if r.getMessage().startswith("buchberger:")]
-    inputs, inserted, pairs, coprime, zero, hits, lookups, steps = map(int, re.findall(r"\d+", line))
+    counts = map(int, re.findall(r"\d+", line))
+    inputs, inserted, formed, coprime, by_m, by_f, zero, hits, lookups, steps = counts
     assert inputs == len(gens) and inserted >= len(gb.elements) > 0
-    assert zero + inserted == pairs + inputs and zero < pairs
-    assert coprime + pairs == inserted * (inserted - 1) // 2
+    # each pair of inserted elements is formed or pruned, each counted where it happens
+    assert formed + coprime + by_m + by_f == inserted * (inserted - 1) // 2
+    assert zero + inserted == formed + inputs and zero < formed
+    assert by_m > 0 and by_f > 0  # the Gebauer-Moeller criteria both prune here
     assert 0 < hits < lookups and steps > 0
 
 
