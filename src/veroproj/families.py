@@ -862,16 +862,17 @@ def _scenario_lift(opts: ScenarioOptions) -> list[dict]:
                 order = lift_order(found.order, b1, lifted, sizes)
                 # the fiber criterion decides a lift whose ideal is generated in
                 # degree 2; Buchberger reports the true degree of any other answer
-                gb = None
                 table = minimal_generator_table(block, guard=opts.guard)
-                if table.quadraticity():
-                    gb = quadratic_basis(block, order, table.fibers)
-                if gb is None:
-                    gb = buchberger(toric_generators(block, guard=opts.guard), order)
+                leads = quadratic_basis(order, table.fibers) if table.quadraticity() else None
+                if leads is None:
+                    gens = toric_generators(block, guard=opts.guard)
+                    max_degree = buchberger(gens, order).max_degree
+                else:
+                    max_degree = 2 if leads else 0
                 steps.append(_step(
                     "lift", {"group": spec, "sizes": sizes},
                     {"matches-block-group": True, "max_degree": 2},
-                    {"matches-block-group": same, "max_degree": gb.max_degree},
+                    {"matches-block-group": same, "max_degree": max_degree},
                 ))
     return steps
 

@@ -319,15 +319,15 @@ class QuadraticityAnswer:
 
 
 class QuadraticFibers(NamedTuple):
-    """The fibers a quadratic Groebner basis is read off, for any number of orders.
+    """What decides whether an order's basis is quadratic, for any number of orders.
 
-    `quadrics` holds the degree-2 fibers and `cubics` the connected
-    components of the degree-3 fibers, each as its sorted index
-    multisets and only when it has more than one.
+    `quadrics` holds the degree-2 fibers of more than one multiset, and
+    `cubics` is C3, the number of degree-3 fiber components, singletons
+    included (`groebner.quadratic_basis` says why that count suffices).
     """
 
     quadrics: list[list[tuple[int, ...]]]
-    cubics: list[list[tuple[int, ...]]]
+    cubics: int
 
     @classmethod
     def of(cls, omega: MonomialSet, guard: int = DEFAULT_GUARD) -> "QuadraticFibers":
@@ -342,8 +342,9 @@ class GeneratorTable:
     degrees holds only the nonzero counts.  bound records what certifies
     completeness up to verified_up_to: "two-normal" and "group" both cap
     the generation degree at 3, "user" means the caller chose the cap.
-    `fibers` keeps the fibers the walk found for `quadratic_basis` when
-    the table reaches degree 3.
+    `fibers` keeps the degree-2 fibers and the count C3 of degree-3
+    components (singletons included) for `quadratic_basis` when the
+    table reaches degree 3.
     """
 
     degrees: dict[int, int]
@@ -426,7 +427,7 @@ def minimal_generator_table(
     degrees: dict[int, int] = {}
     reps: dict[int, list[tuple[tuple[int, ...], tuple[int, ...]]]] = {}
     quadrics: list[list[tuple[int, ...]]] = []
-    cubics: list[list[tuple[int, ...]]] = []
+    cubics = 0
     _check_fiber_guard(len(omega), 2, k_max, guard)
     for k, level in enumerate(itertools.islice(_walk(omega, k_max), 1, None), start=2):
         # only multi-element fibers count, in descending target order
@@ -441,8 +442,8 @@ def minimal_generator_table(
                 found.extend((comp[0], principal) for comp in comps[1:])
             if k == 2:
                 quadrics.append(elements)
-            elif k == 3:
-                cubics.extend(comp for comp in comps if len(comp) > 1)
+        if k == 3:
+            cubics = len(level) + count  # each fiber: one component more than generators
         if count:
             degrees[k] = count
             if representatives:

@@ -10,8 +10,9 @@ provides the binomial types, the term orders (including the (r,c)-Lex
 order for one-dimensional weight patterns (0,1,k) and the composite
 orders used to lift a basis through a variable split), Buchberger with
 a normal selection strategy, the quadratic basis an order induces read
-straight off the degree-2 and degree-3 fibers, and a deterministic
-search for orders that make the reduced basis quadratic.
+off the degree-2 fibers and decided by one count of standard degree-3
+multisets, and a deterministic search for orders that make the reduced
+basis quadratic.
 
 Buchberger's reducer (`_Reducer`) files every lead, whatever its
 degree, under its two least support variables, so a lookup probes only
@@ -549,12 +550,15 @@ def buchberger(gens: Sequence[Binomial], order: TermOrder) -> GroebnerBasis:
 def verify_groebner(gb: GroebnerBasis, gens: Sequence[Binomial] | None = None) -> bool:
     """Full Buchberger-criterion check of a claimed basis.
 
-    Every pairwise S-binomial must reduce to zero, as must every
+    Every S-binomial of leads that share a variable must reduce to zero
+    (coprime ones do, by Buchberger's first criterion), as must every
     supplied generator.  Tests and the `quartic-group-quadratic-gb`
     scenario's `verified` field rest on it.
     """
     basis = _Reducer(gb.order, ((g.plus, g.minus) for g in gb.elements))
     for a, b in itertools.combinations(range(len(gb.elements)), 2):
+        if basis.supports[a].isdisjoint(basis.supports[b]):
+            continue
         _check_code_degree(sum(map(max, basis.leads[a], basis.leads[b])))
         if basis.normal_form(*basis.s_pair(a, b)) is not None:
             return False
@@ -565,9 +569,32 @@ def verify_groebner(gb: GroebnerBasis, gens: Sequence[Binomial] | None = None) -
 # quadratic bases read off the degree-2 and degree-3 fibers
 
 
-def quadratic_basis(
-    omega: MonomialSet, order: TermOrder, fibers: QuadraticFibers
-) -> GroebnerBasis | None:
+def _quadratic_leads(order: TermOrder, fibers: QuadraticFibers) -> tuple[dict, int]:
+    """The lead -> trail map an order puts on the degree-2 fibers, and the
+    number of degree-3 multisets with no lead among their sub-pairs."""
+    weights, mu = order.weights, order.mu
+    leads = {}
+    free = [(1 << mu) - 1] * mu  # free[i]: the j with (i, j) not a lead
+    for fiber in fibers.quadrics:
+        least = min(fiber, key=lambda pair: weights[pair[0]] + weights[pair[1]])
+        for a, b in fiber:
+            if (a, b) != least:
+                leads[a, b] = least
+                free[a] &= ~(1 << b)
+                free[b] &= ~(1 << a)
+    # (a, b, c) with a <= b <= c is standard when b is in free[a] and c in both
+    standard = sum(
+        ((fa & free[b]) >> b).bit_count()
+        for a, fa in enumerate(free)
+        for b in range(a, mu)
+        if fa >> b & 1
+    )
+    if standard < fibers.cubics:  # every component has a standard multiset
+        raise AssertionError(f"{standard} standard multisets for {fibers.cubics} components")
+    return leads, standard
+
+
+def quadratic_basis(order: TermOrder, fibers: QuadraticFibers) -> dict | None:
     """The reduced basis of the ideal the degree-2 fibers generate, if quadratic.
 
     A toric ideal has one standard monomial per fiber, so the only
@@ -576,27 +603,16 @@ def quadratic_basis(
     Leads that share a variable have a degree-3 lcm and coprime ones need
     no S-pair, so G is a Groebner basis exactly when every degree-3 fiber
     component (a class of that ideal) has one multiset with no lead among
-    its three sub-pairs; None otherwise.  Elements sort as in `buchberger`.
+    its three sub-pairs.  Each has at least one, its least multiset: a
+    lead sub-pair (a, b) of (a, b, c) with trail (a', b') would make
+    (a', b', c) smaller, in the same fiber and sharing c.  So G is a basis
+    exactly when C3 = `fibers.cubics` multisets, one per component with
+    singletons counted, are standard (Sturmfels, Groebner Bases and Convex
+    Polytopes, ch. 4, counted instead of walked).  Returns G as a map from
+    each lead pair to its trail pair, or None.
     """
-    weights = order.weights
-    leads: dict[tuple[int, ...], tuple[int, ...]] = {}
-    for fiber in fibers.quadrics:
-        least = min(fiber, key=lambda pair: weights[pair[0]] + weights[pair[1]])
-        for pair in fiber:
-            if pair != least:
-                leads[pair] = least
-    for comp in fibers.cubics:
-        standard = sum(
-            (a, b) not in leads and (a, c) not in leads and (b, c) not in leads
-            for a, b, c in comp
-        )
-        if standard != 1:
-            return None
-    elements = sorted(
-        (Binomial.from_indices(omega, lead, trail) for lead, trail in leads.items()),
-        key=lambda g: (g.degree, g.plus, g.minus),
-    )
-    return GroebnerBasis(tuple(elements), order, 2 if elements else 0)
+    leads, standard = _quadratic_leads(order, fibers)
+    return leads if standard == fibers.cubics else None
 
 
 # ---------------------------------------------------------------------------
@@ -616,7 +632,6 @@ class SearchResult:
 
     status: str
     order: TermOrder | None
-    basis: GroebnerBasis | None
     tried: int
     budget: int
     seed: int
@@ -692,40 +707,46 @@ def search_quadratic_order(
 
     Candidates come from `_candidate_orders` and are tried in that
     fixed sequence, so the first success is deterministic for a given
-    seed.  Each one is decided by `quadratic_basis` on the fibers the
-    generator table kept; only a table verified below degree 3 has them
-    walked again.  When the generator table contains a minimal
-    generator of degree 3 or more, no quadratic basis can exist (basis
-    degrees dominate minimal generator degrees) and the search returns
+    seed.  Each one is decided as in `quadratic_basis`, by counting its
+    standard degree-3 multisets against C3 on the fibers the generator
+    table kept; only a table verified below degree 3 has them walked
+    again.  When the generator table contains a minimal generator of
+    degree 3 or more, no quadratic basis can exist (basis degrees
+    dominate minimal generator degrees) and the search returns
     immediately with a warning instead of burning the budget.  A table
     verified only to degree 2 makes the search one for the ideal its
-    degree-2 generators span.
+    degree-2 generators span.  One debug line logs C3, the candidates
+    tried and each failed candidate's surplus of standard multisets.
     """
     if table is None:
         table = minimal_generator_table(omega, k_max=k_max, guard=guard)
     answer = table.quadraticity()
-    if answer.status == "no":
+    impossible, warning = answer.status == "no", None
+    if impossible:
         warning = (
             "no quadratic Groebner basis exists: the ideal has a minimal "
             f"generator of degree {answer.witness_degree} (table {table.degrees})"
         )
-        return SearchResult("not-found-within", None, None, 0, budget, seed, warning, impossible=True)
-    warning = None
-    if answer.status == "unknown-above":
+    elif answer.status == "unknown-above":
         warning = (
             f"generator table only certified up to degree {answer.verified_up_to}; "
             "a found basis is quadratic for the ideal generated by that table"
         )
     fibers = table.fibers if table.fibers is not None else QuadraticFibers.of(omega, guard)
-    tried = 0
-    for order in _candidate_orders(omega, seed):
-        if tried >= budget:
+    surplus: list[int] = []  # standard degree-3 multisets over C3, per failed candidate
+    found = None
+    for order in itertools.islice(_candidate_orders(omega, seed), 0 if impossible else max(budget, 0)):
+        standard = _quadratic_leads(order, fibers)[1]
+        if standard == fibers.cubics:
+            found = order
             break
-        tried += 1
-        gb = quadratic_basis(omega, order, fibers)
-        if gb is not None:
-            return SearchResult("found", order, gb, tried, budget, seed, warning)
-    return SearchResult("not-found-within", None, None, tried, budget, seed, warning)
+        surplus.append(standard - fibers.cubics)
+    status, tried = ("found", len(surplus) + 1) if found else ("not-found-within", len(surplus))
+    logger.debug(
+        "search_quadratic_order: C3 = %d, %s after %d candidates, surplus per failed candidate %s",
+        fibers.cubics, status, tried, surplus,
+    )
+    return SearchResult(status, found, tried, budget, seed, warning, impossible)
 
 
 # ---------------------------------------------------------------------------

@@ -362,9 +362,9 @@ def test_walker_agrees_with_bruteforce(omega, k_max):
     assert table.degrees == degrees and table.representatives == reps
     if k_max >= 3:
         quadrics = [e for e in brute[2].values() if len(e) > 1]
-        cubics = [c for e in brute[3].values() for c in _brute_components(e) if len(c) > 1]
+        cubics = [c for e in brute[3].values() for c in _brute_components(e)]  # singletons too
         assert sorted(table.fibers.quadrics) == sorted(quadrics)
-        assert sorted(table.fibers.cubics) == sorted(cubics)
+        assert table.fibers.cubics == len(cubics)
     else:
         assert table.fibers is None
 

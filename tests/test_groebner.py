@@ -19,6 +19,7 @@ from veroproj.groebner import (
     CODE_DEGREE_BOUND,
     KEY_DEGREE_BOUND,
     Binomial,
+    GroebnerBasis,
     QuadraticFibers,
     TermOrder,
     buchberger,
@@ -231,6 +232,21 @@ def test_verify_groebner_accepts_lift_bases():
         gb = buchberger(gens, lord)
         assert gb.max_degree == 2
         assert verify_groebner(gb, gens), sizes
+
+
+def test_verify_groebner_rejects_a_basis_missing_a_grown_element():
+    # pinched(2,4,2) is generated by its 33 quadrics, so dropping an element
+    # above degree 2 leaves the same ideal without that element's lead, which
+    # no other lead of the reduced basis divides: not a Groebner basis, and
+    # only an S-pair of leads that share a variable can show it
+    omega = parse_family("pinched(2,4,2)").build()
+    gb = buchberger(toric_generators(omega), parse_order("lex", omega))
+    assert verify_groebner(gb)
+    grown = [g for g in gb.elements if g.degree > 2]
+    assert len(grown) == 25
+    for g in grown:
+        rest = tuple(e for e in gb.elements if e != g)
+        assert not verify_groebner(GroebnerBasis(rest, gb.order, gb.max_degree))
 
 
 def test_orders_have_positive_weights():
@@ -480,12 +496,24 @@ def test_groebner_degree_dominates_generator_degrees():
         assert gb.max_degree >= want
 
 
+def _quadratic_elements(omega, order, leads) -> GroebnerBasis:
+    """The basis a `quadratic_basis` lead -> trail map stands for, its
+    elements sorted as `buchberger` sorts them."""
+    elements = sorted(
+        (Binomial.from_indices(omega, lead, trail) for lead, trail in leads.items()),
+        key=lambda g: (g.degree, g.plus, g.minus),
+    )
+    return GroebnerBasis(tuple(elements), order, 2 if elements else 0)
+
+
 def test_search_finds_rc_order_first():
     b613 = invariants_of_degree(cyclic_group(6, (0, 1, 3)), 1)
     res = search_quadratic_order(b613, budget=40, seed=0)
     assert res.found and res.tried == 1
     assert res.order.spec_string() == "rc(6,3,1)"
-    assert res.basis.max_degree == 2
+    gb = _quadratic_elements(b613, res.order, quadratic_basis(res.order, QuadraticFibers.of(b613)))
+    assert gb.max_degree == 2
+    assert verify_groebner(gb, toric_generators(b613))
 
 
 def test_search_quartic_group_within_heuristics():
@@ -493,8 +521,30 @@ def test_search_quartic_group_within_heuristics():
     res = search_quadratic_order(bq, budget=400, seed=0)
     assert res.found
     assert res.tried <= 60  # found among the sorted-member heuristics
-    assert res.basis.is_quadratic
-    assert verify_groebner(res.basis)
+    gb = _quadratic_elements(bq, res.order, quadratic_basis(res.order, QuadraticFibers.of(bq)))
+    assert gb.is_quadratic
+    assert verify_groebner(gb)
+
+
+def test_search_logs_its_count(caplog):
+    bq = invariants_of_degree(cyclic_group(4, (0, 1, 2, 3)), 1)
+    with caplog.at_level(logging.DEBUG, logger="veroproj"):
+        hit = search_quadratic_order(bq, budget=400, seed=0)
+        miss = search_quadratic_order(bq, budget=5, seed=0)
+    lines = [r.getMessage() for r in caplog.records if r.getMessage().startswith("search_quadratic_order:")]
+    assert len(lines) == 2
+    cubics = QuadraticFibers.of(bq).cubics
+    pattern = (
+        r"search_quadratic_order: C3 = (\d+), (\S+) after (\d+) candidates, "
+        r"surplus per failed candidate \[(.*)\]"
+    )
+    for line, res in zip(lines, (hit, miss)):
+        c3, status, tried, listed = re.fullmatch(pattern, line).groups()
+        surplus = [int(x) for x in listed.split(", ") if x]
+        assert (int(c3), status, int(tried)) == (cubics, res.status, res.tried)
+        # a failed candidate has more standard multisets than components
+        assert len(surplus) == res.tried - res.found and min(surplus) > 0
+    assert hit.found and hit.tried > 1 and miss.tried == 5 and not miss.found
 
 
 def test_candidate_orders_are_distinct():
@@ -559,10 +609,68 @@ def test_quadratic_basis_agrees_with_buchberger(data):
     mu = len(omega)
     order = TermOrder(data.draw(st.sampled_from(KINDS)), tuple(data.draw(st.permutations(range(mu)))))
     gb = buchberger(gens, order)
-    found = quadratic_basis(omega, order, QuadraticFibers.of(omega))
+    found = quadratic_basis(order, QuadraticFibers.of(omega))
     assert (found is not None) == (gb.max_degree <= 2)
     if found is not None:
+        found = _quadratic_elements(omega, order, found)
         assert found.elements == gb.elements and found.max_degree == gb.max_degree
+
+
+def _reference_quadratic_basis(quadrics, components, order):
+    """The per-component criterion: the lead -> trail map an order puts on
+    the degree-2 fibers when every degree-3 fiber component with more than
+    one multiset has exactly one multiset with no lead sub-pair, else None."""
+    weights = order.weights
+    leads = {}
+    for fiber in quadrics:
+        least = min(fiber, key=lambda pair: weights[pair[0]] + weights[pair[1]])
+        leads.update((pair, least) for pair in fiber if pair != least)
+    for comp in components:
+        standard = sum(not leads.keys() & {(a, b), (a, c), (b, c)} for a, b, c in comp)
+        if len(comp) > 1 and standard != 1:
+            return None
+    return leads
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_standard_count_agrees_with_per_component_reference(data):
+    """The count of standard degree-3 multisets against the per-component
+    criterion, on drawn orders and on a short search.
+
+    Omegas are drawn as in `test_quadratic_basis_agrees_with_buchberger`;
+    the fibers come from the default table or, as for a table verified
+    only to degree 2, from their own walk, and the search runs on a table
+    verified to degree 2 when the ideal has cubic generators.
+    """
+    if data.draw(st.booleans()):
+        omega = parse_family(data.draw(st.sampled_from(TWO_NORMAL_FAMILIES))).build()
+    else:
+        d = data.draw(st.integers(2, 9))
+        weights = (0, data.draw(st.integers(0, d - 1)), data.draw(st.integers(1, d - 1)))
+        omega = invariants_of_degree(cyclic_group(d, weights), 1)
+    table = minimal_generator_table(omega)
+    fibers = table.fibers if data.draw(st.booleans()) else QuadraticFibers.of(omega)
+    quadrics = [f.elements for f in fibers_of_degree(omega, 2).values() if len(f) > 1]
+    components = [c for f in fibers_of_degree(omega, 3).values() for c in f.connected_components()]
+    assert fibers.cubics == len(components)
+
+    mu = len(omega)
+    for _ in range(4):
+        ranks = tuple(data.draw(st.permutations(range(mu))))
+        order = TermOrder(data.draw(st.sampled_from(KINDS)), ranks)
+        assert quadratic_basis(order, fibers) == _reference_quadratic_basis(quadrics, components, order)
+
+    k_max = None if table.quadraticity() else 2
+    res = search_quadratic_order(omega, budget=8, seed=data.draw(st.integers(0, 3)), k_max=k_max)
+    tried = 0
+    for order in itertools.islice(_candidate_orders(omega, res.seed), 8):
+        tried += 1
+        if _reference_quadratic_basis(quadrics, components, order) is not None:
+            assert res.found and res.order == order and res.tried == tried
+            break
+    else:
+        assert not res.found and res.tried == tried
 
 
 @settings(max_examples=60, deadline=None)
@@ -710,10 +818,10 @@ def test_quadratic_basis_on_a_degree_two_table_of_a_cubic_ideal():
         for kind in ("lex", "degrevlex"):
             order = TermOrder(kind, ranks)
             gb = buchberger(gens, order)
-            found = quadratic_basis(b713, order, fibers)
+            found = quadratic_basis(order, fibers)
             assert (found is not None) == (gb.max_degree <= 2), order
             if found is not None:
-                assert found.elements == gb.elements
+                assert _quadratic_elements(b713, order, found).elements == gb.elements
             verdicts.add(found is not None)
     assert verdicts == {True, False}
 
