@@ -15,17 +15,31 @@ across components are independent modulo it (a graded Nakayama
 argument).  In degree 2 two distinct multisets can never share an
 index, so every fiber is an independent set and the count is just
 (fiber size - 1), summed.
+
+Two walks count them.  The tuple walk (`_walk`) lists every multiset by
+product and joins components with a union-find over indices; it serves
+`fibers_of_degree`, the degree-2 fibers every table keeps, and tables
+built with `representatives=True`, whose only caller is
+`groebner.toric_generators`.  The class walk (`_class_walk`) counts the
+components of every other table from index masks, with no multiset
+formed, and is checked against the tuple walk in degree 2.  Hilbert
+values and 2-normality walk distinct products only.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
+import logging
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Iterator, NamedTuple, Sequence
 
 from .errors import DEFAULT_GUARD, GuardExceeded
 from .monomials import Monomial, MonomialSet, enumerate_degree
+
+logger = logging.getLogger("veroproj")
 
 
 @dataclass(frozen=True)
@@ -184,6 +198,70 @@ def _walk(omega: MonomialSet, k_max: int, distinct: bool = False) -> Iterator[di
                 )
         level = nxt
         yield level
+
+
+def _class_walk(omega: MonomialSet, k_max: int) -> Iterator[tuple[dict, int, int, int]]:
+    """Fiber component counts degree by degree, from index masks alone.
+
+    Yields, for k = 2..k_max, the dict from each degree-k product (packed
+    in `_radix(omega, k_max)`) to the mask of the indices its multisets
+    use, then the (p, j) pairs visited, the fibers of more than one
+    component, and the sum over fibers of components - 1.
+
+    A degree-k multiset of the fiber of q that holds index j is j plus a
+    degree-(k-1) multiset of p = q - m_j, so the multisets of each pair
+    (p, j) share j and lie in one component, and their indices are
+    mask(p) | 1 << j.  Components of one fiber use disjoint indices, so
+    they are the classes of pair masks joined by overlap.  The pairs with
+    j at least the least last index of p's multisets still cover every
+    multiset e: take p = e minus its last index j.
+    """
+    radix = _radix(omega, k_max)
+    members = [_pack(m, radix) for m in omega]
+    mu = len(members)
+    # by_start[s]: (product, mask) of each product whose least last index is s
+    by_start = [[(p, 1 << i)] for i, p in enumerate(members)]
+    for k in range(2, k_max + 1):
+        classes: dict = {}  # product -> its one class mask, or a list of disjoint ones
+        firsts: list = [[] for _ in range(mu)]  # products by the index j that reached them first
+        active: list = []
+        pairs = 0
+        for j, mj in enumerate(members):
+            # with j ascending, the first j to reach q is q's least last index
+            active += by_start[j]
+            pairs += len(active)
+            bj = 1 << j
+            new = firsts[j]
+            for p, pmask in active:
+                q = p + mj
+                g = pmask | bj
+                c = classes.get(q)
+                if c is None:
+                    classes[q] = g
+                    new.append(q)
+                elif c.__class__ is int:
+                    classes[q] = c | g if c & g else [c, g]
+                else:
+                    keep = []
+                    for other in c:
+                        if other & g:
+                            g |= other
+                        else:
+                            keep.append(other)
+                    if keep:
+                        keep.append(g)
+                        classes[q] = keep
+                    else:
+                        classes[q] = g
+        split = count = 0
+        for q, c in classes.items():
+            if c.__class__ is not int:
+                split += 1
+                count += len(c) - 1
+                classes[q] = functools.reduce(operator.or_, c)
+        yield classes, pairs, split, count
+        if k < k_max:
+            by_start = [[(q, classes[q]) for q in qs] for qs in firsts]
 
 
 def _check_fiber_guard(mu: int, k_min: int, k_max: int, guard: int) -> None:
@@ -392,6 +470,11 @@ def minimal_generator_table(
     group bound, a 2-normal omega the two-normal bound (both cap the
     generation degree at 3), and anything else is an error because no
     finite k_max would be certified.
+
+    With `representatives` every degree comes from the tuple walk;
+    otherwise degree 2 does and the counts of every degree come from the
+    class walk, which must agree with it in degree 2.  Each call logs its
+    counts per degree to the "veroproj" logger at debug level.
     """
     implied = bound is None
     if bound is None:
@@ -424,30 +507,52 @@ def minimal_generator_table(
     else:
         raise ValueError(f"unknown bound {bound!r}")
 
-    degrees: dict[int, int] = {}
     reps: dict[int, list[tuple[tuple[int, ...], tuple[int, ...]]]] = {}
     quadrics: list[list[tuple[int, ...]]] = []
-    cubics = 0
+    # per degree: k, products, multisets or (p, j) pairs walked, fibers split, generators
+    counts: list[tuple[int, int, int, int, int]] = []
     _check_fiber_guard(len(omega), 2, k_max, guard)
-    for k, level in enumerate(itertools.islice(_walk(omega, k_max), 1, None), start=2):
+    # the tuple walk: every degree for representatives, else degree 2 for the quadrics
+    tuple_max = k_max if representatives else min(k_max, 2)
+    for k, level in enumerate(itertools.islice(_walk(omega, tuple_max), 1, None), start=2):
         # only multi-element fibers count, in descending target order
         multi = sorted(((t, e) for t, e in level.items() if len(e) > 1), reverse=True)
-        count = 0
+        count = split = 0
         found: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
         for _, elements in multi:
             comps = _components(elements)
             count += len(comps) - 1
+            split += len(comps) > 1
             if representatives:
                 principal = comps[0][0]  # the lex-least element
                 found.extend((comp[0], principal) for comp in comps[1:])
             if k == 2:
                 quadrics.append(elements)
-        if k == 3:
-            cubics = len(level) + count  # each fiber: one component more than generators
-        if count:
-            degrees[k] = count
-            if representatives:
-                reps[k] = found
+        if found:
+            reps[k] = found
+        counts.append((k, len(level), _multiset_count(len(omega), k), split, count))
+    if not representatives and k_max >= 2:
+        _, products, _, _, count = counts[0]
+        walk = _class_walk(omega, k_max)
+        counts = [(k, len(masks), *rest) for k, (masks, *rest) in enumerate(walk, start=2)]
+        if (counts[0][1], counts[0][4]) != (products, count):
+            raise RuntimeError(
+                f"class walk check failed: {counts[0][1]} degree-2 products and "
+                f"{counts[0][4]} generators, the tuple walk has {products} and {count}"
+            )
+    logger.debug(
+        "minimal_generator_table: %d members, %s walk; %s",
+        len(omega), "tuple" if representatives else "class",
+        "; ".join(
+            f"degree {k}: {products} products, {walked} "
+            f"{'multisets' if representatives else '(p, j) pairs'}, "
+            f"{split} fibers of several components, {count} generators"
+            for k, products, walked, split, count in counts
+        ),
+    )
+    degrees = {k: count for k, *_, count in counts if count}
+    # C3: each degree-3 fiber has one component more than it adds generators
+    cubics = sum(products + count for k, products, *_, count in counts if k == 3)
     fibers = QuadraticFibers(quadrics, cubics) if k_max >= 3 else None
     return GeneratorTable(degrees, k_max, bound, reps if representatives else None, fibers)
 

@@ -1,7 +1,9 @@
 """Tests for fibers, generator tables, Hilbert values, and h-polynomials."""
 
+import logging
 import math
 import random
+import re
 from itertools import combinations_with_replacement
 
 import pytest
@@ -351,7 +353,6 @@ def test_walker_agrees_with_bruteforce(omega, k_max):
         for target, fib in got.items():
             assert fib.connected_components() == _brute_components(fibs[tuple(target)])
 
-    table = minimal_generator_table(omega, k_max=k_max, representatives=True)
     degrees, reps = {}, {}
     for k in range(2, k_max + 1):
         for target in sorted(brute[k], reverse=True):
@@ -359,14 +360,20 @@ def test_walker_agrees_with_bruteforce(omega, k_max):
             if len(comps) > 1:
                 degrees[k] = degrees.get(k, 0) + len(comps) - 1
                 reps.setdefault(k, []).extend((c[0], comps[0][0]) for c in comps[1:])
-    assert table.degrees == degrees and table.representatives == reps
-    if k_max >= 3:
-        quadrics = [e for e in brute[2].values() if len(e) > 1]
-        cubics = [c for e in brute[3].values() for c in _brute_components(e)]  # singletons too
-        assert sorted(table.fibers.quadrics) == sorted(quadrics)
-        assert table.fibers.cubics == len(cubics)
-    else:
-        assert table.fibers is None
+    # the tuple walk with representatives, and the class walk without
+    for table in (
+        minimal_generator_table(omega, k_max=k_max, representatives=True),
+        minimal_generator_table(omega, k_max=k_max),
+    ):
+        assert table.degrees == degrees
+        if k_max >= 3:
+            quadrics = [e for e in brute[2].values() if len(e) > 1]
+            cubics = [c for e in brute[3].values() for c in _brute_components(e)]  # singletons too
+            assert sorted(table.fibers.quadrics) == sorted(quadrics)
+            assert table.fibers.cubics == len(cubics)
+        else:
+            assert table.fibers is None
+    assert minimal_generator_table(omega, k_max=k_max, representatives=True).representatives == reps
 
     assert hilbert_values(omega, k_max) == [1] + [len(brute[k]) for k in range(1, k_max + 1)]
 
@@ -375,6 +382,55 @@ def test_walker_agrees_with_bruteforce(omega, k_max):
     ok, witness = is_2_normal(omega)
     assert ok == (not missing)
     assert witness == (min(missing) if missing else None)
+
+
+def test_class_walk_joins_every_class_a_pair_overlaps():
+    # in the fiber of x^4 y z^4 the multisets of the pair (p, j) = (x^2y * x^2z, z^3)
+    # join the classes of x^2y (xz^2)^2 and (x^2z)^2 yz^2, which arrive first;
+    # a merge into the first overlapping class alone would leave two classes of one component
+    omega = MonomialSet(
+        [(2, 1, 0), (2, 0, 1), (1, 2, 0), (1, 0, 2), (0, 3, 0), (0, 1, 2), (0, 0, 3)]
+    )
+    brute = {}
+    for k in (2, 3):
+        for target, elements in _brute_fibers(omega, k).items():
+            brute[k] = brute.get(k, 0) + len(_brute_components(elements)) - 1
+    assert brute == {2: 5, 3: 4}
+    assert minimal_generator_table(omega, k_max=3).degrees == brute
+
+
+def test_class_walk_is_checked_against_the_tuple_walk(monkeypatch):
+    omega = MonomialSet.full(2, 2)
+    walk = fibers._class_walk
+
+    def off_by_one(omega, k_max):
+        for masks, pairs, split, count in walk(omega, k_max):
+            yield masks, pairs, split, count + 1
+
+    monkeypatch.setattr(fibers, "_class_walk", off_by_one)
+    with pytest.raises(RuntimeError, match="class walk check failed"):
+        minimal_generator_table(omega, k_max=3)
+
+
+def test_table_logs_its_counts(caplog):
+    omega = escalating_family(5)  # generators in degrees 2, 3 and 5
+    with caplog.at_level(logging.DEBUG, logger="veroproj"):
+        table = minimal_generator_table(omega, k_max=5)
+        reps = minimal_generator_table(omega, k_max=5, representatives=True)
+    assert table.degrees == reps.degrees == {2: 1, 3: 2, 5: 1}
+    lines = [r.getMessage() for r in caplog.records]
+    lines = [line for line in lines if line.startswith("minimal_generator_table:")]
+    assert len(lines) == 2
+    for line, got, walk in ((lines[0], table, "class"), (lines[1], reps, "tuple")):
+        assert f"{walk} walk" in line
+        per_degree = re.findall(
+            r"degree (\d+): (\d+) products, (\d+) .*?, (\d+) fibers .*?, (\d+) generators", line
+        )
+        assert [int(k) for k, *_ in per_degree] == list(range(2, got.verified_up_to + 1))
+        assert {int(k): int(g) for k, *_, g in per_degree if int(g)} == got.degrees
+        for k, products, walked, split, generators in per_degree:
+            assert int(products) == len(_brute_fibers(omega, int(k)))
+            assert int(split) <= int(generators) < int(walked)
 
 
 def test_walker_checks_its_guard_before_allocating(monkeypatch):

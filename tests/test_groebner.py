@@ -830,31 +830,37 @@ def test_search_reads_fibers_once_and_never_runs_buchberger(monkeypatch):
     import veroproj.fibers
     import veroproj.groebner
 
-    walk = veroproj.fibers._walk
     walks = []
 
-    def counting(omega, k_max, distinct=False):
-        walks.append((k_max, distinct))
-        return walk(omega, k_max, distinct)
+    def counting(name):
+        walk = getattr(veroproj.fibers, name)
+
+        def counted(omega, k_max, *args):
+            walks.append((name, k_max) + args)
+            return walk(omega, k_max, *args)
+
+        monkeypatch.setattr(veroproj.fibers, name, counted)
 
     def forbidden(*args, **kwargs):
         raise AssertionError("the search ran buchberger")
 
-    monkeypatch.setattr(veroproj.fibers, "_walk", counting)
+    counting("_walk")  # the degree-2 tuples
+    counting("_class_walk")  # the classes of every degree
     monkeypatch.setattr(veroproj.groebner, "buchberger", forbidden)
+    table = [("_walk", 2), ("_class_walk", 3)]  # one table's walks
     bq = invariants_of_degree(cyclic_group(4, (0, 1, 2, 3)), 1)
     res = search_quadratic_order(bq, budget=400, seed=0)
     assert res.found and res.tried > 1
-    assert walks == [(3, False)]
+    assert walks == table
     miss = search_quadratic_order(bq, budget=5, seed=0)
     assert miss.tried == 5 and not miss.found
-    assert walks == [(3, False)] * 2
+    assert walks == table * 2
     # a table with a cubic generator settles the search after its one walk
     assert search_quadratic_order(invariants_of_degree(cyclic_group(7, (0, 1, 3)), 1)).impossible
-    assert walks == [(3, False)] * 3
+    assert walks == table * 3
     # a table verified only to degree 2 walks up to degree 3 once more
     search_quadratic_order(bq, budget=5, seed=0, k_max=2)
-    assert walks == [(3, False)] * 3 + [(2, False), (3, False)]
+    assert walks == table * 3 + [("_walk", 2), ("_class_walk", 2)] + table
 
 
 def test_lift_omega_examples():
