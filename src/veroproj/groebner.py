@@ -16,20 +16,25 @@ basis quadratic.
 
 Buchberger's reducer (`_Reducer`) files every lead, whatever its
 degree, under its two least support variables, so a lookup probes only
-the variable pairs of the monomial it reduces, and it reduces each
-monomial once per basis, caching where it ends.  New S-pairs come from
-the Gebauer-Moeller update: a new element's partners are read off an
-index of leads by variable, and a pair whose lcm a kept pair's lcm
-divides is dropped.  The minimal leads form a Groebner basis, and each
+the variable pairs of the monomial it reduces that hold a lead, and it
+reduces each monomial once per basis, caching where it ends.  New
+S-pairs come from the Gebauer-Moeller update: a new element's partners
+are read off an index of leads by variable, and a pair whose lcm a kept
+pair's lcm divides is dropped.  The minimal leads form a Groebner basis, and each
 fiber of a toric ideal has one standard monomial, which reducing a kept
 trail once by them reaches.
 
 Conventions: an S-monomial is a tuple of mu non-negative ints;
 multiplication is componentwise addition, and divisibility is
-componentwise <=.  Inside Buchberger it is also a code, sum(e_t << 8t),
-so multiplying is adding codes.  Every order here is a matrix order; it
-compiles to one int weight per variable, and `key` is the weighted sum
-of the exponents, so orders compare plain ints.
+componentwise <=.  Inside Buchberger it is also a code, sum(e_t << 9t):
+each exponent has a 9-bit lane whose bit 8, its guard bit, no exponent
+below CODE_DEGREE_BOUND reaches.  Multiplying is adding codes, and one
+subtraction compares every lane at once (SWAR; Lamport, CACM 18(8),
+1975): each lane of (m | guards) - L keeps its guard bit exactly where
+m's exponent is at least L's, which tests divisibility and picks the
+lanes of an lcm.  Every order here is a matrix order; it compiles to one
+int weight per variable, and `key` is the weighted sum of the
+exponents, so orders compare plain ints.
 """
 
 from __future__ import annotations
@@ -41,7 +46,8 @@ import random
 from dataclasses import dataclass, field
 from functools import cached_property
 from heapq import heappop, heappush
-from operator import mul
+from itertools import repeat
+from operator import and_, lshift, mul, rshift
 from typing import Iterable, Iterator, Sequence
 
 from .errors import DEFAULT_GUARD, GuardExceeded, SpecParseError
@@ -57,7 +63,8 @@ logger = logging.getLogger("veroproj")
 # monomial, so keys compare exactly for degrees below KEY_DEGREE_BOUND.
 KEY_RADIX_BITS = 32
 KEY_DEGREE_BOUND = 1 << (KEY_RADIX_BITS - 1)
-# Buchberger's monomial codes hold one exponent per byte: exact below degree 256.
+# Buchberger's codes give each exponent a 9-bit lane whose bit 8 is a guard bit,
+# which no exponent reaches below degree 256.
 CODE_DEGREE_BOUND = 1 << 8
 
 
@@ -350,57 +357,88 @@ class GroebnerBasis:
 class _Reducer:
     """Oriented binomials with one lead index for every lead degree.
 
-    Keeps each element's lead and trail, the lead's support, its code and
-    its code step code(trail) - code(lead), which reducing a side by it
-    adds to the side's code.  One index serves leads of every degree: a
-    lead is filed under its two least support variables (i, j), a pure
-    power w_i^e under (i, i), with the exponents that key does not show
-    (it shows w_i w_j, or w_i^2).  `find` probes only buckets whose key
-    divides the monomial, so a degree-2 lead needs no divisibility test.
-    `terminals` maps the code of each monomial reduced since the last
-    `add` to the code of the monomial it reduces to.
+    Keeps each element's lead and trail, the lead's code, its mask (the
+    guard bits of its nonzero lanes) and its code step code(trail) -
+    code(lead), which reducing a side by it adds to the side's code.  All
+    lane arithmetic is sized to mu: `ones` has one bit at the bottom of
+    every lane and `guard` bit 8 of every lane.  One index serves leads of
+    every degree: a lead is filed under the guard bits of its two least
+    support variables (i, j), a pure power w_i^e under (i, i), and
+    `partners[i]` holds the guard bits of every j with a bucket (i, j), so
+    `find` probes only buckets whose key divides the monomial and that
+    are not empty.  `terminals` maps the code of each monomial reduced
+    since the last `add` to the code of the monomial it reduces to.
     """
 
     def __init__(self, order: TermOrder, elements: Iterable[tuple[tuple[int, ...], ...]] = ()):
         self.key, self.mu = order.key, order.mu
+        self.ones = ((1 << 9 * order.mu) - 1) // 511
+        self.guard = self.ones << 8
         self.leads: list[tuple[int, ...]] = []
         self.trails: list[tuple[int, ...]] = []
-        self.supports: list[frozenset[int]] = []
         self.codes: list[int] = []
+        self.masks: list[int] = []
         self.steps: list[int] = []
-        self.index: dict[tuple[int, int], list[tuple[int, tuple[tuple[int, int], ...]]]] = {}
+        self.partners: dict[int, int] = {}
+        self.index: dict[int, list[tuple[int, int]]] = {}  # keyed by the two guard bits, or one
         self.terminals: dict[int, int] = {}
         self.lookups = self.hits = self.reductions = self.zeros = 0  # logged by buchberger
         for lead, trail in elements:
             self.add(lead, trail)
 
     def add(self, lead: tuple[int, ...], trail: tuple[int, ...]) -> None:
-        support = [i for i, e in enumerate(lead) if e]
-        pair = (support[0], support[1] if len(support) > 1 else support[0])
-        rest = tuple((t, lead[t]) for t in support if lead[t] > pair.count(t))
-        self.index.setdefault(pair, []).append((len(self.leads), rest))
+        code = _code(lead)
+        mask = self.nonzero(code)
+        i = mask & -mask
+        j = (mask ^ i) & -(mask ^ i) or i
+        self.partners[i] = self.partners.get(i, 0) | j
+        self.index.setdefault(i | j, []).append((len(self.codes), code))
         self.leads.append(lead)
         self.trails.append(trail)
-        self.supports.append(frozenset(support))
-        self.codes.append(_code(lead))
-        self.steps.append(_code(trail) - self.codes[-1])
+        self.codes.append(code)
+        self.masks.append(mask)
+        self.steps.append(_code(trail) - code)
         self.terminals.clear()
 
-    def find(self, vec: Sequence[int]) -> int | None:
-        """Index of an element whose lead divides vec, or None.
+    def nonzero(self, code: int) -> int:
+        """The guard bits of a code's nonzero lanes: adding 255 to a lane
+        carries into its guard bit exactly when its exponent is >= 1."""
+        return (code + self.guard - self.ones) & self.guard
 
-        Probes the (i, i) and (i, j) buckets of vec's own support, i
-        ascending and j ascending after each (i, i), and each bucket in
-        insertion order, so reduction is deterministic.
+    def find(self, code: int) -> int | None:
+        """Index of an element whose lead divides the monomial `code`, or None.
+
+        Probes the (i, i) and (i, j) buckets of the monomial's own support,
+        i ascending and j ascending after each (i, i), and each bucket in
+        insertion order, so reduction is deterministic.  Each lead is tested
+        as in `divides`, with m | guard formed once.
         """
-        index = self.index
-        support = [i for i, e in enumerate(vec) if e]
-        for a, i in enumerate(support):
-            for j in support[a if vec[i] >= 2 else a + 1 :]:
-                for idx, rest in index.get((i, j), ()):
-                    if not rest or all(vec[t] >= e for t, e in rest):
+        guard, partners, index = self.guard, self.partners, self.index
+        high = code | guard
+        todo = self.nonzero(code)
+        squares = (code + guard - 2 * self.ones) & guard  # adding 254 carries when e >= 2
+        while todo:
+            i = todo & -todo
+            todo ^= i
+            js = partners.get(i, 0) & (todo | (i & squares))
+            while js:
+                j = js & -js
+                js ^= j
+                for idx, lead in index[i | j]:
+                    if (high - lead) & guard == guard:
                         return idx
         return None
+
+    def divides(self, a: int, b: int) -> bool:
+        """Whether code a's monomial divides code b's: each lane of
+        (b | guard) - a keeps its guard bit exactly when b's exponent is at
+        least a's."""
+        return ((b | self.guard) - a) & self.guard == self.guard
+
+    def lcm(self, a: int, b: int) -> int:
+        """The lanewise max of two codes: a's lanes where a >= b, b's elsewhere."""
+        keep = ((((a | self.guard) - b) & self.guard) >> 8) * 511
+        return (a & keep) | (b & ~keep)
 
     def reduce(self, code: int) -> int:
         """Code of the monomial `code` reduces to: add code steps while `find`
@@ -408,7 +446,7 @@ class _Reducer:
         terminals, path = self.terminals, []
         while (terminal := terminals.get(code)) is None:
             path.append(code)
-            if (hit := self.find(code.to_bytes(self.mu, "little"))) is None:
+            if (hit := self.find(code)) is None:
                 terminal = code
                 break
             code += self.steps[hit]
@@ -427,14 +465,12 @@ class _Reducer:
         if u == v:
             self.zeros += 1
             return None
-        u, v = tuple(u.to_bytes(self.mu, "little")), tuple(v.to_bytes(self.mu, "little"))
+        u, v = _decode(u, self.mu), _decode(v, self.mu)
         return (u, v) if self.key(u) > self.key(v) else (v, u)
 
     def s_pair(self, i: int, j: int) -> tuple[int, int]:
         """Codes of the S-binomial's sides: lcm(L_i, L_j) plus each code step."""
-        Li, Lj = self.leads[i], self.leads[j]
-        gcd = sum(min(Li[t], Lj[t]) << (t << 3) for t in self.supports[i] & self.supports[j])
-        lcm = self.codes[i] + self.codes[j] - gcd
+        lcm = self.lcm(self.codes[i], self.codes[j])
         return lcm + self.steps[i], lcm + self.steps[j]
 
 
@@ -444,9 +480,15 @@ def _check_code_degree(degree: int) -> None:
 
 
 def _code(vec: Sequence[int]) -> int:
-    """The code sum(e_t << 8t) of a monomial, one byte per exponent."""
+    """The code sum(e_t << 9t) of a monomial: one 9-bit lane per exponent,
+    whose bit 8 no exponent below CODE_DEGREE_BOUND reaches."""
     _check_code_degree(sum(vec))
-    return int.from_bytes(bytes(vec), "little")
+    return sum(map(lshift, vec, range(0, 9 * len(vec), 9)))
+
+
+def _decode(code: int, mu: int) -> tuple[int, ...]:
+    """The exponent vector of a code."""
+    return tuple(map(and_, map(rshift, repeat(code), range(0, 9 * mu, 9)), repeat(511)))
 
 
 def buchberger(gens: Sequence[Binomial], order: TermOrder) -> GroebnerBasis:
@@ -469,7 +511,7 @@ def buchberger(gens: Sequence[Binomial], order: TermOrder) -> GroebnerBasis:
     basis = _Reducer(order)
     pending: list[tuple[int, int, int, int]] = []
     counter = itertools.count()  # its next value is the number of pairs formed
-    by_var: list[list[int]] = [[] for _ in range(order.mu)]  # elements whose lead has w_t
+    by_var: dict[int, list[int]] = {}  # elements whose lead has w_t, by t's guard bit
     pruned = {"coprime": 0, "M": 0, "F": 0}
 
     def insert(u: int, v: int) -> None:
@@ -477,37 +519,41 @@ def buchberger(gens: Sequence[Binomial], order: TermOrder) -> GroebnerBasis:
         if nf is None:
             return
         basis.add(*_vec_strip(*nf))  # stripping a common factor keeps the orientation
-        leads, supports = basis.leads, basis.supports
-        new = len(leads) - 1
-        Lnew, dnew = leads[new], sum(leads[new])
-        candidates = set().union(*(by_var[t] for t in supports[new]))
+        codes = basis.codes
+        new = len(codes) - 1
+        Lnew, dnew = codes[new], codes[new] % 511
+        variables, mask = [], basis.masks[new]  # the guard bits of L_new's support
+        while mask:
+            variables.append(mask & -mask)
+            mask ^= variables[-1]
+        candidates = set().union(*(by_var.get(t, ()) for t in variables))
         pruned["coprime"] += new - len(candidates)
-        # q_i = L_i / gcd(L_i, L_new) makes lcm(L_i, L_new) = L_new * q_i, and
-        # deg q_i >= 1 as no earlier lead divides the irreducible L_new
+        # q_i = lcm(L_i, L_new) - L_new is the code of L_i / gcd(L_i, L_new); a
+        # code's degree is its value mod 511 (512 = 1 mod 511), and deg q_i >= 1
+        # as no earlier lead divides the irreducible L_new
         quotients = []
         for i in candidates:
-            Li = leads[i]
-            q = {t: Li[t] - Lnew[t] for t in supports[i] if Li[t] > Lnew[t]}
-            quotients.append((sum(q.values()), i, q))
+            q = basis.lcm(codes[i], Lnew) - Lnew
+            quotients.append((q % 511, i, q))
         # Gebauer-Moeller: drop (i, new) when the lcm of a kept pair (j, new)
         # divides its lcm, i.e. q_j | q_i: M when strictly, F when equal; a
         # witness is the degree of q_j, so it is equal exactly when dq matches
-        linear: set[int] = set()  # the variables of kept degree-1 quotients
-        kept: list[tuple[int, dict[int, int]]] = []  # kept quotients of degree >= 2, ascending
-        for dq, i, q in sorted(quotients, key=lambda entry: entry[:2]):
-            witness = 1 if not linear.isdisjoint(q) else next(
-                (dj for dj, qj in kept if all(q.get(t, 0) >= e for t, e in qj.items())), 0
+        linear = 0  # the guard bits of the variables of kept degree-1 quotients
+        kept: list[tuple[int, int]] = []  # kept quotients of degree >= 2, ascending
+        for dq, i, q in sorted(quotients):
+            witness = 1 if linear & basis.nonzero(q) else next(
+                (dj for dj, qj in kept if basis.divides(qj, q)), 0
             )
             if witness:
                 pruned["F" if witness == dq else "M"] += 1
                 continue
             if dq == 1:
-                linear.update(q)
+                linear |= q << 8
             else:
                 kept.append((dq, q))
             heappush(pending, (dnew + dq, next(counter), i, new))
-        for t in supports[new]:
-            by_var[t].append(new)
+        for t in variables:
+            by_var.setdefault(t, []).append(new)
 
     for g in gens:
         insert(_code(g.plus), _code(g.minus))
@@ -515,7 +561,7 @@ def buchberger(gens: Sequence[Binomial], order: TermOrder) -> GroebnerBasis:
         degree, _, i, j = heappop(pending)
         _check_code_degree(degree)
         insert(*basis.s_pair(i, j))
-    pairs, inserted = next(counter), len(basis.leads)
+    pairs, inserted = next(counter), len(basis.codes)
     logger.debug(
         "buchberger: %d inputs, %d inserted, %d pairs formed, %d skipped as coprime, "
         "%d pruned by M, %d pruned by F, %d reduced to zero, %d of %d cache lookups hit, "
@@ -526,12 +572,12 @@ def buchberger(gens: Sequence[Binomial], order: TermOrder) -> GroebnerBasis:
 
     minimal = _Reducer(order)
     for i in sorted(range(inserted), key=lambda i: key(basis.leads[i])):
-        if minimal.find(basis.leads[i]) is None:
+        if minimal.find(basis.codes[i]) is None:
             minimal.add(basis.leads[i], basis.trails[i])
 
     elements = []
-    for L, T in zip(minimal.leads, minimal.trails):
-        T = tuple(minimal.reduce(_code(T)).to_bytes(order.mu, "little"))
+    for L, code, step in zip(minimal.leads, minimal.codes, minimal.steps):
+        T = _decode(minimal.reduce(code + step), order.mu)
         if not all(a == 0 or b == 0 for a, b in zip(L, T)):
             raise AssertionError(f"reduced element {L} - {T} is not gcd-free")
         if not key(L) > key(T):
@@ -557,9 +603,10 @@ def verify_groebner(gb: GroebnerBasis, gens: Sequence[Binomial] | None = None) -
     """
     basis = _Reducer(gb.order, ((g.plus, g.minus) for g in gb.elements))
     for a, b in itertools.combinations(range(len(gb.elements)), 2):
-        if basis.supports[a].isdisjoint(basis.supports[b]):
+        if not basis.masks[a] & basis.masks[b]:
             continue
-        _check_code_degree(sum(map(max, basis.leads[a], basis.leads[b])))
+        # each lead is below the bound, so the lcm's degree is below 511
+        _check_code_degree(basis.lcm(basis.codes[a], basis.codes[b]) % 511)
         if basis.normal_form(*basis.s_pair(a, b)) is not None:
             return False
     return all(basis.normal_form(_code(g.plus), _code(g.minus)) is None for g in gens or ())

@@ -14,6 +14,7 @@ after a '#' is a comment.
 
 from __future__ import annotations
 
+import copy
 import math
 from typing import Iterable, Iterator, Sequence
 
@@ -257,8 +258,9 @@ class MonomialSet:
         return True
 
     def tagged(self, group, t: int) -> "MonomialSet":
-        """Copy of self carrying the group that produced it."""
-        out = MonomialSet(self._members)
+        """Copy of self carrying the group that produced it.  It shares the
+        checked members and index, which no method changes."""
+        out = copy.copy(self)
         out.origin_group = group
         out.origin_t = t
         return out

@@ -8,6 +8,7 @@ import json
 import logging
 import random
 import re
+from operator import le
 
 import pytest
 from hypothesis import given, settings
@@ -33,7 +34,7 @@ from veroproj.groebner import (
     verify_groebner,
 )
 from veroproj.families import FamilySpec, koszul_label, parse_family
-from veroproj.groebner import _candidate_orders, _code, _Reducer, _vec_strip
+from veroproj.groebner import _candidate_orders, _code, _decode, _Reducer, _vec_strip
 from veroproj.groups import block_group, cyclic_group, invariants_of_degree
 from veroproj.survey import canonical_surface_weights
 from veroproj.monomials import MonomialSet
@@ -452,7 +453,7 @@ def test_pair_criteria_keep_a_groebner_basis(group, kind, ranks):
 
 def test_code_degree_bound_is_checked_before_coding():
     # over {x^2, xy, y^2}: w0^128 w2^128 and w1^256 are both x^256 y^256;
-    # coding w1^256 would need a 9-bit exponent
+    # the exponent 256 of w1^256 would reach its lane's guard bit
     omega = MonomialSet([(2, 0), (1, 1), (0, 2)])
     order = TermOrder("degrevlex", (0, 1, 2))
     big = Binomial.make(omega, (128, 0, 128), (0, 256, 0))
@@ -464,6 +465,70 @@ def test_code_degree_bound_is_checked_before_coding():
     assert gb.elements == (Binomial((0, 254, 0), (127, 0, 127)),)
     with pytest.raises(ValueError, match="code degree bound 256"):
         verify_groebner(gb, [big])
+
+
+def _reference_find(leads, vec):
+    """The lookup on exponent tuples: the buckets (i, i), then (i, j) for j > i,
+    of vec's support, i ascending, and each bucket's leads in insertion order."""
+
+    def bucket(lead):  # the two least support variables, (i, i) for a pure power
+        support = [t for t, e in enumerate(lead) if e]
+        return support[0], support[min(1, len(support) - 1)]
+
+    support = [t for t, e in enumerate(vec) if e]
+    for a, i in enumerate(support):
+        for j in support[a if vec[i] >= 2 else a + 1 :]:
+            for idx, lead in enumerate(leads):
+                if bucket(lead) == (i, j) and all(map(le, lead, vec)):
+                    return idx
+    return None
+
+
+def _below_code_bound(vec):
+    """Zero each exponent that would take the degree to 256 or past it."""
+    out = []
+    for e in vec:
+        out.append(e if sum(out) + e < CODE_DEGREE_BOUND else 0)
+    return tuple(out)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_lane_arithmetic_agrees_with_tuples(data):
+    """`find`, `lcm` and the quotient test on codes against exponent tuples.
+
+    Adjacent lanes hold 0, 1, 254 or 255, where a missing guard bit, a
+    lane off by one or an lcm mask off by a bit would show.
+    """
+    mu = data.draw(st.integers(1, 5))
+    lane = st.sampled_from([0, 1, 254, 255]) | st.integers(0, 3)
+    vectors = st.lists(lane, min_size=mu, max_size=mu).map(_below_code_bound)
+    leads = data.draw(st.lists(vectors.filter(lambda v: sum(v) >= 2), min_size=1, max_size=6))
+    monomials = leads + data.draw(st.lists(vectors, min_size=1, max_size=6))
+    reducer = _Reducer(TermOrder("lex", tuple(range(mu))), ((L, (0,) * mu) for L in leads))
+    for m in monomials:
+        assert _decode(_code(m), mu) == m
+        assert reducer.find(_code(m)) == _reference_find(leads, m)
+    for b in monomials:
+        quotients = []
+        for a in monomials:
+            assert reducer.divides(_code(a), _code(b)) == all(map(le, a, b))
+            lcm = reducer.lcm(_code(a), _code(b))
+            assert _decode(lcm, mu) == tuple(map(max, a, b))
+            q = lcm - _code(b)  # lcm(a, b) / b, as buchberger forms the quotients
+            assert _decode(q, mu) == tuple(max(x - y, 0) for x, y in zip(a, b))
+            assert q % 511 == sum(_decode(q, mu))
+            quotients.append(q)
+        for qi, qj in itertools.product(quotients, repeat=2):
+            assert reducer.divides(qj, qi) == all(map(le, _decode(qj, mu), _decode(qi, mu)))
+
+
+def test_lane_arithmetic_at_the_code_degree_bound():
+    # w0^255 fills its lane up to the guard bit; w0^254 w1 differs from it by one
+    reducer = _Reducer(TermOrder("lex", (0, 1)), [((255, 0), (0, 255))])
+    assert reducer.find(_code((255, 0))) == 0
+    assert reducer.find(_code((254, 1))) is None
+    assert _decode(reducer.lcm(_code((255, 0)), _code((254, 1))), 2) == (255, 1)
 
 
 def test_buchberger_logs_its_counters(caplog):
@@ -719,7 +784,7 @@ def test_buchberger_bases_against_brute_force(data):
     reducer = _Reducer(order, ((g.plus, g.minus) for g in gb.elements))
 
     def standard(vec):
-        hit = reducer.find(vec)
+        hit = reducer.find(_code(vec))
         assert (hit is not None) == any(divides(lead, vec) for lead in leads)
         assert hit is None or divides(leads[hit], vec)
         return hit is None
@@ -743,7 +808,7 @@ def test_buchberger_bases_against_brute_force(data):
 
 def _reference_reduce(reducer, vec):
     """Reduce one monomial step by step, with nothing cached."""
-    while (hit := reducer.find(vec)) is not None:
+    while (hit := reducer.find(_code(vec))) is not None:
         vec = tuple(a + t - l for a, t, l in zip(vec, reducer.trails[hit], reducer.leads[hit]))
     return vec
 
@@ -754,9 +819,9 @@ def _reference_normal_form(reducer, u, v):
     while u != v:
         if reducer.key(u) < reducer.key(v):
             u, v = v, u
-        if (hit := reducer.find(u)) is not None:
+        if (hit := reducer.find(_code(u))) is not None:
             u = tuple(a + t - l for a, t, l in zip(u, reducer.trails[hit], reducer.leads[hit]))
-        elif (hit := reducer.find(v)) is not None:
+        elif (hit := reducer.find(_code(v))) is not None:
             v = tuple(a + t - l for a, t, l in zip(v, reducer.trails[hit], reducer.leads[hit]))
         else:
             return u, v

@@ -103,6 +103,10 @@ def test_set_helpers():
         full.remove((3, 1, 0))
     no_powers = full.remove((3, 0, 0))
     assert not no_powers.has_pure_powers()
+    # a tagged copy shares the checked members and leaves the original untagged
+    tagged = full.tagged("G", 1)
+    assert tagged == full and tagged.index_of((1, 1, 1)) == full.index_of((1, 1, 1))
+    assert (tagged.origin_group, tagged.origin_t, full.origin_group) == ("G", 1, None)
 
 
 def test_file_roundtrip(tmp_path):
