@@ -13,8 +13,8 @@ from .monomials import (
     MonomialSet,
     enumerate_degree,
     enumerate_support_bounded,
+    format_omega,
     read_omega,
-    write_omega,
 )
 from .groups import (
     CyclicFactor,
@@ -31,15 +31,10 @@ from .groups import (
     triple_projections,
 )
 from .fibers import (
-    Factorization,
-    Fiber,
     GeneratorTable,
     QuadraticFibers,
-    fiber_of,
-    fibers_of_degree,
     h_polynomial,
     hilbert_values,
-    ik_sequence_witness,
     is_2_normal,
     minimal_generator_table,
 )

@@ -29,7 +29,7 @@ from .groebner import (
     toric_generators,
 )
 from .groups import block_group, h_vector_group, invariants_of_degree, parse_group
-from .monomials import MonomialSet
+from .monomials import MonomialSet, format_omega
 from .survey import (
     SurveyOptions,
     conjecture1_check,
@@ -38,15 +38,6 @@ from .survey import (
 )
 
 __all__ = ["main"]
-
-
-def _omega_text(omega: MonomialSet, comment: str | None = None) -> str:
-    lines = []
-    if comment:
-        lines.extend(f"# {line}" for line in comment.splitlines())
-    lines.append(f"{omega.n} {omega.d}")
-    lines.extend(" ".join(str(e) for e in m) for m in omega)
-    return "\n".join(lines) + "\n"
 
 
 def _build(args) -> tuple[FamilySpec, MonomialSet]:
@@ -72,7 +63,7 @@ def _cmd_omega(args) -> int:
         "size": len(omega),
         "members": [list(m) for m in omega],
     }
-    _emit(args, _omega_text(omega, comment=spec.spec_string()), payload)
+    _emit(args, format_omega(omega, comment=spec.spec_string()), payload)
     return 0
 
 
@@ -198,7 +189,7 @@ def _cmd_lift(args) -> int:
         "members": [list(m) for m in lifted],
     }
     comment = f"lift of {spec.spec_string()} with sizes {','.join(str(s) for s in sizes)}"
-    text = _omega_text(lifted, comment=comment)
+    text = format_omega(lifted, comment=comment)
     if args.order is not None:
         if spec.kind != "group":
             raise SpecParseError(

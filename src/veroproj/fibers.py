@@ -18,12 +18,12 @@ index, so every fiber is an independent set and the count is just
 
 Two walks count them.  The tuple walk (`_walk`) lists every multiset by
 product and joins components with a union-find over indices; it serves
-`fibers_of_degree`, the degree-2 fibers every table keeps, and tables
-built with `representatives=True`, whose only caller is
-`groebner.toric_generators`.  The class walk (`_class_walk`) counts the
-components of every other table from index masks, with no multiset
-formed, and is checked against the tuple walk in degree 2.  Hilbert
-values and 2-normality walk distinct products only.
+the degree-2 fibers every table keeps and tables built with
+`representatives=True`, whose only caller is `groebner.toric_generators`.
+The class walk (`_class_walk`) counts the components of every other
+table from index masks, with no multiset formed, and is checked against
+the tuple walk in degree 2.  Hilbert values and 2-normality walk
+distinct products only.
 """
 
 from __future__ import annotations
@@ -40,52 +40,6 @@ from .errors import DEFAULT_GUARD, GuardExceeded
 from .monomials import Monomial, MonomialSet, enumerate_degree
 
 logger = logging.getLogger("veroproj")
-
-
-@dataclass(frozen=True)
-class Factorization:
-    """A k-element multiset of omega indices, stored sorted ascending."""
-
-    indices: tuple[int, ...]
-    product: Monomial
-
-    @classmethod
-    def of(cls, omega: MonomialSet, indices: Sequence[int]) -> "Factorization":
-        idx = tuple(sorted(int(i) for i in indices))
-        if not idx:
-            raise ValueError("a factorization needs at least one factor")
-        if idx[0] < 0 or idx[-1] >= len(omega):
-            raise ValueError(f"index out of range in {idx} for a set of size {len(omega)}")
-        prod = [0] * (omega.n + 1)
-        for i in idx:
-            for p, e in enumerate(omega[i]):
-                prod[p] += e
-        return cls(idx, Monomial(prod))
-
-    @property
-    def degree(self) -> int:
-        return len(self.indices)
-
-
-@dataclass
-class Fiber:
-    """All factorizations of one target monomial, plus the fiber graph."""
-
-    target: Monomial
-    elements: list[tuple[int, ...]]  # sorted index multisets, ascending lex
-
-    def __post_init__(self):
-        self.elements = sorted(self.elements)
-
-    def __len__(self) -> int:
-        return len(self.elements)
-
-    def connected_components(self) -> list[list[tuple[int, ...]]]:
-        """Components of the graph joining multisets that share an index.
-
-        Components come ordered by their lex-least element.
-        """
-        return _components(self.elements)
 
 
 def _components(elements: list[tuple[int, ...]]) -> list[list[tuple[int, ...]]]:
@@ -143,13 +97,6 @@ def _pack(m: Sequence[int], radix: int) -> int:
     for e in m:
         v = v * radix + e
     return v
-
-
-def _unpack(v: int, radix: int, nvars: int) -> Monomial:
-    exps = [0] * nvars
-    for p in range(nvars - 1, -1, -1):
-        v, exps[p] = divmod(v, radix)
-    return Monomial(exps)
 
 
 def _walk(omega: MonomialSet, k_max: int, distinct: bool = False) -> Iterator[dict]:
@@ -270,65 +217,6 @@ def _check_fiber_guard(mu: int, k_min: int, k_max: int, guard: int) -> None:
         total = _multiset_count(mu, k)
         if total > guard:
             raise GuardExceeded(f"degree-{k} fibers over {mu} members", total, guard)
-
-
-def fibers_of_degree(
-    omega: MonomialSet, k: int, guard: int = DEFAULT_GUARD
-) -> dict[Monomial, Fiber]:
-    """Partition all k-element index multisets of omega by their product.
-
-    Raises GuardExceeded before enumerating more than `guard` multisets;
-    the exception carries the exact count.
-    """
-    if k < 1:
-        raise ValueError(f"need k >= 1, got {k}")
-    _check_fiber_guard(len(omega), k, k, guard)
-    *_, level = _walk(omega, k)
-    radix, nvars = _radix(omega, k), omega.n + 1
-    fibers = (Fiber(_unpack(p, radix, nvars), elems) for p, elems in level.items())
-    return {fib.target: fib for fib in fibers}
-
-
-def fiber_of(
-    omega: MonomialSet, target: Sequence[int], guard: int = DEFAULT_GUARD
-) -> Fiber:
-    """Factorizations of one target monomial into members of omega.
-
-    The factorization length is target degree / d; divisibility pruning
-    plus memoization on (remaining monomial, minimum usable index) keeps
-    the search well below the full multiset walk.  The guard bounds that
-    walk's multiset count, as in `fibers_of_degree`, before any search.
-    """
-    t = Monomial(target)
-    if t.nvars != omega.n + 1:
-        raise ValueError(f"target has {t.nvars} variables, omega has {omega.n + 1}")
-    if t.degree % omega.d != 0:
-        raise ValueError(
-            f"target degree {t.degree} is not a multiple of the member degree {omega.d}"
-        )
-    k = t.degree // omega.d
-    members = [tuple(m) for m in omega]
-    mu = len(members)
-    total = _multiset_count(mu, k)
-    if total > guard:
-        raise GuardExceeded(f"degree-{k} factorizations over {mu} members", total, guard)
-    from functools import lru_cache
-
-    @lru_cache(maxsize=None)
-    def rec(rem: tuple[int, ...], start: int, left: int) -> tuple[tuple[int, ...], ...]:
-        if left == 0:
-            return ((),) if all(e == 0 for e in rem) else ()
-        out = []
-        for i in range(start, mu):
-            m = members[i]
-            if all(a <= b for a, b in zip(m, rem)):
-                nxt = tuple(b - a for a, b in zip(m, rem))
-                for tail in rec(nxt, i, left - 1):
-                    out.append((i,) + tail)
-        return tuple(out)
-
-    elements = [e for e in rec(tuple(t), 0, k)]
-    return Fiber(t, elements)
 
 
 def hilbert_values(
@@ -555,58 +443,6 @@ def minimal_generator_table(
     cubics = sum(products + count for k, products, *_, count in counts if k == 3)
     fibers = QuadraticFibers(quadrics, cubics) if k_max >= 3 else None
     return GeneratorTable(degrees, k_max, bound, reps if representatives else None, fibers)
-
-
-def ik_sequence_witness(
-    omega: MonomialSet,
-    lhs: Sequence[int],
-    rhs: Sequence[int],
-    guard: int = DEFAULT_GUARD,
-) -> list[tuple[int, ...]] | None:
-    """A chain of trivial moves connecting two factorizations, if one exists.
-
-    lhs and rhs are index multisets of equal length k with the same
-    member product.  A trivial move keeps one index fixed and rewrites
-    the rest by a relation one degree down, so consecutive entries of
-    the returned chain share an index.  Returns the chain (starting at
-    lhs, ending at rhs) or None when the two factorizations lie in
-    different components of the fiber graph.  For k = 2 sharing an
-    index forces equality, so distinct inputs are never connected.
-    """
-    a = tuple(sorted(int(i) for i in lhs))
-    b = tuple(sorted(int(i) for i in rhs))
-    if len(a) != len(b):
-        raise ValueError(f"factorization lengths differ: {len(a)} vs {len(b)}")
-    fa = Factorization.of(omega, a)
-    fb = Factorization.of(omega, b)
-    if fa.product != fb.product:
-        raise ValueError(
-            f"factorizations have different products: {tuple(fa.product)} vs {tuple(fb.product)}"
-        )
-    if a == b:
-        return [a]
-    if len(a) == 2:
-        return None
-    fib = fiber_of(omega, fa.product, guard)
-    # breadth-first search over the share-an-index graph
-    from collections import deque
-
-    prev: dict[tuple[int, ...], tuple[int, ...] | None] = {a: None}
-    queue = deque([a])
-    elements = fib.elements
-    while queue:
-        cur = queue.popleft()
-        if cur == b:
-            chain = [cur]
-            while prev[chain[-1]] is not None:
-                chain.append(prev[chain[-1]])  # type: ignore[arg-type]
-            return list(reversed(chain))
-        cur_set = set(cur)
-        for other in elements:
-            if other not in prev and cur_set.intersection(other):
-                prev[other] = cur
-                queue.append(other)
-    return None
 
 
 def h_polynomial(

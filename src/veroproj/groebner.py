@@ -357,25 +357,24 @@ class GroebnerBasis:
 class _Reducer:
     """Oriented binomials with one lead index for every lead degree.
 
-    Keeps each element's lead and trail, the lead's code, its mask (the
-    guard bits of its nonzero lanes) and its code step code(trail) -
-    code(lead), which reducing a side by it adds to the side's code.  All
-    lane arithmetic is sized to mu: `ones` has one bit at the bottom of
-    every lane and `guard` bit 8 of every lane.  One index serves leads of
-    every degree: a lead is filed under the guard bits of its two least
-    support variables (i, j), a pure power w_i^e under (i, i), and
-    `partners[i]` holds the guard bits of every j with a bucket (i, j), so
-    `find` probes only buckets whose key divides the monomial and that
-    are not empty.  `terminals` maps the code of each monomial reduced
-    since the last `add` to the code of the monomial it reduces to.
+    Keeps each element's lead code, its mask (the guard bits of its
+    nonzero lanes) and its code step code(trail) - code(lead), which
+    reducing a side by it adds to the side's code; `add` takes the two
+    codes.  All lane arithmetic is sized to mu: `ones` has one bit at the
+    bottom of every lane and `guard` bit 8 of every lane.  One index
+    serves leads of every degree: a lead is filed under the guard bits of
+    its two least support variables (i, j), a pure power w_i^e under
+    (i, i), and `partners[i]` holds the guard bits of every j with a
+    bucket (i, j), so `find` probes only buckets whose key divides the
+    monomial and that are not empty.  `terminals` maps the code of each
+    monomial reduced since the last `add` to the code of the monomial it
+    reduces to.
     """
 
-    def __init__(self, order: TermOrder, elements: Iterable[tuple[tuple[int, ...], ...]] = ()):
+    def __init__(self, order: TermOrder, elements: Iterable[tuple[int, int]] = ()):
         self.key, self.mu = order.key, order.mu
         self.ones = ((1 << 9 * order.mu) - 1) // 511
         self.guard = self.ones << 8
-        self.leads: list[tuple[int, ...]] = []
-        self.trails: list[tuple[int, ...]] = []
         self.codes: list[int] = []
         self.masks: list[int] = []
         self.steps: list[int] = []
@@ -386,18 +385,15 @@ class _Reducer:
         for lead, trail in elements:
             self.add(lead, trail)
 
-    def add(self, lead: tuple[int, ...], trail: tuple[int, ...]) -> None:
-        code = _code(lead)
+    def add(self, code: int, trail: int) -> None:
         mask = self.nonzero(code)
         i = mask & -mask
         j = (mask ^ i) & -(mask ^ i) or i
         self.partners[i] = self.partners.get(i, 0) | j
         self.index.setdefault(i | j, []).append((len(self.codes), code))
-        self.leads.append(lead)
-        self.trails.append(trail)
         self.codes.append(code)
         self.masks.append(mask)
-        self.steps.append(_code(trail) - code)
+        self.steps.append(trail - code)
         self.terminals.clear()
 
     def nonzero(self, code: int) -> int:
@@ -456,17 +452,17 @@ class _Reducer:
         terminals.update(dict.fromkeys(path, terminal))
         return terminal
 
-    def normal_form(self, u: int, v: int) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
+    def normal_form(self, u: int, v: int) -> tuple[int, int] | None:
         """Fully reduce the binomial of two codes; None when it reduces to zero.
 
         A side reaches its terminal whichever side moves first, so this
-        is zero when the terminals agree and is them, oriented, if not."""
+        is zero when the terminals agree and is their codes, lead first,
+        if not."""
         u, v = self.reduce(u), self.reduce(v)
         if u == v:
             self.zeros += 1
             return None
-        u, v = _decode(u, self.mu), _decode(v, self.mu)
-        return (u, v) if self.key(u) > self.key(v) else (v, u)
+        return (u, v) if self.key(_decode(u, self.mu)) > self.key(_decode(v, self.mu)) else (v, u)
 
     def s_pair(self, i: int, j: int) -> tuple[int, int]:
         """Codes of the S-binomial's sides: lcm(L_i, L_j) plus each code step."""
@@ -518,7 +514,10 @@ def buchberger(gens: Sequence[Binomial], order: TermOrder) -> GroebnerBasis:
         nf = basis.normal_form(u, v)
         if nf is None:
             return
-        basis.add(*_vec_strip(*nf))  # stripping a common factor keeps the orientation
+        # strip the gcd lead + trail - lcm, the lanewise min; that keeps the orientation
+        lead, trail = nf
+        common = lead + trail - basis.lcm(lead, trail)
+        basis.add(lead - common, trail - common)
         codes = basis.codes
         new = len(codes) - 1
         Lnew, dnew = codes[new], codes[new] % 511
@@ -555,8 +554,9 @@ def buchberger(gens: Sequence[Binomial], order: TermOrder) -> GroebnerBasis:
         for t in variables:
             by_var.setdefault(t, []).append(new)
 
-    for g in gens:
-        insert(_code(g.plus), _code(g.minus))
+    inputs = [(_code(g.plus), _code(g.minus)) for g in gens]
+    for u, v in inputs:
+        insert(u, v)
     while pending:
         degree, _, i, j = heappop(pending)
         _check_code_degree(degree)
@@ -570,13 +570,15 @@ def buchberger(gens: Sequence[Binomial], order: TermOrder) -> GroebnerBasis:
         basis.zeros, basis.hits, basis.lookups, basis.reductions,
     )
 
-    minimal = _Reducer(order)
-    for i in sorted(range(inserted), key=lambda i: key(basis.leads[i])):
-        if minimal.find(basis.codes[i]) is None:
-            minimal.add(basis.leads[i], basis.trails[i])
+    minimal, leads = _Reducer(order), []
+    inserts = ((_decode(code, order.mu), code, step) for code, step in zip(basis.codes, basis.steps))
+    for L, code, step in sorted(inserts, key=lambda e: key(e[0])):
+        if minimal.find(code) is None:
+            minimal.add(code, code + step)
+            leads.append(L)
 
     elements = []
-    for L, code, step in zip(minimal.leads, minimal.codes, minimal.steps):
+    for L, code, step in zip(leads, minimal.codes, minimal.steps):
         T = _decode(minimal.reduce(code + step), order.mu)
         if not all(a == 0 or b == 0 for a, b in zip(L, T)):
             raise AssertionError(f"reduced element {L} - {T} is not gcd-free")
@@ -587,8 +589,8 @@ def buchberger(gens: Sequence[Binomial], order: TermOrder) -> GroebnerBasis:
     max_degree = max((g.degree for g in elements), default=0)
     gb = GroebnerBasis(tuple(elements), order, max_degree)
 
-    for g in gens:
-        if minimal.normal_form(_code(g.plus), _code(g.minus)) is not None:
+    for u, v in inputs:
+        if minimal.normal_form(u, v) is not None:
             raise AssertionError("input generator does not reduce to zero against the basis")
     return gb
 
@@ -601,7 +603,7 @@ def verify_groebner(gb: GroebnerBasis, gens: Sequence[Binomial] | None = None) -
     supplied generator.  Tests and the `quartic-group-quadratic-gb`
     scenario's `verified` field rest on it.
     """
-    basis = _Reducer(gb.order, ((g.plus, g.minus) for g in gb.elements))
+    basis = _Reducer(gb.order, ((_code(g.plus), _code(g.minus)) for g in gb.elements))
     for a, b in itertools.combinations(range(len(gb.elements)), 2):
         if not basis.masks[a] & basis.masks[b]:
             continue

@@ -315,12 +315,10 @@ def read_omega(path) -> MonomialSet:
         raise ValueError(f"{path}: {exc}") from None
 
 
-def write_omega(omega: MonomialSet, path, comment: str | None = None) -> None:
-    """Write a monomial set in the canonical order the parser expects."""
-    with open(path, "w", encoding="utf-8") as fh:
-        if comment:
-            for line in comment.splitlines():
-                fh.write(f"# {line}\n")
-        fh.write(f"{omega.n} {omega.d}\n")
-        for m in omega:
-            fh.write(" ".join(str(e) for e in m) + "\n")
+def format_omega(omega: MonomialSet, comment: str | None = None) -> str:
+    """A monomial set as the text `read_omega` parses, in canonical order:
+    "# " comment lines, then "n d", then one member per line."""
+    lines = [f"# {line}" for line in (comment or "").splitlines()]
+    lines.append(f"{omega.n} {omega.d}")
+    lines.extend(" ".join(map(str, m)) for m in omega)
+    return "\n".join(lines) + "\n"

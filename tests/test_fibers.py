@@ -13,18 +13,16 @@ from hypothesis import strategies as st
 from veroproj import fibers
 from veroproj.errors import GuardExceeded
 from veroproj.fibers import (
-    Factorization,
-    fiber_of,
-    fibers_of_degree,
     h_polynomial,
     hilbert_values,
-    ik_sequence_witness,
     is_2_normal,
     is_product_of_two,
     minimal_generator_table,
 )
 from veroproj.groups import h_vector_group, invariants_of_degree, parse_group
-from veroproj.monomials import Monomial, MonomialSet, enumerate_degree, enumerate_support_bounded
+from veroproj.monomials import MonomialSet, enumerate_degree, enumerate_support_bounded
+
+from oracles import brute_components, brute_fibers, product
 
 
 def escalating_family(d: int) -> MonomialSet:
@@ -35,54 +33,28 @@ def escalating_family(d: int) -> MonomialSet:
     return MonomialSet(members)
 
 
-def test_factorization():
-    omega = escalating_family(4)
-    f = Factorization.of(omega, (3, 1))
-    assert f.indices == (1, 3)
-    assert f.degree == 2
-    assert f.product == omega[1] * omega[3]
-    with pytest.raises(ValueError):
-        Factorization.of(omega, (0, 6))
+def _in_different_components(omega: MonomialSet, a: tuple[int, ...], b: tuple[int, ...]) -> bool:
+    """Whether two multisets lie in one fiber but in different components of its graph."""
+    fiber = brute_fibers(omega, len(a))[product(omega, a)]
+    return b in fiber and not any(a in comp and b in comp for comp in brute_components(fiber))
 
 
 def test_fibers_partition():
+    # the tuple walk lists every k-multiset once, under its own packed product
     omega = escalating_family(4)
-    for k in (1, 2, 3):
-        fib_map = fibers_of_degree(omega, k)
-        total = sum(len(f) for f in fib_map.values())
-        assert total == math.comb(len(omega) + k - 1, k)
-        for target, fib in fib_map.items():
-            for elem in fib.elements:
-                assert Factorization.of(omega, elem).product == target
-
-
-def test_fiber_of_matches_global_enumeration():
-    rng = random.Random(3)
-    for _ in range(6):
-        n = rng.randint(1, 3)
-        d = rng.randint(2, 4)
-        pool = enumerate_degree(n, d)
-        omega = MonomialSet(rng.sample(pool, rng.randint(2, min(7, len(pool)))))
-        k = rng.randint(2, 3)
-        fib_map = fibers_of_degree(omega, k)
-        for target, fib in list(fib_map.items())[:10]:
-            assert fiber_of(omega, target).elements == fib.elements
+    radix = fibers._radix(omega, 3)
+    for k, level in enumerate(fibers._walk(omega, 3), start=1):
+        assert sum(len(elements) for elements in level.values()) == math.comb(len(omega) + k - 1, k)
+        for target, elements in level.items():
+            for elem in elements:
+                assert fibers._pack(product(omega, elem), radix) == target
 
 
 def test_guard_trips_with_exact_count():
-    omega = MonomialSet.full(2, 3)
-    with pytest.raises(GuardExceeded) as exc:
-        fibers_of_degree(omega, 5, guard=100)
+    omega = MonomialSet.full(2, 3)  # degrees 2 to 4 hold at most 715 multisets
+    with pytest.raises(GuardExceeded, match="degree-5 fibers") as exc:
+        minimal_generator_table(omega, k_max=5, guard=1000, representatives=True)
     assert exc.value.count == math.comb(len(omega) + 4, 5)
-
-
-def test_fiber_of_checks_its_guard_before_walking():
-    omega = MonomialSet.full(2, 3)
-    with pytest.raises(GuardExceeded) as exc:
-        fiber_of(omega, (5, 5, 5), guard=100)
-    assert exc.value.count == math.comb(len(omega) + 4, 5)
-    fib = fiber_of(omega, (5, 5, 5), guard=exc.value.count)
-    assert fib.elements == fibers_of_degree(omega, 5)[Monomial((5, 5, 5))].elements
 
 
 def test_escalating_generator_tables():
@@ -104,7 +76,7 @@ def test_escalating_generator_tables():
     assert {k: len(pairs) for k, pairs in reps.items()} == {2: 2, 4: 1}
     for pairs in reps.values():
         for lhs, rhs in pairs:
-            assert ik_sequence_witness(omega, lhs, rhs) is None
+            assert _in_different_components(omega, lhs, rhs)
 
 
 def test_generator_count_degree2_oracle():
@@ -139,9 +111,7 @@ def test_representatives():
     for k, pairs in table.representatives.items():
         assert len(pairs) == table.degrees[k]
         for lhs, rhs in pairs:
-            fl = Factorization.of(omega, lhs)
-            fr = Factorization.of(omega, rhs)
-            assert fl.product == fr.product
+            assert product(omega, lhs) == product(omega, rhs)
             assert len(lhs) == len(rhs) == k
     js = table.to_json_dict()
     assert js["degrees"] == {"2": 2, "4": 1}
@@ -245,34 +215,13 @@ def test_complement_of_single_monomial_2_normality():
                     assert values[k] == math.comb(n + k * d, n)
 
 
-def test_ik_sequence_witness():
-    omega = escalating_family(4)
-    # members in canonical order: (4,0,0) (3,1,0) (2,0,2) (1,2,1) (0,4,0) (0,0,4)
-    # m0 * m5 = m2^2 is a pure degree-2 collision: never connected
-    assert ik_sequence_witness(omega, (0, 5), (2, 2)) is None
-    assert ik_sequence_witness(omega, (0, 5), (0, 5)) == [(0, 5)]
-    with pytest.raises(ValueError, match="different products"):
-        ik_sequence_witness(omega, (0, 1), (2, 2))
-    # inside one fiber of degree 3 the chain exists when a component holds both
-    fib_map = fibers_of_degree(omega, 3)
-    for fib in fib_map.values():
-        for comp in fib.connected_components():
-            if len(comp) >= 2:
-                chain = ik_sequence_witness(omega, comp[0], comp[-1])
-                assert chain is not None
-                assert chain[0] == comp[0] and chain[-1] == comp[-1]
-                for a, b in zip(chain, chain[1:]):
-                    assert set(a) & set(b)
-                return
-    raise AssertionError("no multi-element component found to exercise the chain")
-
-
 def test_first_disconnected_fiber():
     omega = escalating_family(4)
+    levels = list(fibers._walk(omega, 4))
 
     def first_disconnected(k: int):
-        for fib in fibers_of_degree(omega, k).values():
-            comps = fib.connected_components()
+        for elements in levels[k - 1].values():
+            comps = fibers._components(elements)
             if len(comps) > 1:
                 return comps
         return None
@@ -283,7 +232,16 @@ def test_first_disconnected_fiber():
     comps4 = first_disconnected(4)
     assert comps4 is not None
     for a, b in zip(comps4, comps4[1:]):
-        assert ik_sequence_witness(omega, a[0], b[0]) is None
+        assert _in_different_components(omega, a[0], b[0])
+
+
+def test_components_keep_the_multisets_of_a_merged_component():
+    # a degree-3 fiber of the full quadratic Veronese of the plane has a
+    # multiset that joins two components its predecessors left apart
+    omega = MonomialSet.full(2, 2)
+    *_, level = fibers._walk(omega, 3)
+    for elements in level.values():
+        assert fibers._components(elements) == brute_components(elements)
 
 
 def test_h_polynomial_group_route():
@@ -311,29 +269,6 @@ def test_h_polynomial_errors():
         h_polynomial(b1, k_max=3)
 
 
-def _brute_fibers(omega: MonomialSet, k: int) -> dict[tuple[int, ...], list[tuple[int, ...]]]:
-    out: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
-    for combo in combinations_with_replacement(range(len(omega)), k):
-        target = tuple(sum(col) for col in zip(*(omega[i] for i in combo)))
-        out.setdefault(target, []).append(combo)
-    return out
-
-
-def _brute_components(elements: list[tuple[int, ...]]) -> list[list[tuple[int, ...]]]:
-    left = sorted(elements)
-    comps = []
-    while left:
-        comp = [left.pop(0)]
-        grown = True
-        while grown:
-            joined = [e for e in left if any(set(e) & set(c) for c in comp)]
-            grown = bool(joined)
-            comp.extend(joined)
-            left = [e for e in left if e not in joined]
-        comps.append(sorted(comp))
-    return comps
-
-
 @st.composite
 def _small_omegas(draw) -> MonomialSet:
     n = draw(st.integers(1, 3))
@@ -346,17 +281,18 @@ def _small_omegas(draw) -> MonomialSet:
 @settings(max_examples=60, deadline=None)
 @given(_small_omegas(), st.integers(1, 4))
 def test_walker_agrees_with_bruteforce(omega, k_max):
-    brute = {k: _brute_fibers(omega, k) for k in range(1, k_max + 1)}
-    for k, fibs in brute.items():
-        got = fibers_of_degree(omega, k)
-        assert {tuple(t): f.elements for t, f in got.items()} == fibs
-        for target, fib in got.items():
-            assert fib.connected_components() == _brute_components(fibs[tuple(target)])
+    brute = {k: brute_fibers(omega, k) for k in range(1, k_max + 1)}
+    radix = fibers._radix(omega, k_max)
+    for k, level in enumerate(fibers._walk(omega, k_max), start=1):
+        fibs = brute[k]
+        assert level == {fibers._pack(t, radix): elements for t, elements in fibs.items()}
+        for elements in fibs.values():
+            assert fibers._components(elements) == brute_components(elements)
 
     degrees, reps = {}, {}
     for k in range(2, k_max + 1):
         for target in sorted(brute[k], reverse=True):
-            comps = _brute_components(brute[k][target])
+            comps = brute_components(brute[k][target])
             if len(comps) > 1:
                 degrees[k] = degrees.get(k, 0) + len(comps) - 1
                 reps.setdefault(k, []).extend((c[0], comps[0][0]) for c in comps[1:])
@@ -368,7 +304,7 @@ def test_walker_agrees_with_bruteforce(omega, k_max):
         assert table.degrees == degrees
         if k_max >= 3:
             quadrics = [e for e in brute[2].values() if len(e) > 1]
-            cubics = [c for e in brute[3].values() for c in _brute_components(e)]  # singletons too
+            cubics = [c for e in brute[3].values() for c in brute_components(e)]  # singletons too
             assert sorted(table.fibers.quadrics) == sorted(quadrics)
             assert table.fibers.cubics == len(cubics)
         else:
@@ -377,7 +313,7 @@ def test_walker_agrees_with_bruteforce(omega, k_max):
 
     assert hilbert_values(omega, k_max) == [1] + [len(brute[k]) for k in range(1, k_max + 1)]
 
-    products = set(_brute_fibers(omega, 2))
+    products = set(brute_fibers(omega, 2))
     missing = [tuple(m) for m in enumerate_degree(omega.n, 2 * omega.d) if tuple(m) not in products]
     ok, witness = is_2_normal(omega)
     assert ok == (not missing)
@@ -393,8 +329,8 @@ def test_class_walk_joins_every_class_a_pair_overlaps():
     )
     brute = {}
     for k in (2, 3):
-        for target, elements in _brute_fibers(omega, k).items():
-            brute[k] = brute.get(k, 0) + len(_brute_components(elements)) - 1
+        for target, elements in brute_fibers(omega, k).items():
+            brute[k] = brute.get(k, 0) + len(brute_components(elements)) - 1
     assert brute == {2: 5, 3: 4}
     assert minimal_generator_table(omega, k_max=3).degrees == brute
 
@@ -429,7 +365,7 @@ def test_table_logs_its_counts(caplog):
         assert [int(k) for k, *_ in per_degree] == list(range(2, got.verified_up_to + 1))
         assert {int(k): int(g) for k, *_, g in per_degree if int(g)} == got.degrees
         for k, products, walked, split, generators in per_degree:
-            assert int(products) == len(_brute_fibers(omega, int(k)))
+            assert int(products) == len(brute_fibers(omega, int(k)))
             assert int(split) <= int(generators) < int(walked)
 
 
@@ -440,7 +376,7 @@ def test_walker_checks_its_guard_before_allocating(monkeypatch):
     monkeypatch.setattr(fibers, "_pack", forbidden)
     omega = MonomialSet.full(2, 3)  # mu = 10
     with pytest.raises(GuardExceeded) as exc:
-        fibers_of_degree(omega, 4, guard=700)
+        minimal_generator_table(omega, k_max=4, guard=700, representatives=True)
     assert exc.value.count == math.comb(13, 4)
     # degree 2 (55 multisets) fits, degree 3 (220) does not: nothing is walked
     with pytest.raises(GuardExceeded, match="degree-3 fibers") as exc:

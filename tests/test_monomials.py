@@ -10,8 +10,8 @@ from veroproj.monomials import (
     MonomialSet,
     enumerate_degree,
     enumerate_support_bounded,
+    format_omega,
     read_omega,
-    write_omega,
 )
 
 
@@ -112,7 +112,7 @@ def test_set_helpers():
 def test_file_roundtrip(tmp_path):
     omega = MonomialSet.full(2, 3).remove((1, 1, 1))
     path = tmp_path / "omega.txt"
-    write_omega(omega, path, comment="projection without the center point")
+    path.write_text(format_omega(omega, comment="projection without the center point"))
     back = read_omega(path)
     assert back == omega
     text = path.read_text()
@@ -145,5 +145,5 @@ def test_file_roundtrip_random_subsets(tmp_path):
         size = rng.randint(1, len(pool))
         omega = MonomialSet(rng.sample(pool, size))
         path = tmp_path / f"o{trial}.txt"
-        write_omega(omega, path)
+        path.write_text(format_omega(omega))
         assert read_omega(path) == omega

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from veroproj.families import FamilySpec, parse_family
 from veroproj.groebner import TermOrder, lift_omega, lift_order, parse_order, rc_term_order
 from veroproj.groups import CyclicFactor, DiagonalGroup, parse_group
-from veroproj.monomials import MonomialSet, enumerate_degree, read_omega, write_omega
+from veroproj.monomials import MonomialSet, enumerate_degree, format_omega, read_omega
 
 KINDS = ("lex", "deglex", "degrevlex", "revlex")
 
@@ -37,7 +37,7 @@ def _groups(draw) -> DiagonalGroup:
 @given(_omegas(), st.none() | st.text(st.characters(min_codepoint=32, max_codepoint=126), max_size=40))
 def test_omega_file_round_trip(tmp_path_factory, omega, comment):
     path = tmp_path_factory.mktemp("omega") / "omega.txt"
-    write_omega(omega, path, comment=comment)
+    path.write_text(format_omega(omega, comment=comment))
     back = read_omega(path)
     assert back == omega
     assert [tuple(m) for m in back] == [tuple(m) for m in omega]
