@@ -16,20 +16,17 @@ argument).  In degree 2 two distinct multisets can never share an
 index, so every fiber is an independent set and the count is just
 (fiber size - 1), summed.
 
-Two walks count them.  The tuple walk (`_walk`) lists every multiset by
-product and joins components with a union-find over indices; it serves
-the degree-2 fibers every table keeps and tables built with
-`representatives=True`, whose only caller is `groebner.toric_generators`.
-The class walk (`_class_walk`) counts the components of every other
-table from index masks, with no multiset formed, and is checked against
-the tuple walk in degree 2.  Hilbert values and 2-normality walk
-distinct products only.
+The class walk (`_class_walk`) counts the components of every table from
+index masks, with no multiset formed.  A degree-2 class is one multiset,
+so the degree-2 fibers the order search pairs are read off its masks, and
+`representatives=True` (whose only caller is `groebner.toric_generators`)
+searches each split fiber's classes for their lex-least multisets.
+Hilbert values and 2-normality walk distinct products only (`_walk`).
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import logging
 import math
 import operator
@@ -40,42 +37,6 @@ from .errors import DEFAULT_GUARD, GuardExceeded
 from .monomials import Monomial, MonomialSet, enumerate_degree
 
 logger = logging.getLogger("veroproj")
-
-
-def _components(elements: list[tuple[int, ...]]) -> list[list[tuple[int, ...]]]:
-    """Components of one fiber's sorted multisets, ordered by lex-least element.
-
-    The union runs over indices, not multisets: each multiset joins its own
-    indices, and two multisets of one fiber share an index exactly when
-    they are joined.  A merge relabels the indices of the smaller side.
-    """
-    if elements and len(elements[0]) == 2:
-        # distinct degree-2 multisets with one product never share an index
-        return [[e] for e in elements]
-    owner: dict[int, list] = {}  # index -> [multisets, indices] of its component
-    comps = []
-    for e in elements:
-        comp = owner.get(e[0])
-        if comp is None:
-            comp = owner[e[0]] = [[], [e[0]]]
-            comps.append(comp)
-        for i in e:
-            other = owner.get(i)
-            if other is comp:
-                continue
-            if other is None:
-                owner[i] = comp
-                comp[1].append(i)
-                continue
-            if len(other[1]) > len(comp[1]):
-                comp, other = other, comp
-            comp[0] += other[0]
-            comp[1] += other[1]
-            for j in other[1]:
-                owner[j] = comp
-            other[1] = None  # merged away
-        comp[0].append(e)
-    return sorted(sorted(c[0]) for c in comps if c[1] is not None)
 
 
 def _multiset_count(mu: int, k: int) -> int:
@@ -99,61 +60,39 @@ def _pack(m: Sequence[int], radix: int) -> int:
     return v
 
 
-def _walk(omega: MonomialSet, k_max: int, distinct: bool = False) -> Iterator[dict]:
-    """Omega's index multisets degree by degree, bucketed by packed product.
+def _walk(omega: MonomialSet, k_max: int) -> Iterator[dict]:
+    """Omega's distinct products degree by degree.
 
     Yields, for k = 1..k_max, a dict from each degree-k product (packed in
-    `_radix(omega, k_max)`) to its k-multisets, sorted ascending.  The
-    degree-k multisets extend the degree-(k-1) ones by an index >= their
-    last, and each level is built only when asked for, so a caller checks
-    its guard first.  With `distinct` a product maps to the least last
-    index among its multisets instead, which still reaches every product
-    one degree up: all that Hilbert values and 2-normality read.
+    `_radix(omega, k_max)`) to the least last index among its k-multisets.
+    Extending each product by every index >= that one still reaches every
+    product one degree up: a multiset minus its last index j is a multiset
+    of a product whose least last index is at most j.  Each level is built
+    only when asked for, so a caller checks its guard first.
     """
     radix = _radix(omega, k_max)
     members = [_pack(m, radix) for m in omega]
     mu = len(members)
-    level: dict = {p: i if distinct else [(i,)] for i, p in enumerate(members)}
+    level = {p: i for i, p in enumerate(members)}
     yield level
-    for k in range(2, k_max + 1):
+    for _ in range(2, k_max + 1):
         nxt: dict = {}
-        if distinct:
-            for p, last in level.items():
-                for j in range(last, mu):
-                    q = p + members[j]
-                    if nxt.get(q, mu) > j:
-                        nxt[q] = j
-        else:
-            for p, elems in level.items():
-                for e in elems:
-                    for j in range(e[-1], mu):
-                        q = p + members[j]
-                        bucket = nxt.get(q)
-                        if bucket is None:
-                            nxt[q] = [e + (j,)]
-                        else:
-                            bucket.append(e + (j,))
-            seen = 0
-            for elems in nxt.values():
-                seen += len(elems)
-                if len(elems) > 1:
-                    elems.sort()
-            if seen != _multiset_count(mu, k):
-                raise RuntimeError(
-                    f"fiber partition check failed: walked {seen} multisets, "
-                    f"expected {_multiset_count(mu, k)}"
-                )
+        for p, last in level.items():
+            for j in range(last, mu):
+                q = p + members[j]
+                if nxt.get(q, mu) > j:
+                    nxt[q] = j
         level = nxt
         yield level
 
 
-def _class_walk(omega: MonomialSet, k_max: int) -> Iterator[tuple[dict, int, int, int]]:
-    """Fiber component counts degree by degree, from index masks alone.
+def _class_walk(omega: MonomialSet, k_max: int) -> Iterator[tuple[dict, int, dict]]:
+    """Fiber components degree by degree, from index masks alone.
 
     Yields, for k = 2..k_max, the dict from each degree-k product (packed
     in `_radix(omega, k_max)`) to the mask of the indices its multisets
-    use, then the (p, j) pairs visited, the fibers of more than one
-    component, and the sum over fibers of components - 1.
+    use, then the (p, j) pairs visited, and the dict from each product
+    whose fiber has more than one component to its components' masks.
 
     A degree-k multiset of the fiber of q that holds index j is j plus a
     degree-(k-1) multiset of p = q - m_j, so the multisets of each pair
@@ -200,15 +139,37 @@ def _class_walk(omega: MonomialSet, k_max: int) -> Iterator[tuple[dict, int, int
                         classes[q] = keep
                     else:
                         classes[q] = g
-        split = count = 0
-        for q, c in classes.items():
-            if c.__class__ is not int:
-                split += 1
-                count += len(c) - 1
-                classes[q] = functools.reduce(operator.or_, c)
-        yield classes, pairs, split, count
+        split = {q: c for q, c in classes.items() if c.__class__ is not int}
+        for q, c in split.items():
+            classes[q] = functools.reduce(operator.or_, c)
+        yield classes, pairs, split
         if k < k_max:
             by_start = [[(q, classes[q]) for q in qs] for qs in firsts]
+
+
+def _least_multiset(
+    members: list[int], mask: int, q: int, k: int, lo: int = 0
+) -> tuple[int, ...] | None:
+    """The lex-least k-multiset of the indices in `mask`, none below `lo`,
+    whose packed members sum to q, or None.
+
+    A component's multisets are all its fiber's multisets on its indices,
+    so on a class mask this is the component's least multiset.  Packed
+    members descend with their index: one above q is skipped, and once k
+    copies of one fall short of q no later one can reach it.
+    """
+    if k == 0:
+        return () if q == 0 else None
+    for index in range(lo, len(members)):
+        m = members[index]
+        if not mask >> index & 1 or m > q:
+            continue
+        if k * m < q:
+            break
+        tail = _least_multiset(members, mask, q - m, k - 1, index)
+        if tail is not None:
+            return (index, *tail)
+    return None
 
 
 def _check_fiber_guard(mu: int, k_min: int, k_max: int, guard: int) -> None:
@@ -226,7 +187,7 @@ def hilbert_values(
     if k_max < 0:
         raise ValueError(f"need k_max >= 0, got {k_max}")
     values = [1]
-    walk = _walk(omega, k_max, distinct=True)
+    walk = _walk(omega, k_max)
     for k in range(1, k_max + 1):
         work = values[-1] * len(omega)
         if work > guard:
@@ -265,7 +226,7 @@ def is_2_normal(
     if total > guard:
         raise GuardExceeded("2-normality check", total, guard)
     _check_fiber_guard(len(omega), 2, 2, guard)
-    *_, products = _walk(omega, 2, distinct=True)
+    *_, products = _walk(omega, 2)
     if len(products) == total:
         return True, None
     radix = _radix(omega, 2)
@@ -359,11 +320,14 @@ def minimal_generator_table(
     generation degree at 3), and anything else is an error because no
     finite k_max would be certified.
 
-    With `representatives` every degree comes from the tuple walk;
-    otherwise degree 2 does and the counts of every degree come from the
-    class walk, which must agree with it in degree 2.  Each call logs its
-    counts per degree to the "veroproj" logger at debug level.
+    Every degree comes from the class walk.  A degree-2 class is one
+    multiset, so its degree-2 products and generators must add up to the
+    C(mu+1, 2) multisets.  With `representatives` the lex-least multiset
+    of each component of a split fiber pairs with the fiber's.  Each call
+    logs its counts per degree to the "veroproj" logger at debug level.
     """
+    if k_max is not None and k_max < 1:
+        raise ValueError(f"need k_max >= 1, got {k_max}")
     implied = bound is None
     if bound is None:
         if k_max is not None:
@@ -395,47 +359,41 @@ def minimal_generator_table(
     else:
         raise ValueError(f"unknown bound {bound!r}")
 
+    mu = len(omega)
+    _check_fiber_guard(mu, 2, k_max, guard)
+    members = [_pack(m, _radix(omega, k_max)) for m in omega] if representatives else []
     reps: dict[int, list[tuple[tuple[int, ...], tuple[int, ...]]]] = {}
     quadrics: list[list[tuple[int, ...]]] = []
-    # per degree: k, products, multisets or (p, j) pairs walked, fibers split, generators
+    # per degree: k, products, (p, j) pairs walked, fibers split, generators
     counts: list[tuple[int, int, int, int, int]] = []
-    _check_fiber_guard(len(omega), 2, k_max, guard)
-    # the tuple walk: every degree for representatives, else degree 2 for the quadrics
-    tuple_max = k_max if representatives else min(k_max, 2)
-    for k, level in enumerate(itertools.islice(_walk(omega, tuple_max), 1, None), start=2):
-        # only multi-element fibers count, in descending target order
-        multi = sorted(((t, e) for t, e in level.items() if len(e) > 1), reverse=True)
-        count = split = 0
-        found: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
-        for _, elements in multi:
-            comps = _components(elements)
-            count += len(comps) - 1
-            split += len(comps) > 1
-            if representatives:
-                principal = comps[0][0]  # the lex-least element
-                found.extend((comp[0], principal) for comp in comps[1:])
-            if k == 2:
-                quadrics.append(elements)
-        if found:
-            reps[k] = found
-        counts.append((k, len(level), _multiset_count(len(omega), k), split, count))
-    if not representatives and k_max >= 2:
-        _, products, _, _, count = counts[0]
-        walk = _class_walk(omega, k_max)
-        counts = [(k, len(masks), *rest) for k, (masks, *rest) in enumerate(walk, start=2)]
-        if (counts[0][1], counts[0][4]) != (products, count):
-            raise RuntimeError(
-                f"class walk check failed: {counts[0][1]} degree-2 products and "
-                f"{counts[0][4]} generators, the tuple walk has {products} and {count}"
-            )
+    for k, (masks, pairs, split) in enumerate(_class_walk(omega, k_max), start=2):
+        count = sum(len(classes) - 1 for classes in split.values())
+        counts.append((k, len(masks), pairs, len(split), count))
+        # only split fibers count, in descending product order
+        ordered = sorted(split.items(), reverse=True)
+        if k == 2:
+            if len(masks) + count != _multiset_count(mu, 2):
+                raise RuntimeError(
+                    f"class walk check failed: {len(masks)} degree-2 products and "
+                    f"{count} generators, but {_multiset_count(mu, 2)} multisets"
+                )
+            # a degree-2 class is one multiset: its lowest and highest index
+            least = quadrics = [
+                sorted(((c & -c).bit_length() - 1, c.bit_length() - 1) for c in classes)
+                for _, classes in ordered
+            ]
+        elif representatives:
+            least = [sorted(_least_multiset(members, c, q, k) for c in cs) for q, cs in ordered]
+        if representatives and split:
+            # each component's lex-least multiset pairs with the fiber's
+            reps[k] = [(e, fiber[0]) for fiber in least for e in fiber[1:]]
     logger.debug(
-        "minimal_generator_table: %d members, %s walk; %s",
-        len(omega), "tuple" if representatives else "class",
+        "minimal_generator_table: %d members; %s",
+        mu,
         "; ".join(
-            f"degree {k}: {products} products, {walked} "
-            f"{'multisets' if representatives else '(p, j) pairs'}, "
+            f"degree {k}: {products} products, {pairs} (p, j) pairs, "
             f"{split} fibers of several components, {count} generators"
-            for k, products, walked, split, count in counts
+            for k, products, pairs, split, count in counts
         ),
     )
     degrees = {k: count for k, *_, count in counts if count}

@@ -197,6 +197,13 @@ def test_guard_exit_code(capsys):
     assert code == 3 and "guard" in err
 
 
+def test_mingens_rejects_a_max_degree_below_one(capsys):
+    code, out, err = run(capsys, "mingens", "full(2,2)", "--max-degree", "-3")
+    assert code == 2 and out == "" and "need k_max >= 1" in err
+    code, out, _ = run(capsys, "mingens", "full(2,2)", "--max-degree", "1")
+    assert code == 0 and "verified up to degree 1" in out
+
+
 def test_parse_error_exit_code(capsys):
     code, _, err = run(capsys, "omega", "bogus(1)")
     assert code == 2 and "error:" in err

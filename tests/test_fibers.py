@@ -4,7 +4,7 @@ import logging
 import math
 import random
 import re
-from itertools import combinations_with_replacement
+from itertools import chain, combinations, combinations_with_replacement
 
 import pytest
 from hypothesis import given, settings
@@ -39,15 +39,40 @@ def _in_different_components(omega: MonomialSet, a: tuple[int, ...], b: tuple[in
     return b in fiber and not any(a in comp and b in comp for comp in brute_components(fiber))
 
 
-def test_fibers_partition():
-    # the tuple walk lists every k-multiset once, under its own packed product
-    omega = escalating_family(4)
-    radix = fibers._radix(omega, 3)
-    for k, level in enumerate(fibers._walk(omega, 3), start=1):
-        assert sum(len(elements) for elements in level.values()) == math.comb(len(omega) + k - 1, k)
-        for target, elements in level.items():
-            for elem in elements:
-                assert fibers._pack(product(omega, elem), radix) == target
+# in the fiber of x^4 y z^4 the multisets of the pair (p, j) = (x^2y * x^2z, z^3)
+# join the classes of x^2y (xz^2)^2 and (x^2z)^2 yz^2, which arrive first
+OVERLAP_OMEGA = MonomialSet(
+    [(2, 1, 0), (2, 0, 1), (1, 2, 0), (1, 0, 2), (0, 3, 0), (0, 1, 2), (0, 0, 3)]
+)
+
+
+def _brute_table(omega: MonomialSet, k_max: int) -> tuple[dict, dict]:
+    """Generator counts and representatives from the brute-force components:
+    in descending product order, each component's least multiset paired
+    with the fiber's least one."""
+    degrees, reps = {}, {}
+    for k in range(2, k_max + 1):
+        fibs = brute_fibers(omega, k)
+        for target in sorted(fibs, reverse=True):
+            comps = brute_components(fibs[target])
+            if len(comps) > 1:
+                degrees[k] = degrees.get(k, 0) + len(comps) - 1
+                reps.setdefault(k, []).extend((c[0], comps[0][0]) for c in comps[1:])
+    return degrees, reps
+
+
+def _check_walk_levels(omega: MonomialSet, k_max: int) -> None:
+    # each distinct level maps every product to the least last index of its multisets
+    radix = fibers._radix(omega, k_max)
+    for k, level in enumerate(fibers._walk(omega, k_max), start=1):
+        assert level == {
+            fibers._pack(t, radix): min(e[-1] for e in elements)
+            for t, elements in brute_fibers(omega, k).items()
+        }
+
+
+def test_walk_levels_map_products_to_least_last_index():
+    _check_walk_levels(escalating_family(4), 3)
 
 
 def test_guard_trips_with_exact_count():
@@ -217,31 +242,52 @@ def test_complement_of_single_monomial_2_normality():
 
 def test_first_disconnected_fiber():
     omega = escalating_family(4)
-    levels = list(fibers._walk(omega, 4))
-
-    def first_disconnected(k: int):
-        for elements in levels[k - 1].values():
-            comps = fibers._components(elements)
-            if len(comps) > 1:
-                return comps
-        return None
-
-    comps = first_disconnected(2)
-    assert comps is not None and len(comps) >= 2
+    members = [fibers._pack(m, fibers._radix(omega, 4)) for m in omega]
+    splits = [split for _, _, split in fibers._class_walk(omega, 4)]
+    assert [len(split) > 0 for split in splits] == [True, False, True]
     # the degree-4 generator shows up as a disconnected degree-4 fiber
-    comps4 = first_disconnected(4)
-    assert comps4 is not None
-    for a, b in zip(comps4, comps4[1:]):
-        assert _in_different_components(omega, a[0], b[0])
+    for k, split in ((2, splits[0]), (4, splits[2])):
+        for q, classes in split.items():
+            assert not any(a & b for a, b in combinations(classes, 2))
+            least = [fibers._least_multiset(members, c, q, k) for c in classes]
+            for a, b in zip(least, least[1:]):
+                assert _in_different_components(omega, a, b)
 
 
 def test_components_keep_the_multisets_of_a_merged_component():
     # a degree-3 fiber of the full quadratic Veronese of the plane has a
     # multiset that joins two components its predecessors left apart
     omega = MonomialSet.full(2, 2)
-    *_, level = fibers._walk(omega, 3)
-    for elements in level.values():
-        assert fibers._components(elements) == brute_components(elements)
+    radix = fibers._radix(omega, 3)
+    *_, (masks, _, split) = fibers._class_walk(omega, 3)
+    for target, elements in brute_fibers(omega, 3).items():
+        comps = [sum(1 << i for i in set(chain(*comp))) for comp in brute_components(elements)]
+        q = fibers._pack(target, radix)
+        assert sorted(split.get(q, [masks[q]])) == sorted(comps)
+        assert masks[q] == sum(comps)
+
+
+def test_least_multiset_against_bruteforce():
+    # the lex-least multiset of a product on the masked indices, none below lo
+    omega = escalating_family(5)
+    mu = len(omega)
+    radix = fibers._radix(omega, 3)
+    members = [fibers._pack(m, radix) for m in omega]
+    for mask in (2**mu - 1, 0b110101, 0b011010):
+        for lo in range(mu + 1):
+            for k in (1, 2, 3):
+                for target, elements in brute_fibers(omega, k).items():
+                    allowed = [e for e in elements if e[0] >= lo and all(mask >> i & 1 for i in e)]
+                    got = fibers._least_multiset(members, mask, fibers._pack(target, radix), k, lo)
+                    assert got == min(allowed, default=None)
+
+
+def test_representatives_against_brute_components():
+    cases = ((MonomialSet.full(2, 2), 3), (escalating_family(5), 5), (OVERLAP_OMEGA, 3))
+    for omega, k_max in cases:
+        degrees, reps = _brute_table(omega, k_max)
+        table = minimal_generator_table(omega, k_max=k_max, representatives=True)
+        assert (table.degrees, table.representatives) == (degrees, reps)
 
 
 def test_h_polynomial_group_route():
@@ -282,25 +328,13 @@ def _small_omegas(draw) -> MonomialSet:
 @given(_small_omegas(), st.integers(1, 4))
 def test_walker_agrees_with_bruteforce(omega, k_max):
     brute = {k: brute_fibers(omega, k) for k in range(1, k_max + 1)}
-    radix = fibers._radix(omega, k_max)
-    for k, level in enumerate(fibers._walk(omega, k_max), start=1):
-        fibs = brute[k]
-        assert level == {fibers._pack(t, radix): elements for t, elements in fibs.items()}
-        for elements in fibs.values():
-            assert fibers._components(elements) == brute_components(elements)
+    _check_walk_levels(omega, k_max)
 
-    degrees, reps = {}, {}
-    for k in range(2, k_max + 1):
-        for target in sorted(brute[k], reverse=True):
-            comps = brute_components(brute[k][target])
-            if len(comps) > 1:
-                degrees[k] = degrees.get(k, 0) + len(comps) - 1
-                reps.setdefault(k, []).extend((c[0], comps[0][0]) for c in comps[1:])
-    # the tuple walk with representatives, and the class walk without
-    for table in (
-        minimal_generator_table(omega, k_max=k_max, representatives=True),
-        minimal_generator_table(omega, k_max=k_max),
-    ):
+    degrees, reps = _brute_table(omega, k_max)
+    # the table with representatives and without
+    with_reps = minimal_generator_table(omega, k_max=k_max, representatives=True)
+    assert with_reps.representatives == reps
+    for table in (with_reps, minimal_generator_table(omega, k_max=k_max)):
         assert table.degrees == degrees
         if k_max >= 3:
             quadrics = [e for e in brute[2].values() if len(e) > 1]
@@ -309,7 +343,6 @@ def test_walker_agrees_with_bruteforce(omega, k_max):
             assert table.fibers.cubics == len(cubics)
         else:
             assert table.fibers is None
-    assert minimal_generator_table(omega, k_max=k_max, representatives=True).representatives == reps
 
     assert hilbert_values(omega, k_max) == [1] + [len(brute[k]) for k in range(1, k_max + 1)]
 
@@ -321,31 +354,38 @@ def test_walker_agrees_with_bruteforce(omega, k_max):
 
 
 def test_class_walk_joins_every_class_a_pair_overlaps():
-    # in the fiber of x^4 y z^4 the multisets of the pair (p, j) = (x^2y * x^2z, z^3)
-    # join the classes of x^2y (xz^2)^2 and (x^2z)^2 yz^2, which arrive first;
     # a merge into the first overlapping class alone would leave two classes of one component
-    omega = MonomialSet(
-        [(2, 1, 0), (2, 0, 1), (1, 2, 0), (1, 0, 2), (0, 3, 0), (0, 1, 2), (0, 0, 3)]
-    )
-    brute = {}
-    for k in (2, 3):
-        for target, elements in brute_fibers(omega, k).items():
-            brute[k] = brute.get(k, 0) + len(brute_components(elements)) - 1
-    assert brute == {2: 5, 3: 4}
-    assert minimal_generator_table(omega, k_max=3).degrees == brute
+    degrees, _ = _brute_table(OVERLAP_OMEGA, 3)
+    assert degrees == {2: 5, 3: 4}
+    assert minimal_generator_table(OVERLAP_OMEGA, k_max=3).degrees == degrees
 
 
-def test_class_walk_is_checked_against_the_tuple_walk(monkeypatch):
+def test_class_walk_is_checked_by_the_degree_two_identity(monkeypatch):
     omega = MonomialSet.full(2, 2)
     walk = fibers._class_walk
 
-    def off_by_one(omega, k_max):
-        for masks, pairs, split, count in walk(omega, k_max):
-            yield masks, pairs, split, count + 1
+    def drops_a_pair(omega, k_max):
+        for k, (masks, pairs, split) in enumerate(walk(omega, k_max), start=2):
+            if k == 2:
+                # forget the one multiset of some unsplit degree-2 fiber
+                masks = dict(masks)
+                del masks[next(q for q in masks if q not in split)]
+                pairs -= 1
+            yield masks, pairs, split
 
-    monkeypatch.setattr(fibers, "_class_walk", off_by_one)
-    with pytest.raises(RuntimeError, match="class walk check failed"):
-        minimal_generator_table(omega, k_max=3)
+    monkeypatch.setattr(fibers, "_class_walk", drops_a_pair)
+    for representatives in (False, True):
+        with pytest.raises(RuntimeError, match="class walk check failed"):
+            minimal_generator_table(omega, k_max=3, representatives=representatives)
+
+
+def test_k_max_below_one_is_rejected():
+    omega = MonomialSet.full(2, 2)
+    for k_max in (0, -3):
+        with pytest.raises(ValueError, match="need k_max >= 1"):
+            minimal_generator_table(omega, k_max=k_max)
+    table = minimal_generator_table(omega, k_max=1, representatives=True)
+    assert (table.degrees, table.representatives, table.fibers) == ({}, {}, None)
 
 
 def test_table_logs_its_counts(caplog):
@@ -357,16 +397,20 @@ def test_table_logs_its_counts(caplog):
     lines = [r.getMessage() for r in caplog.records]
     lines = [line for line in lines if line.startswith("minimal_generator_table:")]
     assert len(lines) == 2
-    for line, got, walk in ((lines[0], table, "class"), (lines[1], reps, "tuple")):
-        assert f"{walk} walk" in line
-        per_degree = re.findall(
-            r"degree (\d+): (\d+) products, (\d+) .*?, (\d+) fibers .*?, (\d+) generators", line
+    # both paths walk the same classes, so they report the same counts
+    per_degree = [
+        re.findall(
+            r"degree (\d+): (\d+) products, (\d+) \(p, j\) pairs, (\d+) fibers .*?, (\d+) generators",
+            line,
         )
-        assert [int(k) for k, *_ in per_degree] == list(range(2, got.verified_up_to + 1))
-        assert {int(k): int(g) for k, *_, g in per_degree if int(g)} == got.degrees
-        for k, products, walked, split, generators in per_degree:
-            assert int(products) == len(brute_fibers(omega, int(k)))
-            assert int(split) <= int(generators) < int(walked)
+        for line in lines
+    ]
+    assert per_degree[0] == per_degree[1]
+    assert [int(k) for k, *_ in per_degree[0]] == list(range(2, table.verified_up_to + 1))
+    assert {int(k): int(g) for k, *_, g in per_degree[0] if int(g)} == table.degrees
+    for k, products, walked, split, generators in per_degree[0]:
+        assert int(products) == len(brute_fibers(omega, int(k)))
+        assert int(split) <= int(generators) < int(walked)
 
 
 def test_walker_checks_its_guard_before_allocating(monkeypatch):

@@ -923,10 +923,10 @@ def test_search_reads_fibers_once_and_never_runs_buchberger(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("the search ran buchberger")
 
-    counting("_walk")  # the degree-2 tuples
+    counting("_walk")  # distinct products, which no table reads
     counting("_class_walk")  # the classes of every degree
     monkeypatch.setattr(veroproj.groebner, "buchberger", forbidden)
-    table = [("_walk", 2), ("_class_walk", 3)]  # one table's walks
+    table = [("_class_walk", 3)]  # one table's walks
     bq = invariants_of_degree(cyclic_group(4, (0, 1, 2, 3)), 1)
     res = search_quadratic_order(bq, budget=400, seed=0)
     assert res.found and res.tried > 1
@@ -939,7 +939,10 @@ def test_search_reads_fibers_once_and_never_runs_buchberger(monkeypatch):
     assert walks == table * 3
     # a table verified only to degree 2 walks up to degree 3 once more
     search_quadratic_order(bq, budget=5, seed=0, k_max=2)
-    assert walks == table * 3 + [("_walk", 2), ("_class_walk", 2)] + table
+    assert walks == table * 3 + [("_class_walk", 2)] + table
+    # the generators' representatives come from one class walk as well
+    assert len(toric_generators(bq)) == 12
+    assert walks == table * 3 + [("_class_walk", 2)] + table * 2
 
 
 def test_lift_omega_examples():
