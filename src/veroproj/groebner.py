@@ -45,7 +45,6 @@ import math
 import random
 from dataclasses import dataclass, field
 from functools import cached_property
-from heapq import heappop, heappush
 from itertools import repeat
 from operator import and_, lshift, mul, rshift
 from typing import Iterable, Iterator, Sequence
@@ -69,29 +68,6 @@ CODE_DEGREE_BOUND = 1 << 8
 
 
 # ---------------------------------------------------------------------------
-# exponent-vector arithmetic
-
-
-def _vec_strip(u: tuple[int, ...], v: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Remove the common monomial factor of a pair (sound for prime ideals)."""
-    common = tuple(a if a <= b else b for a, b in zip(u, v))
-    if any(common):
-        u = tuple(a - c for a, c in zip(u, common))
-        v = tuple(b - c for b, c in zip(v, common))
-    return u, v
-
-
-def _rho_image(omega: MonomialSet, vec: Sequence[int]) -> tuple[int, ...]:
-    """Product of the omega members selected by an S-exponent vector."""
-    total = [0] * (omega.n + 1)
-    for e, member in zip(vec, omega):
-        if e:
-            for j, exp in enumerate(member):
-                total[j] += e * exp
-    return tuple(total)
-
-
-# ---------------------------------------------------------------------------
 # binomials
 
 
@@ -101,48 +77,13 @@ class Binomial:
 
     `plus` and `minus` play symmetric roles until an order orients the
     binomial, as Buchberger's elements are, with `plus` the leading side.
-    Construction goes through `make`, which checks the two sides are
-    balanced (same product of omega members) and strips any common
-    variable so the stored form is gcd-reduced.
+    Nothing is checked on construction: `toric_generators` builds them
+    from the two multisets of a fiber table pair, balanced and disjoint
+    by construction, and `buchberger` from the elements it checks.
     """
 
     plus: tuple[int, ...]
     minus: tuple[int, ...]
-
-    @classmethod
-    def make(cls, omega: MonomialSet, plus: Sequence[int], minus: Sequence[int]) -> "Binomial":
-        mu = len(omega)
-        plus = tuple(int(e) for e in plus)
-        minus = tuple(int(e) for e in minus)
-        if len(plus) != mu or len(minus) != mu:
-            raise ValueError(
-                f"exponent vectors must have length {mu}, got {len(plus)} and {len(minus)}"
-            )
-        if any(e < 0 for e in plus) or any(e < 0 for e in minus):
-            raise ValueError("exponent vectors must be non-negative")
-        if _rho_image(omega, plus) != _rho_image(omega, minus):
-            raise ValueError(
-                f"unbalanced binomial: sides map to different monomials "
-                f"({_rho_image(omega, plus)} vs {_rho_image(omega, minus)})"
-            )
-        plus, minus = _vec_strip(plus, minus)
-        if plus == minus:
-            raise ValueError("degenerate binomial: the two sides are equal")
-        return cls(plus, minus)
-
-    @classmethod
-    def from_indices(
-        cls, omega: MonomialSet, lhs: Sequence[int], rhs: Sequence[int]
-    ) -> "Binomial":
-        """Build from two index multisets (as used by the fiber tables)."""
-        mu = len(omega)
-        plus = [0] * mu
-        minus = [0] * mu
-        for i in lhs:
-            plus[i] += 1
-        for i in rhs:
-            minus[i] += 1
-        return cls.make(omega, plus, minus)
 
     @property
     def degree(self) -> int:
@@ -312,15 +253,21 @@ def toric_generators(
         table = minimal_generator_table(omega, k_max=k_max, guard=guard, representatives=True)
     except ValueError as exc:
         raise ValueError(f"uncertified seed: {exc}") from exc
-    gens: list[Binomial] = []
+    mu, gens = len(omega), []
     for degree in sorted(table.representatives):
         for lhs, rhs in table.representatives[degree]:
-            b = Binomial.from_indices(omega, lhs, rhs)
-            if b.degree != degree:
+            # the least multisets of two components of one fiber: balanced, and
+            # disjoint unless the table is wrong
+            if not set(lhs).isdisjoint(rhs):
                 raise AssertionError(
                     f"degree-{degree} fiber representatives {lhs} and {rhs} share a factor"
                 )
-            gens.append(b)
+            plus, minus = [0] * mu, [0] * mu
+            for i in lhs:
+                plus[i] += 1
+            for i in rhs:
+                minus[i] += 1
+            gens.append(Binomial(tuple(plus), tuple(minus)))
     return gens
 
 
@@ -491,48 +438,54 @@ def buchberger(gens: Sequence[Binomial], order: TermOrder) -> GroebnerBasis:
     """Reduced Groebner basis of the binomial ideal generated by gens.
 
     Normal selection strategy: S-pairs are processed by ascending lcm
-    degree (insertion order breaking ties), which keeps low-degree
-    elements appearing early.  A new element is paired only with the
-    earlier leads it shares a variable with (coprime pairs reduce to
-    zero), and the Gebauer-Moeller M and F criteria drop each of those
-    pairs whose lcm a kept pair's lcm divides; the B criterion on pending
-    pairs is not applied.  New basis elements are gcd-stripped before
-    insertion; this is sound for prime toric ideals because the stripped
-    binomial still lies in the ideal and generates the original one.  The minimal leads then form a Groebner basis, and a
-    toric ideal has one standard monomial per fiber, so reducing each
+    degree (formation order breaking ties: one FIFO queue per degree),
+    which keeps low-degree elements appearing early.  A new element is
+    paired only with the earlier leads it shares a variable with (coprime
+    pairs reduce to zero), and the Gebauer-Moeller M and F criteria drop
+    each of those pairs whose lcm a kept pair's lcm divides; the B
+    criterion on pending pairs is not applied.  New basis elements are
+    gcd-stripped before insertion; this is sound for prime toric ideals
+    because the stripped binomial still lies in the ideal and generates
+    the original one.  The minimal leads then form a Groebner basis, and
+    a toric ideal has one standard monomial per fiber, so reducing each
     kept trail once by them gives the reduced basis.  Sides must stay
-    below CODE_DEGREE_BOUND; counters are logged at debug level.
+    below CODE_DEGREE_BOUND; counters are logged at debug level.  The
+    loops work on codes in locals, with the `_Reducer` lane arithmetic
+    written out.
     """
-    key = order.key
+    key, mu = order.key, order.mu
     basis = _Reducer(order)
-    pending: list[tuple[int, int, int, int]] = []
-    counter = itertools.count()  # its next value is the number of pairs formed
+    codes, steps, masks, terminals = basis.codes, basis.steps, basis.masks, basis.terminals
+    guard, low = basis.guard, basis.guard - basis.ones  # adding low carries when e >= 1
+    queues: dict[int, list[tuple[int, int]]] = {}  # pending pairs (i, j), FIFO per lcm degree
     by_var: dict[int, list[int]] = {}  # elements whose lead has w_t, by t's guard bit
-    pruned = {"coprime": 0, "M": 0, "F": 0}
+    formed = coprime = by_m = by_f = 0
 
-    def insert(u: int, v: int) -> None:
-        nf = basis.normal_form(u, v)
-        if nf is None:
-            return
+    def insert(lead: int, trail: int) -> None:
+        """Add a nonzero normal form, gcd-stripped, and form its pairs."""
+        nonlocal formed, coprime, by_m, by_f
         # strip the gcd lead + trail - lcm, the lanewise min; that keeps the orientation
-        lead, trail = nf
-        common = lead + trail - basis.lcm(lead, trail)
+        keep = ((((lead | guard) - trail) & guard) >> 8) * 511  # the lanes where lead >= trail
+        common = (trail & keep) | (lead & ~keep)
         basis.add(lead - common, trail - common)
-        codes = basis.codes
         new = len(codes) - 1
-        Lnew, dnew = codes[new], codes[new] % 511
-        variables, mask = [], basis.masks[new]  # the guard bits of L_new's support
+        Lnew, mask = codes[new], masks[new]  # mask: the guard bits of L_new's support
+        dnew = Lnew % 511
+        variables = []
         while mask:
             variables.append(mask & -mask)
             mask ^= variables[-1]
         candidates = set().union(*(by_var.get(t, ()) for t in variables))
-        pruned["coprime"] += new - len(candidates)
-        # q_i = lcm(L_i, L_new) - L_new is the code of L_i / gcd(L_i, L_new); a
-        # code's degree is its value mod 511 (512 = 1 mod 511), and deg q_i >= 1
-        # as no earlier lead divides the irreducible L_new
+        coprime += new - len(candidates)
+        # q_i = lcm(L_i, L_new) - L_new is the code of L_i / gcd(L_i, L_new), the
+        # lanes of L_i - L_new where L_i >= L_new; a code's degree is its value
+        # mod 511 (512 = 1 mod 511), and deg q_i >= 1 as no earlier lead divides
+        # the irreducible L_new
         quotients = []
         for i in candidates:
-            q = basis.lcm(codes[i], Lnew) - Lnew
+            Li = codes[i]
+            keep = ((((Li | guard) - Lnew) & guard) >> 8) * 511
+            q = (Li & keep) - (Lnew & keep)
             quotients.append((q % 511, i, q))
         # Gebauer-Moeller: drop (i, new) when the lcm of a kept pair (j, new)
         # divides its lcm, i.e. q_j | q_i: M when strictly, F when equal; a
@@ -540,54 +493,84 @@ def buchberger(gens: Sequence[Binomial], order: TermOrder) -> GroebnerBasis:
         linear = 0  # the guard bits of the variables of kept degree-1 quotients
         kept: list[tuple[int, int]] = []  # kept quotients of degree >= 2, ascending
         for dq, i, q in sorted(quotients):
-            witness = 1 if linear & basis.nonzero(q) else next(
-                (dj for dj, qj in kept if basis.divides(qj, q)), 0
-            )
-            if witness:
-                pruned["F" if witness == dq else "M"] += 1
-                continue
-            if dq == 1:
-                linear |= q << 8
+            if linear & (q + low):
+                witness = 1
+            elif kept:
+                high = q | guard
+                witness = next((dj for dj, qj in kept if (high - qj) & guard == guard), 0)
             else:
-                kept.append((dq, q))
-            heappush(pending, (dnew + dq, next(counter), i, new))
+                witness = 0
+            if witness == dq:
+                by_f += 1
+            elif witness:
+                by_m += 1
+            else:
+                if dq == 1:
+                    linear |= q << 8
+                else:
+                    kept.append((dq, q))
+                queues.setdefault(dnew + dq, []).append((i, new))
+                formed += 1
         for t in variables:
             by_var.setdefault(t, []).append(new)
 
     inputs = [(_code(g.plus), _code(g.minus)) for g in gens]
     for u, v in inputs:
-        insert(u, v)
-    while pending:
-        degree, _, i, j = heappop(pending)
+        if (nf := basis.normal_form(u, v)) is not None:
+            insert(*nf)
+    cached = 0  # pairs whose two sides hit one cached terminal
+    while queues:
+        degree = min(queues)
         _check_code_degree(degree)
-        insert(*basis.s_pair(i, j))
-    pairs, inserted = next(counter), len(basis.codes)
+        queue, done = queues[degree], 0
+        for i, j in queue:  # pairs of this degree formed meanwhile join the loop
+            done += 1
+            Li, Lj = codes[i], codes[j]
+            keep = ((((Li | guard) - Lj) & guard) >> 8) * 511
+            lcm = (Li & keep) | (Lj & ~keep)
+            u, v = lcm + steps[i], lcm + steps[j]
+            t = terminals.get(u)
+            if t is not None and t == terminals.get(v):
+                cached += 1
+                continue
+            if (nf := basis.normal_form(u, v)) is not None:
+                insert(*nf)
+                if min(queues) < degree:
+                    break  # the new element formed a pair of lower degree
+        del queue[:done]
+        if not queue:
+            del queues[degree]
+    basis.lookups += 2 * cached
+    basis.hits += 2 * cached
+    basis.zeros += cached
     logger.debug(
         "buchberger: %d inputs, %d inserted, %d pairs formed, %d skipped as coprime, "
         "%d pruned by M, %d pruned by F, %d reduced to zero, %d of %d cache lookups hit, "
         "%d reduction steps",
-        len(gens), inserted, pairs, pruned["coprime"], pruned["M"], pruned["F"],
+        len(gens), len(codes), formed, coprime, by_m, by_f,
         basis.zeros, basis.hits, basis.lookups, basis.reductions,
     )
 
+    # each inserted element's lead key, lead, code and code step, by key; each
+    # key is reused for the orientation check
+    decoded = [_decode(code, mu) for code in codes]
     minimal, leads = _Reducer(order), []
-    inserts = ((_decode(code, order.mu), code, step) for code, step in zip(basis.codes, basis.steps))
-    for L, code, step in sorted(inserts, key=lambda e: key(e[0])):
+    for k, L, code, step in sorted(zip(map(key, decoded), decoded, codes, steps)):
         if minimal.find(code) is None:
             minimal.add(code, code + step)
-            leads.append(L)
-
-    elements = []
-    for L, code, step in zip(leads, minimal.codes, minimal.steps):
-        T = _decode(minimal.reduce(code + step), order.mu)
-        if not all(a == 0 or b == 0 for a, b in zip(L, T)):
+            leads.append((k, L))
+    rows = []
+    for (k, L), code, step, mask in zip(leads, minimal.codes, minimal.steps, minimal.masks):
+        trail = minimal.reduce(code + step)
+        T = _decode(trail, mu)
+        if mask & minimal.nonzero(trail):
             raise AssertionError(f"reduced element {L} - {T} is not gcd-free")
-        if not key(L) > key(T):
+        if not k > key(T):
             raise AssertionError(f"reduced element {L} - {T} is not oriented by the order")
-        elements.append(Binomial(L, T))
-    elements.sort(key=lambda g: (g.degree, g.plus, g.minus))
-    max_degree = max((g.degree for g in elements), default=0)
-    gb = GroebnerBasis(tuple(elements), order, max_degree)
+        rows.append((code % 511, L, T))
+    rows.sort()
+    elements = tuple(Binomial(L, T) for _, L, T in rows)
+    gb = GroebnerBasis(elements, order, rows[-1][0] if rows else 0)
 
     for u, v in inputs:
         if minimal.normal_form(u, v) is not None:

@@ -1,14 +1,17 @@
-"""Brute-force fiber oracles shared by the test modules.
+"""Brute-force fiber and binomial oracles shared by the test modules.
 
 Every k-multiset of omega's indices is formed and multiplied out, and
 components are grown by repeated scans, so nothing here shares code or
-shortcuts with `veroproj.fibers`.
+shortcuts with `veroproj.fibers`.  `make` builds a binomial the checked
+way, from its two sides' products of omega members, which
+`groebner.toric_generators` trusts the fiber table for.
 """
 
 from __future__ import annotations
 
 from itertools import combinations_with_replacement
 
+from veroproj.groebner import Binomial
 from veroproj.monomials import MonomialSet
 
 
@@ -40,3 +43,57 @@ def brute_components(elements: list[tuple[int, ...]]) -> list[list[tuple[int, ..
             left = [e for e in left if e not in joined]
         comps.append(sorted(comp))
     return comps
+
+
+def vec_strip(u: tuple[int, ...], v: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Remove the common monomial factor of a pair (sound for prime ideals)."""
+    common = tuple(a if a <= b else b for a, b in zip(u, v))
+    if any(common):
+        u = tuple(a - c for a, c in zip(u, common))
+        v = tuple(b - c for b, c in zip(v, common))
+    return u, v
+
+
+def rho_image(omega: MonomialSet, vec) -> tuple[int, ...]:
+    """Product of the omega members selected by an S-exponent vector."""
+    total = [0] * (omega.n + 1)
+    for e, member in zip(vec, omega):
+        if e:
+            for j, exp in enumerate(member):
+                total[j] += e * exp
+    return tuple(total)
+
+
+def make(omega: MonomialSet, plus, minus) -> Binomial:
+    """The binomial plus - minus, checked balanced (same product of omega
+    members) and stripped of any common variable."""
+    mu = len(omega)
+    plus = tuple(int(e) for e in plus)
+    minus = tuple(int(e) for e in minus)
+    if len(plus) != mu or len(minus) != mu:
+        raise ValueError(
+            f"exponent vectors must have length {mu}, got {len(plus)} and {len(minus)}"
+        )
+    if any(e < 0 for e in plus) or any(e < 0 for e in minus):
+        raise ValueError("exponent vectors must be non-negative")
+    if rho_image(omega, plus) != rho_image(omega, minus):
+        raise ValueError(
+            f"unbalanced binomial: sides map to different monomials "
+            f"({rho_image(omega, plus)} vs {rho_image(omega, minus)})"
+        )
+    plus, minus = vec_strip(plus, minus)
+    if plus == minus:
+        raise ValueError("degenerate binomial: the two sides are equal")
+    return Binomial(plus, minus)
+
+
+def from_indices(omega: MonomialSet, lhs, rhs) -> Binomial:
+    """`make` from two index multisets (as used by the fiber tables)."""
+    mu = len(omega)
+    plus = [0] * mu
+    minus = [0] * mu
+    for i in lhs:
+        plus[i] += 1
+    for i in rhs:
+        minus[i] += 1
+    return make(omega, plus, minus)

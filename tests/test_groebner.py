@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import itertools
 import json
@@ -34,12 +35,12 @@ from veroproj.groebner import (
     verify_groebner,
 )
 from veroproj.families import FamilySpec, koszul_label, parse_family
-from veroproj.groebner import _candidate_orders, _code, _decode, _Reducer, _vec_strip
+from veroproj.groebner import _candidate_orders, _code, _decode, _Reducer
 from veroproj.groups import block_group, cyclic_group, invariants_of_degree
 from veroproj.survey import canonical_surface_weights
 from veroproj.monomials import MonomialSet
 
-from oracles import brute_components, brute_fibers
+from oracles import brute_components, brute_fibers, from_indices, make, vec_strip
 
 # Frozen (r, c) table for d = 6, k = 3, worked out by hand from the
 # congruence b + 3c = 6r: row intervals are {0}, [0,2], [3,4], [6,6].
@@ -57,24 +58,24 @@ W6_ROWS = [
 def test_binomial_validation():
     omega = MonomialSet.full(2, 2)
     # members, descending lex: x0^2, x0x1, x0x2, x1^2, x1x2, x2^2
-    b = Binomial.make(omega, (1, 0, 0, 1, 0, 0), (0, 2, 0, 0, 0, 0))
+    b = make(omega, (1, 0, 0, 1, 0, 0), (0, 2, 0, 0, 0, 0))
     assert b.degree == 2 and b.is_gcd_reduced
 
     # common factor w1 on both sides is stripped on construction
-    c = Binomial.make(omega, (1, 1, 0, 1, 0, 0), (0, 3, 0, 0, 0, 0))
+    c = make(omega, (1, 1, 0, 1, 0, 0), (0, 3, 0, 0, 0, 0))
     assert (c.plus, c.minus) == ((1, 0, 0, 1, 0, 0), (0, 2, 0, 0, 0, 0))
 
     with pytest.raises(ValueError):
-        Binomial.make(omega, (2, 0, 0, 0, 0, 0), (0, 0, 0, 2, 0, 0))  # x0^4 != x1^4
+        make(omega, (2, 0, 0, 0, 0, 0), (0, 0, 0, 2, 0, 0))  # x0^4 != x1^4
     with pytest.raises(ValueError):
-        Binomial.make(omega, (1, 1, 0, 0, 0, 0), (1, 1, 0, 0, 0, 0))  # equal sides
+        make(omega, (1, 1, 0, 0, 0, 0), (1, 1, 0, 0, 0, 0))  # equal sides
     with pytest.raises(ValueError):
-        Binomial.make(omega, (1, 0, 0), (0, 1, 0))  # wrong length
+        make(omega, (1, 0, 0), (0, 1, 0))  # wrong length
 
 
 def test_binomial_from_indices():
     omega = MonomialSet.full(2, 2)
-    b = Binomial.from_indices(omega, (0, 3), (1, 1))
+    b = from_indices(omega, (0, 3), (1, 1))
     assert b.plus == (1, 0, 0, 1, 0, 0)
     assert b.minus == (0, 2, 0, 0, 0, 0)
 
@@ -353,6 +354,48 @@ def test_toric_generators_uncertified_seed():
     assert sorted({g.degree for g in gens}) == [2, 3]
 
 
+# (family, k_max): the full and small `grow` benchmark families and the
+# block groups of C(6;0,1,3) the `lift` benchmark splits through 1,1,2,
+# 1,2,1 and 1,2,2
+ORACLE_FAMILIES = [
+    ("pinched(2,8,2)", None),
+    ("pinched(3,5,2)", 3),
+    ("pinched(2,4,2)", None),
+    ("pinched(3,3,2)", 3),
+    ("group(C(6;0,1,3,3))", None),
+    ("group(C(6;0,1,1,3))", None),
+    ("group(C(6;0,1,1,3,3))", None),
+]
+
+
+@pytest.mark.parametrize("family, k_max", ORACLE_FAMILIES)
+def test_toric_generators_match_the_checked_oracle(family, k_max):
+    # the table's pairs built straight into binomials, against the oracle
+    # that checks balance and strips common factors
+    omega = parse_family(family).build()
+    table = minimal_generator_table(omega, k_max=k_max, representatives=True)
+    want = [
+        from_indices(omega, lhs, rhs)
+        for degree in sorted(table.representatives)
+        for lhs, rhs in table.representatives[degree]
+    ]
+    assert toric_generators(omega, k_max=k_max) == want
+    assert all(g.is_gcd_reduced for g in want)
+
+
+def test_toric_generators_raises_on_a_shared_index(monkeypatch):
+    import veroproj.groebner
+
+    omega = MonomialSet.full(2, 2)  # x0^2, x0x1, x0x2, x1^2, x1x2, x2^2
+    table = minimal_generator_table(omega, representatives=True)
+    # x0^2 * x1x2 = x0x1 * x0x2 is a sound pair; times x0^2 both sides hold w0
+    pairs = {2: [((0, 4), (1, 2))], 3: [((0, 0, 4), (0, 1, 2))]}
+    faulty = dataclasses.replace(table, representatives=pairs)
+    monkeypatch.setattr(veroproj.groebner, "minimal_generator_table", lambda *a, **k: faulty)
+    with pytest.raises(AssertionError, match=r"\(0, 0, 4\) and \(0, 1, 2\) share a factor"):
+        toric_generators(omega)
+
+
 def test_buchberger_full_veronese_quadric():
     omega = MonomialSet.full(2, 2)
     gens = toric_generators(omega)
@@ -458,8 +501,8 @@ def test_code_degree_bound_is_checked_before_coding():
     # the exponent 256 of w1^256 would reach its lane's guard bit
     omega = MonomialSet([(2, 0), (1, 1), (0, 2)])
     order = TermOrder("degrevlex", (0, 1, 2))
-    big = Binomial.make(omega, (128, 0, 128), (0, 256, 0))
-    below = Binomial.make(omega, (127, 0, 127), (0, 254, 0))
+    big = make(omega, (128, 0, 128), (0, 256, 0))
+    below = make(omega, (127, 0, 127), (0, 254, 0))
     assert big.degree == CODE_DEGREE_BOUND
     with pytest.raises(ValueError, match="code degree bound 256"):
         buchberger([big], order)
@@ -551,6 +594,45 @@ def test_buchberger_logs_its_counters(caplog):
     assert 0 < hits < lookups and steps > 0
 
 
+# Every number of buchberger's debug line, recorded when the pending pairs
+# were a heap of (degree, formation) entries, the order the per-degree FIFO
+# lists must keep: inputs, inserted, pairs formed, skipped as coprime,
+# pruned by M, pruned by F, reduced to zero, cache hits, lookups and
+# reduction steps.  The small `lift` and `grow` benchmark inputs; C(8;0,2,6),
+# where an S-pair's two sides both have cached terminals and the terminals
+# differ; and four degree-4 binomials of C(6;0,0,3) as index multisets,
+# whose S-pairs reduce to binomials with a common factor of degree 2, so
+# stripping it forms pairs below the degree being processed, which come next.
+PINNED_TRACES = [
+    ("group(C(6;0,1,3,3))", "lift(rc(6,3,1); sizes=1,1,2)", None,
+     (174, 174, 1976, 12539, 0, 536, 1976, 2906, 4300, 1658)),
+    ("group(C(6;0,1,1,3))", "lift(rc(6,3,1); sizes=1,2,1)", None,
+     (102, 102, 852, 4099, 0, 200, 852, 1161, 1908, 685)),
+    ("pinched(2,4,2)", "lex", None, (33, 58, 365, 1085, 88, 115, 340, 130, 796, 760)),
+    ("pinched(3,3,2)", "degrevlex", 3, (56, 64, 410, 1503, 11, 92, 402, 205, 932, 694)),
+    ("group(C(8;0,2,6))", "deglex : w12 > w0 > w4 > w10 > w1 > w5 > w7 > w3 > w9 > w11 > w8 > w2 > w6",
+     None, (50, 56, 341, 1104, 6, 89, 335, 248, 782, 636)),
+    ("group(C(6;0,0,3))",
+     "deglex : w4 > w0 > w15 > w2 > w3 > w9 > w10 > w7 > w8 > w13 > w14 > w11 > w1 > w6 > w12 > w5",
+     [((8, 8, 8, 14), (3, 7, 15, 15)), ((1, 7, 9, 11), (2, 4, 6, 15)),
+      ((6, 6, 9, 9), (0, 12, 12, 12)), ((1, 1, 3, 15), (0, 5, 5, 8))],
+     (4, 15, 40, 35, 29, 1, 29, 13, 88, 36)),
+]
+
+
+@pytest.mark.parametrize("family, order_text, gens, counts", PINNED_TRACES)
+def test_buchberger_trace_is_pinned(caplog, family, order_text, gens, counts):
+    omega = parse_family(family).build()
+    if isinstance(gens, list):
+        gens = [from_indices(omega, lhs, rhs) for lhs, rhs in gens]
+    else:  # a k_max for the table's generators
+        gens = toric_generators(omega, k_max=gens)
+    with caplog.at_level(logging.DEBUG, logger="veroproj"):
+        buchberger(gens, parse_order(order_text, omega))
+    [line] = [r.getMessage() for r in caplog.records if r.getMessage().startswith("buchberger:")]
+    assert tuple(map(int, re.findall(r"\d+", line))) == counts
+
+
 def test_groebner_degree_dominates_generator_degrees():
     # basis degrees can never undercut the minimal generator degrees
     rng = random.Random(77)
@@ -569,7 +651,7 @@ def _quadratic_elements(omega, order, leads) -> GroebnerBasis:
     """The basis a `quadratic_basis` lead -> trail map stands for, its
     elements sorted as `buchberger` sorts them."""
     elements = sorted(
-        (Binomial.from_indices(omega, lead, trail) for lead, trail in leads.items()),
+        (from_indices(omega, lead, trail) for lead, trail in leads.items()),
         key=lambda g: (g.degree, g.plus, g.minus),
     )
     return GroebnerBasis(tuple(elements), order, 2 if elements else 0)
@@ -773,7 +855,7 @@ def test_buchberger_bases_against_brute_force(data):
     ]
     if cubics:
         p, q = data.draw(st.sampled_from(cubics))
-        assert buchberger([Binomial.from_indices(omega, p, q), *gens], order).elements == gb.elements
+        assert buchberger([from_indices(omega, p, q), *gens], order).elements == gb.elements
 
     def divides(u, v):
         return all(a <= b for a, b in zip(u, v))
@@ -876,7 +958,7 @@ def test_cached_reducer_agrees_with_uncached_reference(data):
             for _ in range(2):
                 assert reducer.reduce(_code(vec)) == _code(_reference_reduce(reducer, elements, vec))
         if nf is not None:
-            elements.append(_vec_strip(*ref))
+            elements.append(vec_strip(*ref))
             reducer.add(*map(_code, elements[-1]))
             new = len(elements) - 1
             for i in range(new):
