@@ -20,6 +20,7 @@ from .groups import (
     CyclicFactor,
     DiagonalGroup,
     block_group,
+    canonical_weight_vectors,
     cyclic_group,
     h_vector_group,
     invariants_of_degree,
@@ -64,7 +65,6 @@ from .survey import (
     SurveyOptions,
     SurveyRow,
     build_survey_row,
-    canonical_surface_weights,
     conjecture1_check,
     conjecture2_check,
     survey_groups,

@@ -37,7 +37,9 @@ from .groebner import (
 )
 from .groups import (
     DiagonalGroup,
+    _shift,
     block_group,
+    canonical_weight_vectors,
     cyclic_group,
     h_vector_group,
     invariants_of_degree,
@@ -441,8 +443,7 @@ def _group_label(group: DiagonalGroup, t: int, guard: int) -> TheoremVerdict:
     if group.n == 3 and t == 1 and group.is_cyclic_presentation:
         f = group.factors[0]
         d = f.order
-        shifted = tuple(sorted((w - f.weights[0]) % d for w in f.weights))
-        if shifted == (0, 1, 2, 3) and d >= 4:
+        if sorted(_shift(d, f.weights, f.weights[0])) == [0, 1, 2, 3] and d >= 4:
             if d == 4:
                 return TheoremVerdict(
                     "GQuadratic", "proved-by-theorem", "quartic-threefold-revlex-gb",
@@ -710,13 +711,11 @@ def _scenario_quartic_invariants(opts: ScenarioOptions) -> list[dict]:
 
 def _surface_sweep(d_max: int, check, opts: ScenarioOptions) -> list[dict]:
     """One step per order d; check(group) returns a mismatch label or None."""
-    from .survey import canonical_surface_weights
-
     steps = []
     for d in range(2, d_max + 1):
         mismatches = []
-        for a1, a2 in canonical_surface_weights(d):
-            g = cyclic_group(d, (0, a1, a2))
+        for weights in canonical_weight_vectors(2, d):
+            g = cyclic_group(d, weights)
             label = check(g)
             if label is not None:
                 mismatches.append(label)
@@ -878,13 +877,11 @@ def _scenario_lift(opts: ScenarioOptions) -> list[dict]:
 
 
 def _scenario_surface_search(opts: ScenarioOptions) -> list[dict]:
-    from .survey import canonical_surface_weights
-
     steps = []
     for d in range(2, 16):
         missing = []
-        for a1, a2 in canonical_surface_weights(d):
-            g = cyclic_group(d, (0, a1, a2))
+        for weights in canonical_weight_vectors(2, d):
+            g = cyclic_group(d, weights)
             if not surface_quadraticity(g).quadratic:
                 continue
             b1 = invariants_of_degree(g, 1, guard=opts.guard)

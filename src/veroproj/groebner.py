@@ -435,7 +435,13 @@ def _decode(code: int, mu: int) -> tuple[int, ...]:
 
 
 def buchberger(gens: Sequence[Binomial], order: TermOrder) -> GroebnerBasis:
-    """Reduced Groebner basis of the binomial ideal generated by gens.
+    """Reduced Groebner basis of the toric ideal that gens generate.
+
+    gens must generate the whole toric ideal of their monomial set, as
+    `toric_generators` output does.  The gcd strip and the single final
+    reduction of each trail rely on that; on other inputs the result need
+    not be a basis of the ideal gens generate, and the final gcd-free
+    check raises where it sees so.
 
     Normal selection strategy: S-pairs are processed by ascending lcm
     degree (formation order breaking ties: one FIFO queue per degree),
@@ -564,7 +570,10 @@ def buchberger(gens: Sequence[Binomial], order: TermOrder) -> GroebnerBasis:
         trail = minimal.reduce(code + step)
         T = _decode(trail, mu)
         if mask & minimal.nonzero(trail):
-            raise AssertionError(f"reduced element {L} - {T} is not gcd-free")
+            raise AssertionError(
+                f"reduced element {L} - {T} is not gcd-free: the inputs do not generate "
+                "the whole toric ideal of their monomial set"
+            )
         if not k > key(T):
             raise AssertionError(f"reduced element {L} - {T} is not oriented by the order")
         rows.append((code % 511, L, T))

@@ -14,8 +14,11 @@ reduces to enumerating solutions of those congruences degree by degree.
 
 Presentations are taken at face value: weights are reduced modulo the
 factor order but a factor whose action has smaller order than presented
-is kept as presented, with a diagnostic warning attached, because the
-enumeration degree t * |G| depends on the presented order.
+is kept as presented, because the enumeration degree t * |G| depends on
+the presented order.  All weight arithmetic on cyclic groups lives here:
+the normal form (shift by the first weight, sort) that the surface rules
+read, and the canonical form (least sorted shift, common factor with the
+order divided out) that survey rows are keyed by.
 """
 
 from __future__ import annotations
@@ -44,14 +47,6 @@ class CyclicFactor:
             self, "weights", tuple(w % self.order for w in self.weights)
         )
 
-    @property
-    def effective_order(self) -> int:
-        """Order of the image of this factor acting on the variables."""
-        g = self.order
-        for w in self.weights:
-            g = math.gcd(g, w)
-        return self.order // g
-
     def spec_string(self) -> str:
         return f"C({self.order};{','.join(str(w) for w in self.weights)})"
 
@@ -59,9 +54,9 @@ class CyclicFactor:
 class DiagonalGroup:
     """Product of cyclic factors acting diagonally on n+1 variables."""
 
-    __slots__ = ("factors", "warnings")
+    __slots__ = ("factors",)
 
-    def __init__(self, factors: Sequence[CyclicFactor], strict: bool = False):
+    def __init__(self, factors: Sequence[CyclicFactor]):
         factors = tuple(factors)
         if not factors:
             raise ValueError("a group needs at least one factor")
@@ -72,24 +67,7 @@ class DiagonalGroup:
                     f"factor {f.spec_string()} has {len(f.weights)} weights, "
                     f"expected {nv}"
                 )
-        warnings: list[str] = []
-        for f in factors:
-            if f.effective_order != f.order:
-                warnings.append(
-                    f"factor {f.spec_string()} acts with effective order "
-                    f"{f.effective_order}, a proper divisor of the presented "
-                    f"order {f.order}"
-                )
-        for a, b in zip(factors, factors[1:]):
-            if b.order % a.order != 0:
-                warnings.append(
-                    f"invariant-factor chain broken: {a.order} does not divide "
-                    f"{b.order}"
-                )
-        if strict and warnings:
-            raise ValueError("; ".join(warnings))
         self.factors = factors
-        self.warnings = tuple(warnings)
 
     @property
     def n(self) -> int:
@@ -127,11 +105,11 @@ class DiagonalGroup:
         return f"DiagonalGroup({self.spec_string()!r})"
 
 
-def cyclic_group(order: int, weights: Sequence[int], strict: bool = False) -> DiagonalGroup:
-    return DiagonalGroup([CyclicFactor(order, tuple(weights))], strict=strict)
+def cyclic_group(order: int, weights: Sequence[int]) -> DiagonalGroup:
+    return DiagonalGroup([CyclicFactor(order, tuple(weights))])
 
 
-def parse_group(text: str, strict: bool = False) -> DiagonalGroup:
+def parse_group(text: str) -> DiagonalGroup:
     """Parse a presentation like "C(4; 0,1,2,3)" or "C(2;0,1,1)+C(4;0,2,3)"."""
     factors = []
     for chunk in text.split("+"):
@@ -157,7 +135,7 @@ def parse_group(text: str, strict: bool = False) -> DiagonalGroup:
             factors.append(CyclicFactor(order, tuple(weights)))
         except ValueError as exc:
             raise SpecParseError("group", text, token, str(exc)) from None
-    return DiagonalGroup(factors, strict=strict)
+    return DiagonalGroup(factors)
 
 
 def _solve_linear_congruence(a: int, b: int, m: int) -> tuple[int, int] | None:
@@ -302,6 +280,96 @@ def count_invariants(
 
 
 # ---------------------------------------------------------------------------
+# cyclic weights: the normal form and the canonical form
+# ---------------------------------------------------------------------------
+
+
+def _shift(d: int, weights: Sequence[int], c: int) -> tuple[int, ...]:
+    """The weights minus c, mod d.  A constant shift acts trivially on
+    monomials whose degree is a multiple of d, so it fixes every slice."""
+    return tuple((w - c) % d for w in weights)
+
+
+def _least_shift(d: int, weights: Sequence[int]) -> tuple[int, ...]:
+    """The lexicographically least sorted shift of the weights."""
+    return min(tuple(sorted(_shift(d, weights, c))) for c in set(weights))
+
+
+def canonicalize_weights(d: int, weights: tuple[int, ...]) -> dict:
+    """Audit record mapping a raw cyclic presentation to canonical form.
+
+    Shifting every weight by a constant and permuting variables leave
+    the invariant slices untouched, so the canonical form is the
+    lexicographically least sorted shift; a common divisor with d is
+    then divided out because the presented order exceeds the effective
+    one (the reduced group is the same subgroup).
+    """
+    weights = tuple(w % d for w in weights)
+    best = _least_shift(d, weights)
+    g = math.gcd(d, *best)
+    reduced_d = d // g
+    reduced = tuple(w // g for w in best)
+    spec = f"C({reduced_d};{','.join(str(w) for w in reduced)})"
+    return {
+        "raw": {"d": d, "weights": list(weights)},
+        "shifted_sorted": list(best),
+        "gcd": g,
+        "canonical": {"d": reduced_d, "weights": list(reduced)},
+        "spec": spec,
+        "changed": g > 1 or best != weights,
+    }
+
+
+def canonical_group(group: DiagonalGroup) -> tuple[DiagonalGroup, dict | None]:
+    """The canonical presentation of a cyclic group, plus its canonicalization record.
+
+    Noncyclic presentations pass through unchanged (no canonicalization
+    is defined for them); a cyclic one already in canonical form returns
+    a None record.
+    """
+    if not group.is_cyclic_presentation:
+        return group, None
+    f = group.factors[0]
+    record = canonicalize_weights(f.order, f.weights)
+    if not record["changed"]:
+        return group, None
+    canon = record["canonical"]
+    return cyclic_group(canon["d"], tuple(canon["weights"])), record
+
+
+def canonical_weight_vectors(
+    n: int, d: int, guard: int = DEFAULT_GUARD
+) -> list[tuple[int, ...]]:
+    """All canonical cyclic weight vectors for order d on n+1 variables.
+
+    Canonical means: the lexicographically least among the sorted shifts
+    of the vector (shifting every weight by a constant fixes all the
+    invariant slices, sorting permutes variables), nontrivial, and with
+    gcd(d, weights) = 1 so the presented order is the effective one.
+    Exactly one vector per equivalence class survives, which is what
+    keeps survey rows unique and resumable.  The walk visits every sorted
+    vector with first weight 0, and the guard bounds their count first.
+    """
+    if n < 1 or d < 1:
+        raise ValueError(f"need n >= 1 and d >= 1, got n={n}, d={d}")
+    total = math.comb(d - 1 + n, n)
+    if total > guard:
+        raise GuardExceeded(f"weight vectors of order {d} on {n + 1} variables", total, guard)
+    out: list[tuple[int, ...]] = []
+
+    def rec(prefix: tuple[int, ...], lo: int) -> None:
+        if len(prefix) == n + 1:
+            if any(prefix) and math.gcd(d, *prefix) == 1 and _least_shift(d, prefix) == prefix:
+                out.append(prefix)
+            return
+        for w in range(lo, d):
+            rec(prefix + (w,), w)
+
+    rec((0,), 0)
+    return out
+
+
+# ---------------------------------------------------------------------------
 # surfaces: cyclic quadraticity criterion, Koszul classification, h-vectors
 # ---------------------------------------------------------------------------
 
@@ -309,18 +377,16 @@ def count_invariants(
 def surface_normal_form(group: DiagonalGroup) -> tuple[int, tuple[int, int, int]]:
     """Normalized weights (0, a1, a2) of a cyclic group acting on 3 variables.
 
-    The first weight is shifted to zero (a constant shift acts trivially
-    on monomials whose degree is a multiple of the order) and the rest
-    are sorted ascending, which is a relabeling of the variables.
+    The weights are shifted by the first weight, which moves it to zero,
+    and sorted ascending, which is a relabeling of the variables.
     """
     if group.n != 2:
         raise ValueError(f"surface normal form needs 3 variables, got {group.n + 1}")
     if not group.is_cyclic_presentation:
         raise ValueError("surface normal form is defined for cyclic presentations")
     f = group.factors[0]
-    d = f.order
-    shifted = sorted((w - f.weights[0]) % d for w in f.weights)
-    return d, (shifted[0], shifted[1], shifted[2])
+    a0, a1, a2 = sorted(_shift(f.order, f.weights, f.weights[0]))
+    return f.order, (a0, a1, a2)
 
 
 @dataclass(frozen=True)
@@ -329,10 +395,6 @@ class SurfaceCriterion:
 
     d: int
     normal_form: tuple[int, int, int]
-    alpha1_prime: int | None
-    d_prime: int | None
-    lam: int | None
-    mu: int | None
     gcd_product: int | None
     quadratic: bool
     degenerate: str | None = None
@@ -382,12 +444,12 @@ def surface_quadraticity(group: DiagonalGroup) -> SurfaceCriterion:
     if a0 != 0:
         raise AssertionError(f"normal form {nf} does not start at weight 0")
     if d == 1 or a2 == 0:
-        return SurfaceCriterion(d, nf, None, None, None, None, None, True, "trivial-action")
+        return SurfaceCriterion(d, nf, None, True, "trivial-action")
     if a1 == 0:
         # gcd(0, d) = d, so d' = 1, lam = 1, and the product is d > 1
-        return SurfaceCriterion(d, nf, 0, 1, 1, a2, d, True, "two-variable-action")
-    a1p, dp, lam, mu, product = lambda_decomposition(d, a1, a2)
-    return SurfaceCriterion(d, nf, a1p, dp, lam, mu, product, product > 1)
+        return SurfaceCriterion(d, nf, d, True, "two-variable-action")
+    *_, product = lambda_decomposition(d, a1, a2)
+    return SurfaceCriterion(d, nf, product, product > 1)
 
 
 @dataclass(frozen=True)
@@ -397,9 +459,9 @@ class SurfaceCertificate:
     `rule` is the rule's citation key and `detail` says how the weights
     meet it.  The rc rule ("rc-order-quadratic-gb") carries k and t with
     d = t*k*(k-1) and `roles`, the coordinates of the group playing the
-    (a, b, c) exponents of the (0,1,k) pattern; the Veronese-power rule
-    ("veronese-power-gb") carries delta = gcd(d, a1, a2) and the reduced
-    group of order d/delta whose invariant ring it is a Veronese power of.
+    (a, b, c) exponents of the (0,1,k) pattern.  The Veronese-power rule
+    ("veronese-power-gb") names delta = gcd(d, a1, a2) and the order
+    d/delta of the reduced group in `detail`.
     """
 
     rule: str
@@ -407,8 +469,6 @@ class SurfaceCertificate:
     k: int | None = None
     t: int | None = None
     roles: tuple[int, int, int] | None = None
-    delta: int | None = None
-    reduced: DiagonalGroup | None = None
 
 
 def surface_certificate(group: DiagonalGroup) -> SurfaceCertificate | None:
@@ -424,11 +484,12 @@ def surface_certificate(group: DiagonalGroup) -> SurfaceCertificate | None:
     """
     if group.n != 2 or not group.is_cyclic_presentation:
         return None
-    d, (_, a1, a2) = surface_normal_form(group)
+    f = group.factors[0]
+    d = f.order
+    shifted = _shift(d, f.weights, f.weights[0])
+    _, a1, a2 = sorted(shifted)
     if d < 2 or a2 == 0:
         return None
-    f = group.factors[0]
-    shifted = [(w - f.weights[0]) % d for w in f.weights]
     k = 2
     while k * (k - 1) <= d:
         if d % (k * (k - 1)) == 0:
@@ -453,13 +514,11 @@ def surface_certificate(group: DiagonalGroup) -> SurfaceCertificate | None:
         return SurfaceCertificate(
             "even-reflection-gb", f"normal form (0,{a1},{a2}) with a1+a2=d={d}"
         )
-    delta = math.gcd(d, math.gcd(a1, a2))
+    delta = math.gcd(d, a1, a2)
     if delta > 1:
         return SurfaceCertificate(
             "veronese-power-gb",
             f"gcd(d,a1,a2)={delta} reduces to order {d // delta}",
-            delta=delta,
-            reduced=cyclic_group(d // delta, (0, a1 // delta, a2 // delta)),
         )
     return None
 
@@ -467,7 +526,6 @@ def surface_certificate(group: DiagonalGroup) -> SurfaceCertificate | None:
 @dataclass(frozen=True)
 class SurfaceKoszulVerdict:
     koszul: bool
-    quadratic: bool
     route: str
     detail: str
 
@@ -488,7 +546,6 @@ def surface_koszul(group: DiagonalGroup) -> SurfaceKoszulVerdict:
         crit = surface_quadraticity(group)
         return SurfaceKoszulVerdict(
             crit.quadratic,
-            crit.quadratic,
             "gcd-criterion",
             f"normal form {crit.normal_form}, gcd product {crit.gcd_product}",
         )
@@ -496,15 +553,15 @@ def surface_koszul(group: DiagonalGroup) -> SurfaceKoszulVerdict:
     chain = all(b % a == 0 for a, b in zip(orders, orders[1:]))
     if chain and len(orders) >= 2 and all(o >= 2 for o in orders):
         return SurfaceKoszulVerdict(
-            True, True, "noncyclic-invariant",
+            True, "noncyclic-invariant",
             f"nontrivial invariant-factor chain {orders}",
         )
     # fall back: quadratic iff some invariant of degree |G| uses exactly 2 variables
     b1 = invariants_of_degree(group, 1)
     witness = next((m for m in b1 if len(m.support()) == 2), None)
     if witness is not None:
-        return SurfaceKoszulVerdict(True, True, "support-2", f"witness {tuple(witness)}")
-    return SurfaceKoszulVerdict(False, False, "support-2", "no invariant uses exactly two variables")
+        return SurfaceKoszulVerdict(True, "support-2", f"witness {tuple(witness)}")
+    return SurfaceKoszulVerdict(False, "support-2", "no invariant uses exactly two variables")
 
 
 @dataclass(frozen=True)

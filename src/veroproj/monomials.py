@@ -15,7 +15,6 @@ after a '#' is a comment.
 from __future__ import annotations
 
 import copy
-import math
 from typing import Iterable, Iterator, Sequence
 
 
@@ -48,11 +47,6 @@ class Monomial(tuple):
         if len(self) != len(other):
             raise ValueError(f"variable count mismatch: {len(self)} vs {len(other)}")
         return all(a <= b for a, b in zip(self, other))
-
-    def __mul__(self, other: Sequence[int]) -> "Monomial":  # type: ignore[override]
-        if len(self) != len(other):
-            raise ValueError(f"variable count mismatch: {len(self)} vs {len(other)}")
-        return Monomial(a + b for a, b in zip(self, other))
 
     def quotient(self, other: "Monomial") -> "Monomial":
         """Exponent-wise difference self / other; other must divide self."""
@@ -198,10 +192,6 @@ class MonomialSet:
     def d(self) -> int:
         return self._d
 
-    @property
-    def members(self) -> tuple[Monomial, ...]:
-        return self._members
-
     def __len__(self) -> int:
         return len(self._members)
 
@@ -244,9 +234,6 @@ class MonomialSet:
                 raise ValueError(f"{tuple(mm)} is not in the set, cannot remove it")
             gone.add(mm)
         return MonomialSet(m for m in self._members if m not in gone)
-
-    def is_full(self) -> bool:
-        return len(self) == math.comb(self._n + self._d, self._n)
 
     def has_pure_powers(self) -> bool:
         """Whether every x_i^d is a member."""

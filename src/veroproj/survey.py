@@ -14,7 +14,6 @@ from __future__ import annotations
 import csv
 import json
 import logging
-import math
 import os
 import time
 from dataclasses import dataclass, field
@@ -26,6 +25,8 @@ from .fibers import minimal_generator_table
 from .groebner import search_quadratic_order
 from .groups import (
     DiagonalGroup,
+    canonical_group,
+    canonical_weight_vectors,
     cyclic_group,
     invariants_of_degree,
     surface_quadraticity,
@@ -39,102 +40,10 @@ __all__ = [
     "SurveyRow",
     "TriState",
     "build_survey_row",
-    "canonical_surface_weights",
-    "canonical_weight_vectors",
-    "canonicalize_weights",
     "conjecture1_check",
     "conjecture2_check",
     "survey_groups",
 ]
-
-
-# ---------------------------------------------------------------------------
-# weight canonicalization
-
-
-def canonical_weight_vectors(
-    n: int, d: int, guard: int = DEFAULT_GUARD
-) -> list[tuple[int, ...]]:
-    """All canonical cyclic weight vectors for order d on n+1 variables.
-
-    Canonical means: the lexicographically least among the sorted shifts
-    of the vector (shifting every weight by a constant fixes all the
-    invariant slices, sorting permutes variables), nontrivial, and with
-    gcd(d, weights) = 1 so the presented order is the effective one.
-    Exactly one vector per equivalence class survives, which is what
-    keeps survey rows unique and resumable.  The walk visits every sorted
-    vector with first weight 0, and the guard bounds their count first.
-    """
-    if n < 1 or d < 1:
-        raise ValueError(f"need n >= 1 and d >= 1, got n={n}, d={d}")
-    total = math.comb(d - 1 + n, n)
-    if total > guard:
-        raise GuardExceeded(f"weight vectors of order {d} on {n + 1} variables", total, guard)
-    out: list[tuple[int, ...]] = []
-
-    def rec(prefix: tuple[int, ...], lo: int) -> None:
-        if len(prefix) == n + 1:
-            if any(prefix) and not canonicalize_weights(d, prefix)["changed"]:
-                out.append(prefix)
-            return
-        for w in range(lo, d):
-            rec(prefix + (w,), w)
-
-    rec((0,), 0)
-    return out
-
-
-def canonical_surface_weights(d: int) -> list[tuple[int, int]]:
-    """Canonical (a1, a2) pairs for cyclic surface groups of order d."""
-    return [(v[1], v[2]) for v in canonical_weight_vectors(2, d)]
-
-
-def canonicalize_weights(d: int, weights: tuple[int, ...]) -> dict:
-    """Audit record mapping a raw cyclic presentation to canonical form.
-
-    Shifting every weight by a constant and permuting variables leave
-    the invariant slices untouched, so the canonical form is the
-    lexicographically least sorted shift; a common divisor with d is
-    then divided out because the presented order exceeds the effective
-    one (the reduced group is the same subgroup).
-    """
-    weights = tuple(w % d for w in weights)
-    best = None
-    for c in set(weights):
-        shifted = tuple(sorted((w - c) % d for w in weights))
-        if best is None or shifted < best:
-            best = shifted
-    g = d
-    for w in best:
-        g = math.gcd(g, w)
-    reduced_d = d // g
-    reduced = tuple(w // g for w in best)
-    spec = f"C({reduced_d};{','.join(str(w) for w in reduced)})"
-    return {
-        "raw": {"d": d, "weights": list(weights)},
-        "shifted_sorted": list(best),
-        "gcd": g,
-        "canonical": {"d": reduced_d, "weights": list(reduced)},
-        "spec": spec,
-        "changed": g > 1 or best != weights,
-    }
-
-
-def canonical_group(group: DiagonalGroup) -> tuple[DiagonalGroup, dict | None]:
-    """The canonical presentation of a cyclic group, plus its canonicalization record.
-
-    Noncyclic presentations pass through unchanged (no canonicalization
-    is defined for them); a cyclic one already in canonical form returns
-    a None record.
-    """
-    if not group.is_cyclic_presentation:
-        return group, None
-    f = group.factors[0]
-    record = canonicalize_weights(f.order, f.weights)
-    if not record["changed"]:
-        return group, None
-    canon = record["canonical"]
-    return cyclic_group(canon["d"], tuple(canon["weights"])), record
 
 
 # ---------------------------------------------------------------------------

@@ -5,11 +5,14 @@ components are grown by repeated scans, so nothing here shares code or
 shortcuts with `veroproj.fibers`.  `make` builds a binomial the checked
 way, from its two sides' products of omega members, which
 `groebner.toric_generators` trusts the fiber table for.
+`canonical_vectors` lists canonical cyclic weight vectors by walking
+every vector of weights, sharing nothing with `veroproj.groups`.
 """
 
 from __future__ import annotations
 
-from itertools import combinations_with_replacement
+import itertools
+import math
 
 from veroproj.groebner import Binomial
 from veroproj.monomials import MonomialSet
@@ -23,7 +26,7 @@ def product(omega: MonomialSet, multiset: tuple[int, ...]) -> tuple[int, ...]:
 def brute_fibers(omega: MonomialSet, k: int) -> dict[tuple[int, ...], list[tuple[int, ...]]]:
     """Every k-multiset of indices, sorted, under its product."""
     out: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
-    for combo in combinations_with_replacement(range(len(omega)), k):
+    for combo in itertools.combinations_with_replacement(range(len(omega)), k):
         out.setdefault(product(omega, combo), []).append(combo)
     return out
 
@@ -97,3 +100,15 @@ def from_indices(omega: MonomialSet, lhs, rhs) -> Binomial:
     for i in rhs:
         minus[i] += 1
     return make(omega, plus, minus)
+
+
+def canonical_vectors(n: int, d: int) -> list[tuple[int, ...]]:
+    """Canonical weight vectors of order d on n+1 variables, sorted: the
+    least member of each orbit of range(d)^(n+1) under a constant shift
+    mod d and sorting, kept when it is not constant and has gcd 1 with d."""
+    out = set()
+    for v in itertools.product(range(d), repeat=n + 1):
+        least = min(tuple(sorted((w - c) % d for w in v)) for c in range(d))
+        if any(least) and math.gcd(d, *least) == 1:
+            out.add(least)
+    return sorted(out)

@@ -36,8 +36,7 @@ from veroproj.groebner import (
 )
 from veroproj.families import FamilySpec, koszul_label, parse_family
 from veroproj.groebner import _candidate_orders, _code, _decode, _Reducer
-from veroproj.groups import block_group, cyclic_group, invariants_of_degree
-from veroproj.survey import canonical_surface_weights
+from veroproj.groups import block_group, canonical_weight_vectors, cyclic_group, invariants_of_degree
 from veroproj.monomials import MonomialSet
 
 from oracles import brute_components, brute_fibers, from_indices, make, vec_strip
@@ -633,6 +632,21 @@ def test_buchberger_trace_is_pinned(caplog, family, order_text, gens, counts):
     assert tuple(map(int, re.findall(r"\d+", line))) == counts
 
 
+def test_buchberger_names_its_precondition_on_a_partial_generating_set():
+    # four cubics of the toric ideal of C(6;0,0,2) that do not generate it
+    omega = invariants_of_degree(cyclic_group(6, (0, 0, 2)), 1)
+    pairs = [
+        ((2, 2, 10), (0, 6, 9)),
+        ((0, 5, 10), (2, 4, 7)),
+        ((0, 0, 9), (2, 2, 2)),
+        ((6, 9, 11), (8, 8, 10)),
+    ]
+    gens = [from_indices(omega, lhs, rhs) for lhs, rhs in pairs]
+    order = parse_order("deglex : w11 > w10 > w4 > w6 > w8 > w1 > w7 > w0 > w2 > w9 > w5 > w3", omega)
+    with pytest.raises(AssertionError, match="not gcd-free: the inputs do not generate the whole toric ideal"):
+        buchberger(gens, order)
+
+
 def test_groebner_degree_dominates_generator_degrees():
     # basis degrees can never undercut the minimal generator degrees
     rng = random.Random(77)
@@ -1155,8 +1169,8 @@ def test_rc_label_search_and_parse_agree():
     """
     rc_groups = []
     for d in range(2, 31):
-        for a1, a2 in canonical_surface_weights(d):
-            group = cyclic_group(d, (0, a1, a2))
+        for weights in canonical_weight_vectors(2, d):
+            group = cyclic_group(d, weights)
             b1 = invariants_of_degree(group, 1)
             first = next(_candidate_orders(b1, seed=0))
             is_rc = first.spec_string().startswith("rc(")

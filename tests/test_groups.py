@@ -10,6 +10,7 @@ from veroproj.groups import (
     CyclicFactor,
     DiagonalGroup,
     block_group,
+    canonical_weight_vectors,
     count_invariants,
     cyclic_group,
     h_vector_group,
@@ -24,6 +25,8 @@ from veroproj.groups import (
 )
 from veroproj.errors import GuardExceeded, SpecParseError
 from veroproj.monomials import enumerate_degree
+
+from oracles import canonical_vectors
 
 # invariant monomials of the order-4 cyclic action with weights (0,1,2,3),
 # in degrees 4 and 8, from the worked example these tests freeze
@@ -58,21 +61,14 @@ def test_parse_and_format():
         parse_group("C(zero; 0,1)")
 
 
-def test_weights_reduced_and_warnings():
+def test_weights_reduced_and_presented_order_kept():
     f = CyclicFactor(4, (5, -1, 2, 3))
     assert f.weights == (1, 3, 2, 3)
-    g = parse_group("C(6;2,2,2)")
-    assert g.factors[0].effective_order == 3
-    assert any("effective order 3" in w for w in g.warnings)
-    trivial = parse_group("C(2;0,0,0)")
-    assert trivial.factors[0].effective_order == 1
-    assert trivial.warnings
-    with pytest.raises(ValueError):
-        parse_group("C(2;0,0,0)", strict=True)
+    # a factor acting with a smaller order than presented keeps its order
+    g = parse_group("C(6;8,2,2)")
+    assert g.factors[0].weights == (2, 2, 2) and g.order == 6
     chain = DiagonalGroup([CyclicFactor(3, (0, 1, 2)), CyclicFactor(2, (0, 1, 1))])
-    assert any("chain" in w for w in chain.warnings)
-    clean = parse_group("C(4;0,1,2,3)")
-    assert clean.warnings == ()
+    assert chain.order == 6
 
 
 def test_invariants_quartic_group_verbatim():
@@ -126,7 +122,7 @@ def test_products_of_invariants_stay_invariant():
     g = parse_group("C(4;0,1,2,3)")
     b1 = invariants_of_degree(g, 1)
     for a, b in itertools.combinations_with_replacement(b1, 2):
-        assert g.is_invariant(a * b)
+        assert g.is_invariant(tuple(x + y for x, y in zip(a, b)))
 
 
 def test_pure_powers_always_invariant():
@@ -144,6 +140,16 @@ def test_surface_normal_form():
     assert surface_normal_form(cyclic_group(6, (2, 2, 2))) == (6, (0, 0, 0))
     with pytest.raises(ValueError):
         surface_normal_form(parse_group("C(4;0,1,2,3)"))
+    # a canonical surface vector is its own normal form
+    for d in range(1, 41):
+        for v in canonical_weight_vectors(2, d):
+            assert surface_normal_form(cyclic_group(d, v)) == (d, v)
+
+
+@pytest.mark.parametrize("n, d_max", [(2, 14), (3, 8), (4, 6)])
+def test_canonical_weight_vectors_against_orbit_minima(n, d_max):
+    for d in range(1, d_max + 1):
+        assert canonical_weight_vectors(n, d) == canonical_vectors(n, d), (n, d)
 
 
 def test_lambda_decomposition_worked_examples():
@@ -188,8 +194,7 @@ def test_surface_quadraticity_examples():
 def test_surface_certificate_cases():
     power = surface_certificate(cyclic_group(8, (0, 2, 6)))
     assert power.rule == "veronese-power-gb"
-    assert power.delta == 2
-    assert power.reduced == cyclic_group(4, (0, 1, 3))
+    assert power.detail == "gcd(d,a1,a2)=2 reduces to order 4"
 
     assert surface_certificate(cyclic_group(4, (0, 1, 3))).rule == "even-reflection-gb"
     assert surface_certificate(cyclic_group(5, (0, 1, 2))) is None

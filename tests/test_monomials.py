@@ -27,16 +27,16 @@ def test_monomial_basics():
 def test_monomial_arithmetic():
     a = Monomial((1, 2, 0))
     b = Monomial((0, 1, 1))
-    assert a * b == Monomial((1, 3, 1))
-    assert b.divides(a * b)
+    ab = Monomial((1, 3, 1))
+    assert b.divides(ab)
     assert not a.divides(b)
-    assert (a * b).quotient(b) == a
+    assert ab.quotient(b) == a
     with pytest.raises(ValueError):
         b.quotient(a)
     with pytest.raises(ValueError):
         Monomial((1, -1))
     with pytest.raises(ValueError):
-        a * Monomial((1, 1))
+        a.divides(Monomial((1, 1)))
 
 
 def test_enumerate_degree_count_and_order():
@@ -94,7 +94,7 @@ def test_set_validation():
 
 def test_set_helpers():
     full = MonomialSet.full(2, 3)
-    assert full.is_full()
+    assert len(full) == math.comb(2 + 3, 2)
     assert full.has_pure_powers()
     smaller = full.remove((1, 1, 1))
     assert len(smaller) == len(full) - 1

@@ -10,20 +10,22 @@ import random
 import pytest
 
 from veroproj.errors import GuardExceeded
-from veroproj.groups import cyclic_group, parse_group
+from veroproj.groups import (
+    canonical_group,
+    canonical_weight_vectors,
+    canonicalize_weights,
+    cyclic_group,
+    parse_group,
+)
 from veroproj.survey import (
     SurveyOptions,
     SurveyRow,
     TriState,
     build_survey_row,
-    canonical_surface_weights,
-    canonical_weight_vectors,
-    canonicalize_weights,
     conjecture1_check,
     conjecture2_check,
     survey_groups,
 )
-from veroproj.survey import canonical_group
 
 
 def test_canonical_weight_vectors_basics():
@@ -45,8 +47,7 @@ def test_canonical_vectors_are_fixed_points():
             record = canonicalize_weights(d, v)
             assert not record["changed"], (d, v, record)
             assert record["canonical"] == {"d": d, "weights": list(v)}
-    pairs = canonical_surface_weights(7)
-    assert all(0 <= a1 <= a2 < 7 for a1, a2 in pairs)
+    assert all(0 == a0 <= a1 <= a2 < 7 for a0, a1, a2 in canonical_weight_vectors(2, 7))
 
 
 def test_canonicalize_weights_audit_record():
@@ -263,12 +264,12 @@ def test_survey_resume_reuses_guard_error_rows_of_the_same_guard(tmp_path):
 
 
 def test_canonical_weight_vectors_checks_its_guard_before_walking(monkeypatch):
-    import veroproj.survey
+    import veroproj.groups
 
     def forbidden(*args, **kwargs):
         raise AssertionError("the walk started past its guard")
 
-    monkeypatch.setattr(veroproj.survey, "canonicalize_weights", forbidden)
+    monkeypatch.setattr(veroproj.groups, "_least_shift", forbidden)
     with pytest.raises(GuardExceeded) as exc:
         canonical_weight_vectors(6, 60, guard=10**6)
     assert exc.value.count == math.comb(65, 6)
