@@ -430,7 +430,7 @@ def _group_label(group: DiagonalGroup, t: int, guard: int) -> TheoremVerdict:
         cert = surface_certificate(group)
         if cert is not None:
             return TheoremVerdict("GQuadratic", "proved-by-theorem", cert.rule, detail=cert.detail)
-        verdict = surface_koszul(group)
+        verdict = surface_koszul(group, guard)
         citation = (
             "surface-koszul-noncyclic"
             if verdict.route == "noncyclic-invariant"

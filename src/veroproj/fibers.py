@@ -18,8 +18,8 @@ index, so every fiber is an independent set and the count is just
 
 The class walk (`_class_walk`) counts the components of every table from
 index masks, with no multiset formed.  A degree-2 class is one multiset,
-so the degree-2 fibers the order search pairs are read off its masks, and
-`representatives=True` (whose only caller is `groebner.toric_generators`)
+so the degree-2 fibers the order search pairs are decoded off its masks
+when read, and `representatives=True` (only `groebner.toric_generators`)
 searches each split fiber's classes for their lex-least multisets.
 Hilbert values and 2-normality walk distinct products only (`_walk`).
 """
@@ -31,7 +31,7 @@ import logging
 import math
 import operator
 from dataclasses import dataclass, field
-from typing import Iterator, NamedTuple, Sequence
+from typing import Iterator, Sequence
 
 from .errors import DEFAULT_GUARD, GuardExceeded
 from .monomials import Monomial, MonomialSet, enumerate_degree
@@ -100,7 +100,8 @@ def _class_walk(omega: MonomialSet, k_max: int) -> Iterator[tuple[dict, int, dic
     mask(p) | 1 << j.  Components of one fiber use disjoint indices, so
     they are the classes of pair masks joined by overlap.  The pairs with
     j at least the least last index of p's multisets still cover every
-    multiset e: take p = e minus its last index j.
+    multiset e: take p = e minus its last index j.  Degree-2 pairs are
+    appended unscanned; `split` skips listed splits that merged back.
     """
     radix = _radix(omega, k_max)
     members = [_pack(m, radix) for m in omega]
@@ -110,6 +111,7 @@ def _class_walk(omega: MonomialSet, k_max: int) -> Iterator[tuple[dict, int, dic
     for k in range(2, k_max + 1):
         classes: dict = {}  # product -> its one class mask, or a list of disjoint ones
         firsts: list = [[] for _ in range(mu)]  # products by the index j that reached them first
+        splits: list = []  # products as their fibers split; some may merge back
         active: list = []
         pairs = 0
         for j, mj in enumerate(members):
@@ -126,7 +128,13 @@ def _class_walk(omega: MonomialSet, k_max: int) -> Iterator[tuple[dict, int, dic
                     classes[q] = g
                     new.append(q)
                 elif c.__class__ is int:
-                    classes[q] = c | g if c & g else [c, g]
+                    if c & g:
+                        classes[q] = c | g
+                    else:
+                        classes[q] = [c, g]
+                        splits.append(q)
+                elif k == 2:  # distinct degree-2 multisets of one product share no index
+                    c.append(g)
                 else:
                     keep = []
                     for other in c:
@@ -139,7 +147,7 @@ def _class_walk(omega: MonomialSet, k_max: int) -> Iterator[tuple[dict, int, dic
                         classes[q] = keep
                     else:
                         classes[q] = g
-        split = {q: c for q, c in classes.items() if c.__class__ is not int}
+        split = {q: classes[q] for q in splits if classes[q].__class__ is not int}
         for q, c in split.items():
             classes[q] = functools.reduce(operator.or_, c)
         yield classes, pairs, split
@@ -245,16 +253,28 @@ class QuadraticityAnswer:
         return self.status == "yes"
 
 
-class QuadraticFibers(NamedTuple):
+def _quadric_pairs(split: dict) -> list[list[tuple[int, int]]]:
+    """Split degree-2 fibers as (lowest, highest index) pairs of their classes, sorted
+    within a fiber (they arrive lowest index descending), fibers by descending product."""
+    return [[((c & -c).bit_length() - 1, c.bit_length() - 1) for c in reversed(classes)]
+            for _, classes in sorted(split.items(), reverse=True)]
+
+
+@dataclass(frozen=True)
+class QuadraticFibers:
     """What decides whether an order's basis is quadratic, for any number of orders.
 
-    `quadrics` holds the degree-2 fibers of more than one multiset, and
-    `cubics` is C3, the number of degree-3 fiber components, singletons
-    included (`groebner.quadratic_basis` says why that count suffices).
+    `quadrics`, decoded on first read from the masks in `split`, holds the
+    degree-2 fibers of more than one multiset, and `cubics` is C3, the number
+    of degree-3 fiber components, singletons included (`quadratic_basis` says why).
     """
 
-    quadrics: list[list[tuple[int, ...]]]
+    split: dict[int, list[int]]
     cubics: int
+
+    @functools.cached_property
+    def quadrics(self) -> list[list[tuple[int, int]]]:
+        return _quadric_pairs(self.split)
 
     @classmethod
     def of(cls, omega: MonomialSet, guard: int = DEFAULT_GUARD) -> "QuadraticFibers":
@@ -363,28 +383,23 @@ def minimal_generator_table(
     _check_fiber_guard(mu, 2, k_max, guard)
     members = [_pack(m, _radix(omega, k_max)) for m in omega] if representatives else []
     reps: dict[int, list[tuple[tuple[int, ...], tuple[int, ...]]]] = {}
-    quadrics: list[list[tuple[int, ...]]] = []
     # per degree: k, products, (p, j) pairs walked, fibers split, generators
     counts: list[tuple[int, int, int, int, int]] = []
     for k, (masks, pairs, split) in enumerate(_class_walk(omega, k_max), start=2):
         count = sum(len(classes) - 1 for classes in split.values())
         counts.append((k, len(masks), pairs, len(split), count))
-        # only split fibers count, in descending product order
-        ordered = sorted(split.items(), reverse=True)
         if k == 2:
             if len(masks) + count != _multiset_count(mu, 2):
                 raise RuntimeError(
                     f"class walk check failed: {len(masks)} degree-2 products and "
                     f"{count} generators, but {_multiset_count(mu, 2)} multisets"
                 )
-            # a degree-2 class is one multiset: its lowest and highest index
-            least = quadrics = [
-                sorted(((c & -c).bit_length() - 1, c.bit_length() - 1) for c in classes)
-                for _, classes in ordered
-            ]
-        elif representatives:
-            least = [sorted(_least_multiset(members, c, q, k) for c in cs) for q, cs in ordered]
+            degree2 = split  # every walk to k_max >= 2 passes here
         if representatives and split:
+            least = _quadric_pairs(split) if k == 2 else [
+                sorted(_least_multiset(members, c, q, k) for c in cs)
+                for q, cs in sorted(split.items(), reverse=True)
+            ]
             # each component's lex-least multiset pairs with the fiber's
             reps[k] = [(e, fiber[0]) for fiber in least for e in fiber[1:]]
     logger.debug(
@@ -399,7 +414,7 @@ def minimal_generator_table(
     degrees = {k: count for k, *_, count in counts if count}
     # C3: each degree-3 fiber has one component more than it adds generators
     cubics = sum(products + count for k, products, *_, count in counts if k == 3)
-    fibers = QuadraticFibers(quadrics, cubics) if k_max >= 3 else None
+    fibers = QuadraticFibers(degree2, cubics) if k_max >= 3 else None
     return GeneratorTable(degrees, k_max, bound, reps if representatives else None, fibers)
 
 

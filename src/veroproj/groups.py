@@ -530,15 +530,15 @@ class SurfaceKoszulVerdict:
     detail: str
 
 
-def surface_koszul(group: DiagonalGroup) -> SurfaceKoszulVerdict:
+def surface_koszul(group: DiagonalGroup, guard: int = DEFAULT_GUARD) -> SurfaceKoszulVerdict:
     """Koszul classification for diagonal groups acting on 3 variables.
 
     For a cyclic presentation, Koszulness, quadraticity, and the gcd
     criterion all agree.  A presentation with at least two nontrivial
     factors forming a divisibility chain always has an invariant of the
     shape x0^e x1^(d-e), which settles Koszulness affirmatively.  Any
-    other presentation falls back to the support-2 test on B_1, which is
-    equivalent for every diagonal surface group.
+    other presentation falls back to the support-2 test on B_1 (enumerated
+    under `guard`), which is equivalent for every diagonal surface group.
     """
     if group.n != 2:
         raise ValueError(f"surface classification needs 3 variables, got {group.n + 1}")
@@ -557,7 +557,7 @@ def surface_koszul(group: DiagonalGroup) -> SurfaceKoszulVerdict:
             f"nontrivial invariant-factor chain {orders}",
         )
     # fall back: quadratic iff some invariant of degree |G| uses exactly 2 variables
-    b1 = invariants_of_degree(group, 1)
+    b1 = invariants_of_degree(group, 1, guard)
     witness = next((m for m in b1 if len(m.support()) == 2), None)
     if witness is not None:
         return SurfaceKoszulVerdict(True, "support-2", f"witness {tuple(witness)}")

@@ -197,6 +197,13 @@ def test_guard_exit_code(capsys):
     assert code == 3 and "guard" in err
 
 
+def test_label_guard_bounds_the_support_two_fallback(capsys):
+    # a noncyclic surface group off the divisibility chain: the label enumerates
+    # its 28 degree-6 candidate monomials, past a guard of 5
+    code, _, err = run(capsys, "label", "--guard", "5", "group(C(2;0,1,1)+C(3;0,1,2))")
+    assert code == 3 and "guard" in err
+
+
 def test_mingens_rejects_a_max_degree_below_one(capsys):
     code, out, err = run(capsys, "mingens", "full(2,2)", "--max-degree", "-3")
     assert code == 2 and out == "" and "need k_max >= 1" in err

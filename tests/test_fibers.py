@@ -71,8 +71,29 @@ def _check_walk_levels(omega: MonomialSet, k_max: int) -> None:
         }
 
 
+def _check_class_levels(omega: MonomialSet, k_max: int) -> None:
+    # each class level maps every product to the union of its components' indices,
+    # and its split dict holds exactly the fibers of several components, with their masks
+    radix = fibers._radix(omega, k_max)
+    for k, (masks, _, split) in enumerate(fibers._class_walk(omega, k_max), start=2):
+        comps = {
+            fibers._pack(t, radix): [sum(1 << i for i in set(chain(*c))) for c in brute_components(e)]
+            for t, e in brute_fibers(omega, k).items()
+        }
+        assert masks == {q: sum(cs) for q, cs in comps.items()}
+        assert set(split) == {q for q, cs in comps.items() if len(cs) > 1}
+        for q, classes in split.items():
+            assert sorted(classes) == sorted(comps[q])
+
+
 def test_walk_levels_map_products_to_least_last_index():
     _check_walk_levels(escalating_family(4), 3)
+
+
+def test_class_levels_match_brute_components():
+    # OVERLAP_OMEGA merges classes at degree 3; escalating_family(4) splits at degrees 2 and 4
+    _check_class_levels(OVERLAP_OMEGA, 4)
+    _check_class_levels(escalating_family(4), 4)
 
 
 def test_guard_trips_with_exact_count():
@@ -257,14 +278,7 @@ def test_first_disconnected_fiber():
 def test_components_keep_the_multisets_of_a_merged_component():
     # a degree-3 fiber of the full quadratic Veronese of the plane has a
     # multiset that joins two components its predecessors left apart
-    omega = MonomialSet.full(2, 2)
-    radix = fibers._radix(omega, 3)
-    *_, (masks, _, split) = fibers._class_walk(omega, 3)
-    for target, elements in brute_fibers(omega, 3).items():
-        comps = [sum(1 << i for i in set(chain(*comp))) for comp in brute_components(elements)]
-        q = fibers._pack(target, radix)
-        assert sorted(split.get(q, [masks[q]])) == sorted(comps)
-        assert masks[q] == sum(comps)
+    _check_class_levels(MonomialSet.full(2, 2), 3)
 
 
 def test_least_multiset_against_bruteforce():
@@ -329,6 +343,7 @@ def _small_omegas(draw) -> MonomialSet:
 def test_walker_agrees_with_bruteforce(omega, k_max):
     brute = {k: brute_fibers(omega, k) for k in range(1, k_max + 1)}
     _check_walk_levels(omega, k_max)
+    _check_class_levels(omega, k_max)
 
     degrees, reps = _brute_table(omega, k_max)
     # the table with representatives and without
@@ -337,9 +352,10 @@ def test_walker_agrees_with_bruteforce(omega, k_max):
     for table in (with_reps, minimal_generator_table(omega, k_max=k_max)):
         assert table.degrees == degrees
         if k_max >= 3:
-            quadrics = [e for e in brute[2].values() if len(e) > 1]
+            # descending product order, each fiber's pairs ascending
+            quadrics = [brute[2][t] for t in sorted(brute[2], reverse=True) if len(brute[2][t]) > 1]
             cubics = [c for e in brute[3].values() for c in brute_components(e)]  # singletons too
-            assert sorted(table.fibers.quadrics) == sorted(quadrics)
+            assert table.fibers.quadrics == quadrics
             assert table.fibers.cubics == len(cubics)
         else:
             assert table.fibers is None
@@ -351,6 +367,20 @@ def test_walker_agrees_with_bruteforce(omega, k_max):
     ok, witness = is_2_normal(omega)
     assert ok == (not missing)
     assert witness == (min(missing) if missing else None)
+
+
+def test_quadrics_are_decoded_once_and_only_when_read():
+    omega = escalating_family(4)
+    table = minimal_generator_table(omega, k_max=3)
+    assert "quadrics" not in vars(table.fibers)
+    quadrics = table.fibers.quadrics
+    # x^4 z^4 = x^4 * z^4 = (x^2 z^2)^2 and x^2 y^4 z^2 = x^2 z^2 * y^4 = (x y^2 z)^2
+    assert quadrics == [[(0, 5), (2, 2)], [(2, 4), (3, 3)]]
+    assert vars(table.fibers)["quadrics"] is quadrics is table.fibers.quadrics
+    # a table with representatives reads the same pairs
+    reps = minimal_generator_table(omega, k_max=3, representatives=True)
+    assert reps.representatives[2] == [(b, a) for a, b in quadrics]
+    assert reps.fibers.quadrics == quadrics
 
 
 def test_class_walk_joins_every_class_a_pair_overlaps():
