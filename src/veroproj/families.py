@@ -362,6 +362,8 @@ def parse_family(text: str) -> FamilySpec:
 
     if head == "full":
         n, d = ints(body.split(","), 2, "full")
+        if n < 1 or d < 1:  # checked here, as `build` sees only the pinched spec
+            raise SpecParseError("family", text, body, f"full needs n >= 1 and d >= 1, got n={n}, d={d}")
         return FamilySpec("pinched", n=n, d=d, s=n + 1)
     if head == "pinched":
         n, d, s = ints(body.split(","), 3, "pinched")

@@ -16,13 +16,14 @@ basis quadratic.
 
 Buchberger's reducer (`_Reducer`) files every lead, whatever its
 degree, under its two least support variables, so a lookup probes only
-the variable pairs of the monomial it reduces that hold a lead, and it
-reduces each monomial once per basis, caching where it ends.  New
-S-pairs come from the Gebauer-Moeller update: a new element's partners
-are read off an index of leads by variable, and a pair whose lcm a kept
-pair's lcm divides is dropped.  The minimal leads form a Groebner basis, and each
-fiber of a toric ideal has one standard monomial, which reducing a kept
-trail once by them reaches.
+the variable pairs of the monomial it reduces that hold a lead.  It
+reduces each monomial once per basis, caching where it ends, decodes
+only codes no input side gave, and decodes or keys each code once.
+New S-pairs come from the Gebauer-Moeller update: a new element's
+partners are read off an index of leads by variable, and a pair whose
+lcm a kept pair's lcm divides is dropped.  The minimal leads form a
+Groebner basis, and each fiber of a toric ideal has one standard
+monomial, which reducing a kept trail once by them reaches.
 
 Conventions: an S-monomial is a tuple of mu non-negative ints;
 multiplication is componentwise addition, and divisibility is
@@ -315,7 +316,8 @@ class _Reducer:
     bucket (i, j), so `find` probes only buckets whose key divides the
     monomial and that are not empty.  `terminals` maps the code of each
     monomial reduced since the last `add` to the code of the monomial it
-    reduces to.
+    reduces to.  `vectors` and `keys` memoize `vector` and `key_of` for
+    good, a code naming one monomial; `encode` seeds the inputs' sides.
     """
 
     def __init__(self, order: TermOrder, elements: Iterable[tuple[int, int]] = ()):
@@ -328,6 +330,8 @@ class _Reducer:
         self.partners: dict[int, int] = {}
         self.index: dict[int, list[tuple[int, int]]] = {}  # keyed by the two guard bits, or one
         self.terminals: dict[int, int] = {}
+        self.vectors: dict[int, tuple[int, ...]] = {}
+        self.keys: dict[int, int] = {}
         self.lookups = self.hits = self.reductions = self.zeros = 0  # logged by buchberger
         for lead, trail in elements:
             self.add(lead, trail)
@@ -383,19 +387,37 @@ class _Reducer:
         keep = ((((a | self.guard) - b) & self.guard) >> 8) * 511
         return (a & keep) | (b & ~keep)
 
+    def encode(self, vec: tuple[int, ...]) -> int:
+        code = _code(vec)
+        self.vectors[code] = vec
+        return code
+
+    def vector(self, code: int) -> tuple[int, ...]:
+        if (vec := self.vectors.get(code)) is None:
+            vec = self.vectors[code] = _decode(code, self.mu)
+        return vec
+
+    def key_of(self, code: int) -> int:
+        if (k := self.keys.get(code)) is None:
+            k = self.keys[code] = self.key(self.vector(code))
+        return k
+
     def reduce(self, code: int) -> int:
         """Code of the monomial `code` reduces to: add code steps while `find`
         has a divisor.  The walk is deterministic, so all of it is cached."""
         terminals, path = self.terminals, []
-        while (terminal := terminals.get(code)) is None:
+        self.lookups += 1
+        if (terminal := terminals.get(code)) is not None:
+            self.hits += 1
+            return terminal
+        while terminal is None:
             path.append(code)
             if (hit := self.find(code)) is None:
                 terminal = code
-                break
-            code += self.steps[hit]
-            self.reductions += 1
-        self.lookups += 1
-        self.hits += not path
+            else:
+                code += self.steps[hit]
+                self.reductions += 1
+                terminal = terminals.get(code)
         terminals.update(dict.fromkeys(path, terminal))
         return terminal
 
@@ -409,7 +431,7 @@ class _Reducer:
         if u == v:
             self.zeros += 1
             return None
-        return (u, v) if self.key(_decode(u, self.mu)) > self.key(_decode(v, self.mu)) else (v, u)
+        return (u, v) if self.key_of(u) > self.key_of(v) else (v, u)
 
     def s_pair(self, i: int, j: int) -> tuple[int, int]:
         """Codes of the S-binomial's sides: lcm(L_i, L_j) plus each code step."""
@@ -459,7 +481,6 @@ def buchberger(gens: Sequence[Binomial], order: TermOrder) -> GroebnerBasis:
     loops work on codes in locals, with the `_Reducer` lane arithmetic
     written out.
     """
-    key, mu = order.key, order.mu
     basis = _Reducer(order)
     codes, steps, masks, terminals = basis.codes, basis.steps, basis.masks, basis.terminals
     guard, low = basis.guard, basis.guard - basis.ones  # adding low carries when e >= 1
@@ -489,9 +510,9 @@ def buchberger(gens: Sequence[Binomial], order: TermOrder) -> GroebnerBasis:
         # the irreducible L_new
         quotients = []
         for i in candidates:
-            Li = codes[i]
-            keep = ((((Li | guard) - Lnew) & guard) >> 8) * 511
-            q = (Li & keep) - (Lnew & keep)
+            diff = (codes[i] | guard) - Lnew
+            high = diff & guard  # the guard bits of the lanes where L_i >= L_new
+            q = (diff & (high >> 8) * 511) - high
             quotients.append((q % 511, i, q))
         # Gebauer-Moeller: drop (i, new) when the lcm of a kept pair (j, new)
         # divides its lcm, i.e. q_j | q_i: M when strictly, F when equal; a
@@ -520,7 +541,7 @@ def buchberger(gens: Sequence[Binomial], order: TermOrder) -> GroebnerBasis:
         for t in variables:
             by_var.setdefault(t, []).append(new)
 
-    inputs = [(_code(g.plus), _code(g.minus)) for g in gens]
+    inputs = [(basis.encode(g.plus), basis.encode(g.minus)) for g in gens]
     for u, v in inputs:
         if (nf := basis.normal_form(u, v)) is not None:
             insert(*nf)
@@ -557,24 +578,21 @@ def buchberger(gens: Sequence[Binomial], order: TermOrder) -> GroebnerBasis:
         basis.zeros, basis.hits, basis.lookups, basis.reductions,
     )
 
-    # each inserted element's lead key, lead, code and code step, by key; each
-    # key is reused for the orientation check
-    decoded = [_decode(code, mu) for code in codes]
-    minimal, leads = _Reducer(order), []
-    for k, L, code, step in sorted(zip(map(key, decoded), decoded, codes, steps)):
+    # the inserted elements by lead key, keeping the minimal leads
+    minimal = _Reducer(order)
+    for _, code, step in sorted(zip(map(basis.key_of, codes), codes, steps)):
         if minimal.find(code) is None:
             minimal.add(code, code + step)
-            leads.append((k, L))
     rows = []
-    for (k, L), code, step, mask in zip(leads, minimal.codes, minimal.steps, minimal.masks):
+    for code, step, mask in zip(minimal.codes, minimal.steps, minimal.masks):
         trail = minimal.reduce(code + step)
-        T = _decode(trail, mu)
+        L, T = basis.vector(code), basis.vector(trail)
         if mask & minimal.nonzero(trail):
             raise AssertionError(
                 f"reduced element {L} - {T} is not gcd-free: the inputs do not generate "
                 "the whole toric ideal of their monomial set"
             )
-        if not k > key(T):
+        if not basis.key_of(code) > basis.key_of(trail):
             raise AssertionError(f"reduced element {L} - {T} is not oriented by the order")
         rows.append((code % 511, L, T))
     rows.sort()

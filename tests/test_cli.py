@@ -216,6 +216,14 @@ def test_parse_error_exit_code(capsys):
     assert code == 2 and "error:" in err
 
 
+@pytest.mark.parametrize("spec, n, d", [("full(0,3)", 0, 3), ("full(2,0)", 2, 0)])
+def test_full_family_errors_name_full(capsys, spec, n, d):
+    # full(n,d) becomes pinched(n,d,n+1), so its bounds are checked before that
+    code, out, err = run(capsys, "omega", spec)
+    assert code == 2 and out == ""
+    assert f"full needs n >= 1 and d >= 1, got n={n}, d={d}" in err and "pinched" not in err
+
+
 def test_module_entry_point():
     # a source checkout runs the CLI as `python -m veroproj`
     src = Path(veroproj.__file__).resolve().parents[1]

@@ -34,6 +34,7 @@ from veroproj.groebner import (
     toric_generators,
     verify_groebner,
 )
+from veroproj import groebner
 from veroproj.families import FamilySpec, koszul_label, parse_family
 from veroproj.groebner import _candidate_orders, _code, _decode, _Reducer
 from veroproj.groups import block_group, canonical_weight_vectors, cyclic_group, invariants_of_degree
@@ -630,6 +631,37 @@ def test_buchberger_trace_is_pinned(caplog, family, order_text, gens, counts):
         buchberger(gens, parse_order(order_text, omega))
     [line] = [r.getMessage() for r in caplog.records if r.getMessage().startswith("buchberger:")]
     assert tuple(map(int, re.findall(r"\d+", line))) == counts
+
+
+# Buchberger inputs, the most `_decode` calls each may take, and the digest of
+# the basis.  When every nonzero normal form and final element was decoded,
+# they took 696, 232 and 60.  The lift's inputs are its reduced basis, so it
+# needs none.  The four binomials of C(6;0,0,3) strip gcds on the way, and a
+# stripped side must not take the vector of the side it was stripped from.
+DECODE_CASES = [
+    (*GROWN_BASES[2][:3], 0, GROWN_BASES[2][4]),
+    (*GROWN_BASES[0][:3], 231, GROWN_BASES[0][4]),
+    (*PINNED_TRACES[5][:3], 59, "f0c8d563d43b9d351f7162ead247c5ce389810c84a545cdead40ccde886dd35f"),
+]
+
+
+@pytest.mark.parametrize(
+    "family, order_text, gens, most, digest", DECODE_CASES, ids=["lift", "grow", "strip"]
+)
+def test_buchberger_decodes_only_what_no_input_gave(monkeypatch, family, order_text, gens, most, digest):
+    omega = parse_family(family).build()
+    if isinstance(gens, list):  # pairs of index multisets, as in PINNED_TRACES
+        gens = [from_indices(omega, lhs, rhs) for lhs, rhs in gens]
+    else:
+        gens = toric_generators(omega, k_max=gens)
+    decoded, decode = [], groebner._decode
+    monkeypatch.setattr(groebner, "_decode", lambda code, mu: decoded.append(code) or decode(code, mu))
+    gb = buchberger(gens, parse_order(order_text, omega))
+    # no input side is decoded, and no code twice
+    sides = {_code(vec) for g in gens for vec in (g.plus, g.minus)}
+    assert sides.isdisjoint(decoded) and len(set(decoded)) == len(decoded) <= most
+    pairs = sorted([list(g.plus), list(g.minus)] for g in gb.elements)
+    assert hashlib.sha256(json.dumps(pairs).encode()).hexdigest() == digest
 
 
 def test_buchberger_names_its_precondition_on_a_partial_generating_set():
