@@ -402,15 +402,16 @@ def minimal_generator_table(
             ]
             # each component's lex-least multiset pairs with the fiber's
             reps[k] = [(e, fiber[0]) for fiber in least for e in fiber[1:]]
-    logger.debug(
-        "minimal_generator_table: %d members; %s",
-        mu,
-        "; ".join(
-            f"degree {k}: {products} products, {pairs} (p, j) pairs, "
-            f"{split} fibers of several components, {count} generators"
-            for k, products, pairs, split, count in counts
-        ),
-    )
+    if logger.isEnabledFor(logging.DEBUG):
+        logger.debug(
+            "minimal_generator_table: %d members; %s",
+            mu,
+            "; ".join(
+                f"degree {k}: {products} products, {pairs} (p, j) pairs, "
+                f"{split} fibers of several components, {count} generators"
+                for k, products, pairs, split, count in counts
+            ),
+        )
     degrees = {k: count for k, *_, count in counts if count}
     # C3: each degree-3 fiber has one component more than it adds generators
     cubics = sum(products + count for k, products, *_, count in counts if k == 3)

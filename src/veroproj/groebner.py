@@ -12,13 +12,16 @@ orders used to lift a basis through a variable split), Buchberger with
 a normal selection strategy, the quadratic basis an order induces read
 off the degree-2 fibers and decided by one count of standard degree-3
 multisets, and a deterministic search for orders that make the reduced
-basis quadratic.
+basis quadratic.  A candidate is scored by that count alone, over the
+set bits of per-variable masks; the lead map is built only for an order
+that passes.
 
 Buchberger's reducer (`_Reducer`) files every lead, whatever its
 degree, under its two least support variables, so a lookup probes only
 the variable pairs of the monomial it reduces that hold a lead.  It
 reduces each monomial once per basis, caching where it ends, decodes
-only codes no input side gave, and decodes or keys each code once.
+only codes no input side gave, and decodes or keys each code once.  A
+walk that returns to a monomial it passed raises.
 New S-pairs come from the Gebauer-Moeller update: a new element's
 partners are read off an index of leads by variable, and a pair whose
 lcm a kept pair's lcm divides is dropped.  The minimal leads form a
@@ -89,10 +92,6 @@ class Binomial:
     @property
     def degree(self) -> int:
         return sum(self.plus)
-
-    @property
-    def is_gcd_reduced(self) -> bool:
-        return all(a == 0 or b == 0 for a, b in zip(self.plus, self.minus))
 
     def to_json_dict(self) -> dict:
         return {"plus": list(self.plus), "minus": list(self.minus), "lead": "plus"}
@@ -357,8 +356,8 @@ class _Reducer:
 
         Probes the (i, i) and (i, j) buckets of the monomial's own support,
         i ascending and j ascending after each (i, i), and each bucket in
-        insertion order, so reduction is deterministic.  Each lead is tested
-        as in `divides`, with m | guard formed once.
+        insertion order, so reduction is deterministic.  A lead L divides m
+        when every lane of (m | guard) - L keeps its guard bit.
         """
         guard, partners, index = self.guard, self.partners, self.index
         high = code | guard
@@ -375,12 +374,6 @@ class _Reducer:
                     if (high - lead) & guard == guard:
                         return idx
         return None
-
-    def divides(self, a: int, b: int) -> bool:
-        """Whether code a's monomial divides code b's: each lane of
-        (b | guard) - a keeps its guard bit exactly when b's exponent is at
-        least a's."""
-        return ((b | self.guard) - a) & self.guard == self.guard
 
     def lcm(self, a: int, b: int) -> int:
         """The lanewise max of two codes: a's lanes where a >= b, b's elsewhere."""
@@ -404,20 +397,34 @@ class _Reducer:
 
     def reduce(self, code: int) -> int:
         """Code of the monomial `code` reduces to: add code steps while `find`
-        has a divisor.  The walk is deterministic, so all of it is cached."""
+        has a divisor.  The walk is deterministic, so all of it is cached.
+        A walk descends the order and never returns to a monomial; one that
+        does (an element oriented against the order) raises.  The walk is
+        checked for a return when its length reaches 16, 32, 64, ..., so a
+        cycle is found within twice its tail plus its length, and a walk
+        shorter than 16 steps pays one length test per step."""
         terminals, path = self.terminals, []
         self.lookups += 1
         if (terminal := terminals.get(code)) is not None:
             self.hits += 1
             return terminal
-        while terminal is None:
+        lap = 16
+        while True:
             path.append(code)
             if (hit := self.find(code)) is None:
                 terminal = code
-            else:
-                code += self.steps[hit]
-                self.reductions += 1
-                terminal = terminals.get(code)
+                break
+            code += self.steps[hit]
+            self.reductions += 1
+            if (terminal := terminals.get(code)) is not None:
+                break
+            if len(path) == lap:
+                if code in path:
+                    raise AssertionError(
+                        f"reduction walk returns to {self.vector(code)}: an element is not "
+                        "oriented by the order"
+                    )
+                lap *= 2
         terminals.update(dict.fromkeys(path, terminal))
         return terminal
 
@@ -628,29 +635,38 @@ def verify_groebner(gb: GroebnerBasis, gens: Sequence[Binomial] | None = None) -
 # quadratic bases read off the degree-2 and degree-3 fibers
 
 
-def _quadratic_leads(order: TermOrder, fibers: QuadraticFibers) -> tuple[dict, int]:
-    """The lead -> trail map an order puts on the degree-2 fibers, and the
-    number of degree-3 multisets with no lead among their sub-pairs."""
+def _standard_count(order: TermOrder, fibers: QuadraticFibers) -> int:
+    """The number of degree-3 multisets with no lead among their sub-pairs
+    under the leads an order puts on the degree-2 fibers.
+
+    Each fiber's least pair is picked by comparing weight sums, the first
+    of equal sums kept as `min` keeps it (a term order has no ties); the
+    others are leads, cleared from the `free` masks.  Only the set bits of
+    each mask are walked.  Raises if the count falls below C3.
+    """
     weights, mu = order.weights, order.mu
-    leads = {}
     free = [(1 << mu) - 1] * mu  # free[i]: the j with (i, j) not a lead
     for fiber in fibers.quadrics:
-        least = min(fiber, key=lambda pair: weights[pair[0]] + weights[pair[1]])
-        for a, b in fiber:
-            if (a, b) != least:
-                leads[a, b] = least
-                free[a] &= ~(1 << b)
-                free[b] &= ~(1 << a)
+        it = iter(fiber)
+        a0, b0 = next(it)
+        low = weights[a0] + weights[b0]
+        for a, b in it:
+            if (w := weights[a] + weights[b]) < low:
+                a, b, a0, b0, low = a0, b0, a, b, w
+            free[a] &= ~(1 << b)
+            free[b] &= ~(1 << a)
     # (a, b, c) with a <= b <= c is standard when b is in free[a] and c in both
-    standard = sum(
-        ((fa & free[b]) >> b).bit_count()
-        for a, fa in enumerate(free)
-        for b in range(a, mu)
-        if fa >> b & 1
-    )
+    standard = 0
+    for a, fa in enumerate(free):
+        bits = fa >> a
+        while bits:
+            bit = bits & -bits
+            b = a + bit.bit_length() - 1
+            standard += ((fa & free[b]) >> b).bit_count()
+            bits ^= bit
     if standard < fibers.cubics:  # every component has a standard multiset
         raise AssertionError(f"{standard} standard multisets for {fibers.cubics} components")
-    return leads, standard
+    return standard
 
 
 def quadratic_basis(order: TermOrder, fibers: QuadraticFibers) -> dict | None:
@@ -668,10 +684,16 @@ def quadratic_basis(order: TermOrder, fibers: QuadraticFibers) -> dict | None:
     exactly when C3 = `fibers.cubics` multisets, one per component with
     singletons counted, are standard (Sturmfels, Groebner Bases and Convex
     Polytopes, ch. 4, counted instead of walked).  Returns G as a map from
-    each lead pair to its trail pair, or None.
+    each lead pair to its trail pair, built only for an order that passes,
+    or None.
     """
-    leads, standard = _quadratic_leads(order, fibers)
-    return leads if standard == fibers.cubics else None
+    if _standard_count(order, fibers) != fibers.cubics:
+        return None
+    weights, leads = order.weights, {}
+    for fiber in fibers.quadrics:
+        least = min(fiber, key=lambda pair: weights[pair[0]] + weights[pair[1]])
+        leads.update((pair, least) for pair in fiber if pair != least)
+    return leads
 
 
 # ---------------------------------------------------------------------------
@@ -795,7 +817,7 @@ def search_quadratic_order(
     surplus: list[int] = []  # standard degree-3 multisets over C3, per failed candidate
     found = None
     for order in itertools.islice(_candidate_orders(omega, seed), 0 if impossible else max(budget, 0)):
-        standard = _quadratic_leads(order, fibers)[1]
+        standard = _standard_count(order, fibers)
         if standard == fibers.cubics:
             found = order
             break

@@ -10,7 +10,10 @@ x^a is invariant exactly when
 
 holds for every factor.  Everything downstream (Hilbert series slices,
 h-vectors, the surface quadraticity criterion, block groups for lifts)
-reduces to enumerating solutions of those congruences degree by degree.
+reduces to enumerating solutions of those congruences degree by degree,
+in one walk per call whose last two exponents step through one
+arithmetic progression per prefix, with the congruence constants
+computed once per call.
 
 Presentations are taken at face value: weights are reduced modulo the
 factor order but a factor whose action has smaller order than presented
@@ -25,7 +28,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from itertools import repeat
+from typing import Sequence
 
 from .errors import DEFAULT_GUARD, GuardExceeded, SpecParseError
 from .monomials import Monomial, MonomialSet
@@ -84,12 +88,6 @@ class DiagonalGroup:
     def is_cyclic_presentation(self) -> bool:
         return len(self.factors) == 1
 
-    def is_invariant(self, m: Sequence[int]) -> bool:
-        for f in self.factors:
-            if sum(w * a for w, a in zip(f.weights, m)) % f.order != 0:
-                return False
-        return True
-
     def spec_string(self) -> str:
         return "+".join(f.spec_string() for f in self.factors)
 
@@ -138,99 +136,87 @@ def parse_group(text: str) -> DiagonalGroup:
     return DiagonalGroup(factors)
 
 
-def _solve_linear_congruence(a: int, b: int, m: int) -> tuple[int, int] | None:
-    """Solutions of a*x == b (mod m) as (residue, modulus), or None."""
-    if m == 1:
-        return (0, 1)
-    a %= m
-    b %= m
-    g = math.gcd(a, m)
-    if b % g != 0:
-        return None
-    m2 = m // g
-    if m2 == 1:
-        return (0, 1)
-    x0 = (b // g) * pow(a // g, -1, m2) % m2
-    return (x0, m2)
-
-
-def _merge_congruences(r1: int, m1: int, r2: int, m2: int) -> tuple[int, int] | None:
-    """Intersect x == r1 (mod m1) with x == r2 (mod m2)."""
-    g = math.gcd(m1, m2)
-    if (r2 - r1) % g != 0:
-        return None
-    lcm = m1 // g * m2
-    k = ((r2 - r1) // g * pow(m1 // g, -1, m2 // g)) % (m2 // g) if m2 // g > 1 else 0
-    return ((r1 + m1 * k) % lcm, lcm)
-
-
 def _invariant_monomials(
-    group: DiagonalGroup, degree: int, cap: int | None = None, scale: int = 1
-) -> Iterator[tuple[int, ...]]:
-    """Monomials of the given total degree whose weighted exponent sums
-    vanish modulo scale * order for every factor, optionally with every
-    exponent bounded by cap, in descending lex order.
+    group: DiagonalGroup,
+    degree: int,
+    cap: int | None = None,
+    scale: int = 1,
+    out: list[tuple[int, ...]] | None = None,
+) -> int:
+    """Count the monomials of the given total degree whose weighted exponent
+    sums vanish modulo scale * order for every factor, optionally with every
+    exponent bounded by cap, and append them to `out`, when given, in
+    descending lex order.
 
     With scale == 1 these are exactly the invariant monomials of the
-    group.  Positions 0..n-2 are walked recursively with degree bounds;
-    the last two exponents are then solutions of one linear congruence
-    per factor, merged by CRT, so the innermost level steps straight
-    through the arithmetic progression instead of scanning.
+    group.  Positions 0..n-2 are walked with degree bounds; the last two
+    exponents (x, rem - x) then solve one linear congruence a*x == b per
+    factor, merged by CRT, so the innermost level is one arithmetic
+    progression, counted or appended whole.  Only b depends on the
+    prefix, so each factor's gcd, inverse and merge constants are
+    computed once per call, and b is carried down the walk.
     """
     nv = group.n + 1
-    factors = group.factors
-    moduli = tuple(f.order * scale for f in factors)
     if cap is not None and cap * nv < degree:
-        return
+        return 0
     if nv == 1:
-        if cap is not None and degree > cap:
-            return
-        if all(
-            (f.weights[0] * degree) % m == 0 for f, m in zip(factors, moduli)
+        if (cap is not None and degree > cap) or any(
+            f.weights[0] * degree % (f.order * scale) for f in group.factors
         ):
-            yield (degree,)
-        return
+            return 0
+        if out is not None:
+            out.append((degree,))
+        return 1
+    # per factor of modulus m: w_p*x + w_q*(rem - x) + sum_j w_j*e_j == 0, so
+    # a = w_p - w_q and b = -w_q*degree - sum_j (w_j - w_q)*e_j; a solution needs
+    # g = gcd(a, m) | b and is x == (b/g) * inv (mod m2 = m/g), which joins the
+    # earlier factors' class r (mod step) when h = gcd(step, m2) divides x - r
+    solve, moduli, coefs, start, step = [], [], [], [], 1
+    for f in group.factors:
+        m = f.order * scale
+        *ws, wp, wq = f.weights
+        g = math.gcd(wp - wq, m)
+        m2 = m // g
+        h = math.gcd(step, m2)
+        solve.append((g, m2, pow((wp - wq) // g, -1, m2), step, h, m2 // h, pow(step // h, -1, m2 // h)))
+        step = step // h * m2
+        moduli.append(m)
+        coefs.append([(w - wq) % m for w in ws])
+        start.append(-wq * degree % m)
+    coefs = list(zip(*coefs))  # per prefix position, one coefficient per factor
+    total, last = 0, nv - 2
+    head = [0] * last  # the prefix's exponents
 
-    head = [0] * nv
-    # residual sums per factor for the filled prefix
-    def rec(pos: int, rem: int, residues: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
-        if pos == nv - 2:
-            # solve w_p * x + w_q * (rem - x) == -residue (mod modulus) per factor
-            wp_idx, wq_idx = pos, pos + 1
-            sol = (0, 1)
-            for f, res, m in zip(factors, residues, moduli):
-                a = f.weights[wp_idx] - f.weights[wq_idx]
-                b = -(res + f.weights[wq_idx] * rem)
-                s = _solve_linear_congruence(a, b, m)
-                if s is None:
-                    return
-                sol = _merge_congruences(sol[0], sol[1], s[0], s[1])  # type: ignore[arg-type]
-                if sol is None:
-                    return
-            r0, step = sol
-            lo = 0 if cap is None else max(0, rem - cap)
-            hi = rem if cap is None else min(rem, cap)
-            # descending lex wants the larger x_pos first
-            first = hi - ((hi - r0) % step)
-            if first < lo:
-                return
-            for x in range(first, lo - 1, -step):
-                head[wp_idx] = x
-                head[wq_idx] = rem - x
-                yield tuple(head)
+    def walk(pos: int, rem: int, bs: Sequence[int]) -> None:
+        nonlocal total
+        if pos < last:
+            top = rem if cap is None else min(rem, cap)
+            low = 0 if cap is None else max(0, rem - cap * (nv - pos - 1))
+            cs = coefs[pos]
+            for e in range(top, low - 1, -1):
+                head[pos] = e
+                walk(pos + 1, rem - e, [(b - c * e) % m for b, c, m in zip(bs, cs, moduli)])
             return
-        top = rem if cap is None else min(rem, cap)
-        for e in range(top, -1, -1):
-            if cap is not None and rem - e > cap * (nv - pos - 1):
-                continue  # the rest cannot absorb the remaining degree
-            head[pos] = e
-            new_res = tuple(
-                (res + f.weights[pos] * e) % m
-                for f, res, m in zip(factors, residues, moduli)
-            )
-            yield from rec(pos + 1, rem - e, new_res)
+        r = 0
+        for b, (g, m2, inv, merged, h, m3, inv_merged) in zip(bs, solve):
+            if b % g:
+                return
+            x = b // g * inv % m2
+            if (x - r) % h:
+                return
+            r += merged * ((x - r) // h * inv_merged % m3)
+        lo = 0 if cap is None else max(0, rem - cap)
+        hi = rem if cap is None else min(rem, cap)
+        first = hi - (hi - r) % step  # descending lex wants the larger x first
+        if first < lo:
+            return
+        xs = range(first, lo - 1, -step)
+        total += len(xs)
+        if out is not None:
+            out.extend(zip(*map(repeat, head), xs, map(rem.__sub__, xs)))
 
-    yield from rec(0, degree, tuple(0 for _ in factors))
+    walk(0, degree, start)
+    return total
 
 
 def _check_candidates(group: DiagonalGroup, degree: int, guard: int) -> None:
@@ -263,8 +249,8 @@ def invariants_of_degree(
         raise ValueError(f"need t >= 1, got {t}")
     degree = t * group.order
     _check_candidates(group, degree, guard)
-    members = list(_invariant_monomials(group, degree, scale=t))
-    if not members:
+    members: list[tuple[int, ...]] = []
+    if not _invariant_monomials(group, degree, scale=t, out=members):
         raise ValueError(
             f"group {group.spec_string()} has no invariants of degree {degree}"
         )
@@ -276,7 +262,7 @@ def count_invariants(
 ) -> int:
     """Number of invariant monomials of a given total degree."""
     _check_candidates(group, degree, guard)
-    return sum(1 for _ in _invariant_monomials(group, degree, cap))
+    return _invariant_monomials(group, degree, cap)
 
 
 # ---------------------------------------------------------------------------

@@ -22,12 +22,11 @@ class Monomial(tuple):
     """Exponent vector of a monomial, with its degree cached."""
 
     def __new__(cls, exponents: Iterable[int]) -> "Monomial":
-        m = super().__new__(cls, (int(e) for e in exponents))
+        m = super().__new__(cls, map(int, exponents))
         if len(m) == 0:
             raise ValueError("a monomial needs at least one variable")
-        for e in m:
-            if e < 0:
-                raise ValueError(f"negative exponent in {tuple(m)}")
+        if min(m) < 0:
+            raise ValueError(f"negative exponent in {tuple(m)}")
         m._degree = sum(m)
         return m
 
@@ -159,16 +158,16 @@ class MonomialSet:
             seen: set[Monomial] = set()
             dup = next(m for m in items if m in seen or seen.add(m))
             raise ValueError(f"duplicate monomial in input: {tuple(dup)}")
-        n = mons[0].nvars - 1
-        d = mons[0].degree
+        n = len(mons[0]) - 1
+        d = mons[0]._degree
         for m in mons:
-            if m.nvars != n + 1:
+            if len(m) != n + 1:
                 raise ValueError(
-                    f"mixed variable counts: {m.nvars} vs {n + 1} in {tuple(m)}"
+                    f"mixed variable counts: {len(m)} vs {n + 1} in {tuple(m)}"
                 )
-            if m.degree != d:
+            if m._degree != d:
                 raise ValueError(
-                    f"mixed degrees: {tuple(m)} has degree {m.degree}, expected {d}"
+                    f"mixed degrees: {tuple(m)} has degree {m._degree}, expected {d}"
                 )
         if d < 1:
             raise ValueError("degree must be at least 1")

@@ -6,7 +6,10 @@ shortcuts with `veroproj.fibers`.  `make` builds a binomial the checked
 way, from its two sides' products of omega members, which
 `groebner.toric_generators` trusts the fiber table for.
 `canonical_vectors` lists canonical cyclic weight vectors by walking
-every vector of weights, sharing nothing with `veroproj.groups`.
+every vector of weights, and `invariants` filters every monomial of a
+degree by the congruences, sharing nothing with `veroproj.groups`.
+`standard_count` counts the degree-3 multisets an order leaves standard
+by testing each one's sub-pairs, sharing nothing with `veroproj.groebner`.
 """
 
 from __future__ import annotations
@@ -14,8 +17,9 @@ from __future__ import annotations
 import itertools
 import math
 
-from veroproj.groebner import Binomial
-from veroproj.monomials import MonomialSet
+from veroproj.groebner import Binomial, TermOrder
+from veroproj.groups import DiagonalGroup
+from veroproj.monomials import MonomialSet, enumerate_degree
 
 
 def product(omega: MonomialSet, multiset: tuple[int, ...]) -> tuple[int, ...]:
@@ -55,6 +59,11 @@ def vec_strip(u: tuple[int, ...], v: tuple[int, ...]) -> tuple[tuple[int, ...], 
         u = tuple(a - c for a, c in zip(u, common))
         v = tuple(b - c for b, c in zip(v, common))
     return u, v
+
+
+def is_gcd_reduced(binomial: Binomial) -> bool:
+    """Whether the two sides of a binomial share no variable."""
+    return all(a == 0 or b == 0 for a, b in zip(binomial.plus, binomial.minus))
 
 
 def rho_image(omega: MonomialSet, vec) -> tuple[int, ...]:
@@ -112,3 +121,47 @@ def canonical_vectors(n: int, d: int) -> list[tuple[int, ...]]:
         if any(least) and math.gcd(d, *least) == 1:
             out.add(least)
     return sorted(out)
+
+
+def is_invariant(group: DiagonalGroup, m, scale: int = 1) -> bool:
+    """Whether the weighted exponent sums of the monomial m vanish modulo
+    scale * order for every factor; with scale 1, whether every factor
+    fixes m."""
+    return all(sum(w * a for w, a in zip(f.weights, m)) % (scale * f.order) == 0 for f in group.factors)
+
+
+def invariants(group: DiagonalGroup, degree: int, cap=None, scale: int = 1) -> list[tuple[int, ...]]:
+    """Every monomial of the degree, descending lex, that `is_invariant` at
+    the scale accepts and whose exponents are at most cap, when given."""
+    return [
+        tuple(m)
+        for m in enumerate_degree(group.n, degree)
+        if is_invariant(group, m, scale) and (cap is None or max(m) <= cap)
+    ]
+
+
+def leads(order: TermOrder, quadrics) -> set[tuple[int, int]]:
+    """Each pair of a degree-2 fiber other than the one of least key."""
+
+    def key(pair):
+        vec = [0] * order.mu
+        for i in pair:
+            vec[i] += 1
+        return order.key(vec)
+
+    out = set()
+    for fiber in quadrics:
+        keys = [key(pair) for pair in fiber]
+        least = fiber[keys.index(min(keys))]  # the first of equal keys, as `min` keeps it
+        out.update(pair for pair in fiber if pair != least)
+    return out
+
+
+def standard_count(order: TermOrder, quadrics) -> int:
+    """The multisets a <= b <= c of variable indices with none of (a, b),
+    (a, c), (b, c) a lead."""
+    lead = leads(order, quadrics)
+    return sum(
+        not lead & {(a, b), (a, c), (b, c)}
+        for a, b, c in itertools.combinations_with_replacement(range(order.mu), 3)
+    )

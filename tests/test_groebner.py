@@ -36,11 +36,13 @@ from veroproj.groebner import (
 )
 from veroproj import groebner
 from veroproj.families import FamilySpec, koszul_label, parse_family
-from veroproj.groebner import _candidate_orders, _code, _decode, _Reducer
+from veroproj.groebner import _candidate_orders, _code, _decode, _Reducer, _standard_count
 from veroproj.groups import block_group, canonical_weight_vectors, cyclic_group, invariants_of_degree
 from veroproj.monomials import MonomialSet
 
-from oracles import brute_components, brute_fibers, from_indices, make, vec_strip
+from oracles import (
+    brute_components, brute_fibers, from_indices, is_gcd_reduced, leads, make, standard_count, vec_strip,
+)
 
 # Frozen (r, c) table for d = 6, k = 3, worked out by hand from the
 # congruence b + 3c = 6r: row intervals are {0}, [0,2], [3,4], [6,6].
@@ -59,7 +61,7 @@ def test_binomial_validation():
     omega = MonomialSet.full(2, 2)
     # members, descending lex: x0^2, x0x1, x0x2, x1^2, x1x2, x2^2
     b = make(omega, (1, 0, 0, 1, 0, 0), (0, 2, 0, 0, 0, 0))
-    assert b.degree == 2 and b.is_gcd_reduced
+    assert b.degree == 2 and is_gcd_reduced(b)
 
     # common factor w1 on both sides is stripped on construction
     c = make(omega, (1, 1, 0, 1, 0, 0), (0, 3, 0, 0, 0, 0))
@@ -380,7 +382,7 @@ def test_toric_generators_match_the_checked_oracle(family, k_max):
         for lhs, rhs in table.representatives[degree]
     ]
     assert toric_generators(omega, k_max=k_max) == want
-    assert all(g.is_gcd_reduced for g in want)
+    assert all(map(is_gcd_reduced, want))
 
 
 def test_toric_generators_raises_on_a_shared_index(monkeypatch):
@@ -406,7 +408,7 @@ def test_buchberger_full_veronese_quadric():
     # elements are oriented and reduced
     for g in gb.elements:
         assert gb.order.key(g.plus) > gb.order.key(g.minus)
-        assert g.is_gcd_reduced
+        assert is_gcd_reduced(g)
 
 
 def test_buchberger_rc_orders_small():
@@ -537,6 +539,12 @@ def _below_code_bound(vec):
     return tuple(out)
 
 
+def _lane_divides(reducer, a, b):
+    """The divisibility test `find` and `buchberger` write out: each lane of
+    (b | guard) - a keeps its guard bit exactly when b's exponent is at least a's."""
+    return ((b | reducer.guard) - a) & reducer.guard == reducer.guard
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.data())
 def test_lane_arithmetic_agrees_with_tuples(data):
@@ -557,7 +565,7 @@ def test_lane_arithmetic_agrees_with_tuples(data):
     for b in monomials:
         quotients = []
         for a in monomials:
-            assert reducer.divides(_code(a), _code(b)) == all(map(le, a, b))
+            assert _lane_divides(reducer, _code(a), _code(b)) == all(map(le, a, b))
             lcm = reducer.lcm(_code(a), _code(b))
             assert _decode(lcm, mu) == tuple(map(max, a, b))
             # a + b - lcm(a, b) is the gcd, as buchberger strips it
@@ -567,7 +575,40 @@ def test_lane_arithmetic_agrees_with_tuples(data):
             assert q % 511 == sum(_decode(q, mu))
             quotients.append(q)
         for qi, qj in itertools.product(quotients, repeat=2):
-            assert reducer.divides(qj, qi) == all(map(le, _decode(qj, mu), _decode(qi, mu)))
+            assert _lane_divides(reducer, qj, qi) == all(map(le, _decode(qj, mu), _decode(qi, mu)))
+
+
+# Reducers whose elements walk in a circle, as (lead, trail) exponent pairs,
+# and a monomial whose walk enters it: w0^8 takes a tail of seven steps into
+# the 2-cycle w1^2 w2^6 <-> w2^8, w0^2 goes round a 3-cycle from the start,
+# and a quadric of full(2,2) with its reverse swaps two sides for ever
+CYCLES = [
+    ([((2, 0, 0), (0, 2, 0)), ((0, 2, 0), (0, 0, 2)), ((0, 0, 2), (0, 2, 0))], (8, 0, 0)),
+    ([((2, 0, 0), (0, 2, 0)), ((0, 2, 0), (0, 0, 2)), ((0, 0, 2), (2, 0, 0))], (2, 0, 0)),
+    ([((1, 0, 0, 1, 0, 0), (0, 2, 0, 0, 0, 0)), ((0, 2, 0, 0, 0, 0), (1, 0, 0, 1, 0, 0))], (1, 0, 0, 1, 0, 1)),
+]
+
+
+@pytest.mark.parametrize("elements, start", CYCLES)
+def test_reducer_raises_when_a_walk_returns_to_a_monomial(elements, start):
+    """An element oriented against the order makes a walk circle; `reduce`
+    raises within a second instead of growing its path without end."""
+    import signal
+
+    def stop(*_):
+        raise TimeoutError("reduce still walking after a second")
+
+    reducer = _Reducer(TermOrder("degrevlex", tuple(range(len(start)))))
+    for lead, trail in elements:
+        reducer.add(_code(lead), _code(trail))
+    previous = signal.signal(signal.SIGALRM, stop)
+    signal.setitimer(signal.ITIMER_REAL, 1.0)
+    try:
+        with pytest.raises(AssertionError, match=r"reduction walk returns to \(.*\): an element is not oriented"):
+            reducer.reduce(_code(start))
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def test_lane_arithmetic_at_the_code_degree_bound():
@@ -868,6 +909,43 @@ def test_standard_count_agrees_with_per_component_reference(data):
             break
     else:
         assert not res.found and res.tried == tried
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_standard_count_against_brute_force(data):
+    """`_standard_count` against a count of the multisets a <= b <= c with no
+    lead sub-pair, under drawn orders, lead columns included.
+
+    Omegas are drawn as in `test_quadratic_basis_agrees_with_buchberger`.
+    """
+    if data.draw(st.booleans()):
+        omega = parse_family(data.draw(st.sampled_from(TWO_NORMAL_FAMILIES))).build()
+    else:
+        d = data.draw(st.integers(2, 9))
+        weights = (0, data.draw(st.integers(0, d - 1)), data.draw(st.integers(1, d - 1)))
+        omega = invariants_of_degree(cyclic_group(d, weights), 1)
+    fibers = QuadraticFibers.of(omega)
+    mu = len(omega)
+    lead = data.draw(st.just(()) | st.lists(st.integers(0, 3), min_size=mu, max_size=mu).map(tuple))
+    order = TermOrder(data.draw(st.sampled_from(KINDS)), tuple(data.draw(st.permutations(range(mu)))), lead=lead)
+    assert _standard_count(order, fibers) == standard_count(order, fibers.quadrics)
+
+
+def test_standard_count_with_square_leads():
+    # x0^2 * x1^2 = (x0 x1)^2 in full(2,2): the fiber {(0, 3), (1, 1)} has a
+    # square, which some orders make the lead and others the trail; the
+    # multisets with a repeated index, (1, 1, c) among them, count either way
+    omega = MonomialSet.full(2, 2)
+    fibers = QuadraticFibers.of(omega)
+    assert [(0, 3), (1, 1)] in fibers.quadrics
+    squares = set()
+    for ranks in itertools.islice(itertools.permutations(range(len(omega))), 0, 720, 5):
+        for kind in KINDS:
+            order = TermOrder(kind, ranks)
+            assert _standard_count(order, fibers) == standard_count(order, fibers.quadrics)
+            squares.add(any(a == b for a, b in leads(order, fibers.quadrics)))
+    assert squares == {True, False}
 
 
 @settings(max_examples=60, deadline=None)

@@ -5,6 +5,8 @@ import math
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from veroproj.groups import (
     CyclicFactor,
@@ -23,10 +25,11 @@ from veroproj.groups import (
     surface_quadraticity,
     triple_projections,
 )
+from veroproj.groups import _invariant_monomials
 from veroproj.errors import GuardExceeded, SpecParseError
 from veroproj.monomials import enumerate_degree
 
-from oracles import canonical_vectors
+from oracles import canonical_vectors, invariants, is_invariant
 
 # invariant monomials of the order-4 cyclic action with weights (0,1,2,3),
 # in degrees 4 and 8, from the worked example these tests freeze
@@ -80,9 +83,9 @@ def test_invariants_quartic_group_verbatim():
     assert {tuple(m) for m in b2} == B2_0123
     assert len(b2) == 22
     # the scaled slice sits inside the plain invariants of that degree
-    assert all(g.is_invariant(m) for m in b2)
+    assert all(is_invariant(g, m) for m in b2)
     assert (4, 4, 0, 0) not in {tuple(m) for m in b2}
-    assert g.is_invariant((4, 4, 0, 0))
+    assert is_invariant(g, (4, 4, 0, 0))
 
 
 def test_invariants_match_bruteforce():
@@ -113,16 +116,50 @@ def test_invariants_match_bruteforce():
         capped = sum(
             1
             for m in enumerate_degree(nv - 1, degree)
-            if g.is_invariant(m) and all(e <= cap for e in m)
+            if is_invariant(g, m) and all(e <= cap for e in m)
         )
         assert count_invariants(g, degree, cap=cap) == capped
+
+
+# factor orders drawn so that two factors often share a divisor
+FACTOR_ORDERS = (1, 2, 3, 4, 6, 8, 9, 12)
+
+
+@st.composite
+def walk_cases(draw):
+    """Factors (order, weights), a degree, a cap or None, and a scale."""
+    nv = draw(st.integers(1, 4))
+    weights = st.lists(st.integers(0, 12), min_size=nv, max_size=nv).map(tuple)
+    factors = draw(st.lists(st.tuples(st.sampled_from(FACTOR_ORDERS), weights), min_size=1, max_size=3))
+    degree = draw(st.integers(0, 14 if nv < 4 else 10))
+    return factors, degree, draw(st.none() | st.integers(0, degree + 1)), draw(st.integers(1, 3))
+
+
+@settings(max_examples=300, deadline=None)
+@given(walk_cases())
+@example(([(4, (0, 1, 2)), (6, (1, 3, 0))], 12, None, 1))  # factor classes mod 4 and 6 that clash
+@example(([(2, (0, 1, 1, 0)), (4, (1, 0, 3, 2))], 8, 3, 1))  # a cap below the degree
+def test_invariant_walk_agrees_with_filtered_enumeration(case):
+    """The flat walk against every monomial of the degree filtered by the
+    congruences: the same members in the same order, and the same count,
+    over groups of one to three factors whose orders share divisors, with
+    caps and scales."""
+    factors, degree, cap, scale = case
+    group = DiagonalGroup([CyclicFactor(order, w) for order, w in factors])
+    want = invariants(group, degree, cap, scale)
+    walked: list[tuple[int, ...]] = []
+    assert _invariant_monomials(group, degree, cap, scale, out=walked) == len(want)
+    assert walked == want
+    assert count_invariants(group, degree, cap=cap) == len(invariants(group, degree, cap))
+    if cap is None and scale * group.order == degree and want:
+        assert [tuple(m) for m in invariants_of_degree(group, scale)] == want
 
 
 def test_products_of_invariants_stay_invariant():
     g = parse_group("C(4;0,1,2,3)")
     b1 = invariants_of_degree(g, 1)
     for a, b in itertools.combinations_with_replacement(b1, 2):
-        assert g.is_invariant(tuple(x + y for x, y in zip(a, b)))
+        assert is_invariant(g, tuple(x + y for x, y in zip(a, b)))
 
 
 def test_pure_powers_always_invariant():
@@ -246,7 +283,7 @@ def test_h_vector_quartic_group():
         sum(
             1
             for m in enumerate_degree(3, 4 * i)
-            if g.is_invariant(m) and all(e < 4 for e in m)
+            if is_invariant(g, m) and all(e < 4 for e in m)
         )
         for i in range(4)
     )
@@ -270,7 +307,7 @@ def test_count_invariants_checks_its_guard_before_walking(monkeypatch):
     with pytest.raises(GuardExceeded) as exc:
         h_vector_group(g, guard=34)
     assert exc.value.count == math.comb(7, 3)
-    brute = sum(1 for m in enumerate_degree(3, 8) if g.is_invariant(m))
+    brute = sum(1 for m in enumerate_degree(3, 8) if is_invariant(g, m))
     assert count_invariants(g, 8, guard=165) == brute
     assert h_vector_group(g, guard=math.comb(15, 3)).h == (1, 6, 9, 0)
 
