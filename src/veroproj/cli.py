@@ -135,7 +135,8 @@ def _cmd_gb(args) -> int:
     spec, omega = _build(args)
     gens = toric_generators(omega, k_max=args.max_degree, guard=args.guard)
     order = parse_order(args.order, omega)
-    gb = buchberger(gens, order)
+    # a user-bounded seed may generate a smaller ideal than the toric one
+    gb = buchberger(gens, order, whole_ideal=args.max_degree is None)
     payload = {"family": spec.spec_string(), **gb.to_json_dict(), "size": len(gb.elements)}
     text = (
         f"order {order.spec_string()}\n"

@@ -24,9 +24,13 @@ only codes no input side gave, and decodes or keys each code once.  A
 walk that returns to a monomial it passed raises.
 New S-pairs come from the Gebauer-Moeller update: a new element's
 partners are read off an index of leads by variable, and a pair whose
-lcm a kept pair's lcm divides is dropped.  The minimal leads form a
-Groebner basis, and each fiber of a toric ideal has one standard
-monomial, which reducing a kept trail once by them reaches.
+lcm a kept pair's lcm divides is dropped.  A kept pair whose trails
+share a variable is skipped too, as its S-binomial is that variable
+times a lower-degree element of the prime ideal (see `buchberger`, whose
+`whole_ideal` flag turns this off for seeds that may generate a smaller
+ideal).  The minimal leads form a Groebner basis, and each fiber of a
+toric ideal has one standard monomial, which reducing a kept trail once
+by them reaches.
 
 Conventions: an S-monomial is a tuple of mu non-negative ints;
 multiplication is componentwise addition, and divisibility is
@@ -463,14 +467,19 @@ def _decode(code: int, mu: int) -> tuple[int, ...]:
     return tuple(map(and_, map(rshift, repeat(code), range(0, 9 * mu, 9)), repeat(511)))
 
 
-def buchberger(gens: Sequence[Binomial], order: TermOrder) -> GroebnerBasis:
+def buchberger(
+    gens: Sequence[Binomial], order: TermOrder, *, whole_ideal: bool = True
+) -> GroebnerBasis:
     """Reduced Groebner basis of the toric ideal that gens generate.
 
     gens must generate the whole toric ideal of their monomial set, as
     `toric_generators` output does.  The gcd strip and the single final
     reduction of each trail rely on that; on other inputs the result need
     not be a basis of the ideal gens generate, and the final gcd-free
-    check raises where it sees so.
+    check raises where it sees so.  `whole_ideal=True` (the default)
+    also lets the trail criterion below rely on it; pass False for a seed
+    that may generate a smaller ideal, such as a table bounded by a user's
+    k_max, to turn that criterion off.  The gcd strip stays either way.
 
     Normal selection strategy: S-pairs are processed by ascending lcm
     degree (formation order breaking ties: one FIFO queue per degree),
@@ -478,14 +487,22 @@ def buchberger(gens: Sequence[Binomial], order: TermOrder) -> GroebnerBasis:
     paired only with the earlier leads it shares a variable with (coprime
     pairs reduce to zero), and the Gebauer-Moeller M and F criteria drop
     each of those pairs whose lcm a kept pair's lcm divides; the B
-    criterion on pending pairs is not applied.  New basis elements are
-    gcd-stripped before insertion; this is sound for prime toric ideals
-    because the stripped binomial still lies in the ideal and generates
-    the original one.  The minimal leads then form a Groebner basis, and
-    a toric ideal has one standard monomial per fiber, so reducing each
-    kept trail once by them gives the reduced basis.  Sides must stay
-    below CODE_DEGREE_BOUND; counters are logged at debug level.  The
-    loops work on codes in locals, with the `_Reducer` lane arithmetic
+    criterion on pending pairs is not applied.  A kept pair whose trails
+    (gcd-stripped non-lead sides) share a variable w_t is then skipped as
+    well, unless whole_ideal is False: both sides of its S-binomial S, of
+    lcm degree D, hold w_t, so S = w_t * S'.  The toric ideal I is prime
+    and w_t is not in I, so S' lies in I, with degree D - 1.  Every input
+    is in the basis before the first pair, so by induction on the lcm
+    degree S' has a standard representation, and w_t times it is one for
+    S with every term below the lcm, so the skipped pair also stays valid
+    as the M/F witness it was made before the skip.  New basis elements
+    are gcd-stripped before insertion; this is sound for prime toric
+    ideals because the stripped binomial still lies in the ideal and
+    generates the original one.  The minimal leads then form a Groebner
+    basis, and a toric ideal has one standard monomial per fiber, so
+    reducing each kept trail once by them gives the reduced basis.  Sides
+    must stay below CODE_DEGREE_BOUND; counters are logged at debug level.
+    The loops work on codes in locals, with the `_Reducer` lane arithmetic
     written out.
     """
     basis = _Reducer(order)
@@ -493,16 +510,19 @@ def buchberger(gens: Sequence[Binomial], order: TermOrder) -> GroebnerBasis:
     guard, low = basis.guard, basis.guard - basis.ones  # adding low carries when e >= 1
     queues: dict[int, list[tuple[int, int]]] = {}  # pending pairs (i, j), FIFO per lcm degree
     by_var: dict[int, list[int]] = {}  # elements whose lead has w_t, by t's guard bit
-    formed = coprime = by_m = by_f = 0
+    trails: list[int] = []  # the guard bits of each element's trail support, 0 if not whole_ideal
+    formed = coprime = by_m = by_f = by_trail = 0
 
     def insert(lead: int, trail: int) -> None:
         """Add a nonzero normal form, gcd-stripped, and form its pairs."""
-        nonlocal formed, coprime, by_m, by_f
+        nonlocal formed, coprime, by_m, by_f, by_trail
         # strip the gcd lead + trail - lcm, the lanewise min; that keeps the orientation
         keep = ((((lead | guard) - trail) & guard) >> 8) * 511  # the lanes where lead >= trail
         common = (trail & keep) | (lead & ~keep)
         basis.add(lead - common, trail - common)
         new = len(codes) - 1
+        tnew = (trail - common + low) & guard if whole_ideal else 0
+        trails.append(tnew)
         Lnew, mask = codes[new], masks[new]  # mask: the guard bits of L_new's support
         dnew = Lnew % 511
         variables = []
@@ -543,8 +563,11 @@ def buchberger(gens: Sequence[Binomial], order: TermOrder) -> GroebnerBasis:
                     linear |= q << 8
                 else:
                     kept.append((dq, q))
-                queues.setdefault(dnew + dq, []).append((i, new))
-                formed += 1
+                if trails[i] & tnew:  # a kept witness, but its S-binomial is w_t times a lower one
+                    by_trail += 1
+                else:
+                    queues.setdefault(dnew + dq, []).append((i, new))
+                    formed += 1
         for t in variables:
             by_var.setdefault(t, []).append(new)
 
@@ -579,9 +602,9 @@ def buchberger(gens: Sequence[Binomial], order: TermOrder) -> GroebnerBasis:
     basis.zeros += cached
     logger.debug(
         "buchberger: %d inputs, %d inserted, %d pairs formed, %d skipped as coprime, "
-        "%d pruned by M, %d pruned by F, %d reduced to zero, %d of %d cache lookups hit, "
-        "%d reduction steps",
-        len(gens), len(codes), formed, coprime, by_m, by_f,
+        "%d pruned by M, %d pruned by F, %d skipped as their trails share a variable, "
+        "%d reduced to zero, %d of %d cache lookups hit, %d reduction steps",
+        len(gens), len(codes), formed, coprime, by_m, by_f, by_trail,
         basis.zeros, basis.hits, basis.lookups, basis.reductions,
     )
 

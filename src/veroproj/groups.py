@@ -238,6 +238,9 @@ def invariants_of_degree(
     t the scaled congruence carves the generators of the extension with
     the same weight pattern and t-fold order, a strict subset of the
     plain invariants of that degree.  Always contains every x_i^{t|G|}.
+    The walk yields distinct members of the degree in descending lex
+    order, so the set is built straight from its list, checking only the
+    order (`MonomialSet.from_descending`).
 
     Parameters
     ----------
@@ -254,7 +257,7 @@ def invariants_of_degree(
         raise ValueError(
             f"group {group.spec_string()} has no invariants of degree {degree}"
         )
-    return MonomialSet(members).tagged(group, t)
+    return MonomialSet.from_descending(members, degree).tagged(group, t)
 
 
 def count_invariants(

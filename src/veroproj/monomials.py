@@ -179,6 +179,31 @@ class MonomialSet:
         self.origin_t = None
 
     @classmethod
+    def from_descending(cls, members: Sequence[tuple[int, ...]], degree: int) -> "MonomialSet":
+        """A set straight from members already in canonical form, as the
+        invariant walk yields them: tuples of non-negative ints of one
+        length, each of the given degree >= 1, in descending lex order.
+        Only the order is checked, in one pass: it must be strictly
+        descending, which also makes the members distinct."""
+        new, items = tuple.__new__, []
+        for m in members:
+            mono = new(Monomial, m)
+            mono._degree = degree
+            items.append(mono)
+        if not items:
+            raise ValueError("empty monomial set")
+        if not all(map(tuple.__gt__, items, items[1:])):
+            raise ValueError("members are not in strictly descending lex order")
+        out = cls.__new__(cls)
+        out._members = tuple(items)
+        out._n = len(items[0]) - 1
+        out._d = degree
+        out._index = dict(zip(out._members, range(len(items))))
+        out.origin_group = None
+        out.origin_t = None
+        return out
+
+    @classmethod
     def full(cls, n: int, d: int) -> "MonomialSet":
         """Every monomial of degree d, i.e. the unprojected Veronese."""
         return cls(enumerate_degree(n, d))

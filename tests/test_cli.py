@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import subprocess
@@ -14,6 +15,7 @@ import veroproj
 from veroproj import cli
 from veroproj.cli import main
 from veroproj.families import parse_family
+from veroproj.groebner import Binomial, GroebnerBasis, parse_order, toric_generators, verify_groebner
 from veroproj.monomials import read_omega
 
 
@@ -91,6 +93,27 @@ def test_gb_text_and_json(capsys):
     payload = json.loads(out)
     assert payload["max_degree"] >= 2
     assert payload["size"] == len(payload["elements"])
+
+
+def test_gb_on_a_bounded_seed_keeps_every_s_pair(capsys):
+    """`--max-degree 2` on C(5;0,1,2,3) seeds only its quadrics, which
+    generate less than the toric ideal, so `gb` turns the trail criterion
+    off: with it, this seed lost one of its 27 elements.  The digest is
+    SHA-256 of the sorted [plus, minus] pairs."""
+    family = "group(C(5;0,1,2,3))"
+    code, out, _ = run(capsys, "gb", family, "--order", "lex", "--max-degree", "2", "--json")
+    assert code == 0
+    payload = json.loads(out)
+    pairs = sorted([e["plus"], e["minus"]] for e in payload["elements"])
+    assert payload["size"] == len(pairs) == 27
+    assert hashlib.sha256(json.dumps(pairs).encode()).hexdigest() == (
+        "65fc1f0974b4ac78b16f4533f8422a16eebb2edf44e5c8dd3be3138ed84e751d"
+    )
+    omega = parse_family(family).build()
+    order = parse_order("lex", omega)
+    elements = tuple(Binomial(tuple(e["plus"]), tuple(e["minus"])) for e in payload["elements"])
+    gb = GroebnerBasis(elements, order, payload["max_degree"])
+    assert verify_groebner(gb, toric_generators(omega, k_max=2))
 
 
 def test_gb_search_outcomes(capsys):

@@ -498,6 +498,33 @@ def test_pair_criteria_keep_a_groebner_basis(group, kind, ranks):
     assert verify_groebner(buchberger(gens, TermOrder(kind, ranks)), gens)
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_trail_criterion_keeps_the_reduced_basis(data):
+    """Skipping the S-pairs whose trails share a variable leaves the basis
+    of a seed that generates the whole toric ideal as it is.
+
+    The seeds are the certified tables of small cyclic surface and
+    threefold groups and of the 2-normal families, under drawn orders;
+    `whole_ideal=False` runs Buchberger without the criterion.
+    """
+    shape = data.draw(st.sampled_from(("family", "surface", "threefold")))
+    if shape == "family":
+        omega = parse_family(data.draw(st.sampled_from(TWO_NORMAL_FAMILIES))).build()
+    else:
+        free = 1 if shape == "surface" else 2  # the weights between the first and the last
+        d = data.draw(st.integers(2, 9 if free == 1 else 5))
+        middle = data.draw(st.lists(st.integers(0, d - 1), min_size=free, max_size=free))
+        weights = (0, *middle, data.draw(st.integers(1, d - 1)))
+        omega = invariants_of_degree(cyclic_group(d, weights), 1)
+    gens = toric_generators(omega)
+    mu = len(omega)
+    order = TermOrder(data.draw(st.sampled_from(KINDS)), tuple(data.draw(st.permutations(range(mu)))))
+    gb = buchberger(gens, order)
+    assert gb.elements == buchberger(gens, order, whole_ideal=False).elements
+    assert verify_groebner(gb, gens)
+
+
 def test_code_degree_bound_is_checked_before_coding():
     # over {x^2, xy, y^2}: w0^128 w2^128 and w1^256 are both x^256 y^256;
     # the exponent 256 of w1^256 would reach its lane's guard bit
@@ -626,50 +653,58 @@ def test_buchberger_logs_its_counters(caplog):
         gb = buchberger(gens, parse_order("lex", omega))
     [line] = [r.getMessage() for r in caplog.records if r.getMessage().startswith("buchberger:")]
     counts = map(int, re.findall(r"\d+", line))
-    inputs, inserted, formed, coprime, by_m, by_f, zero, hits, lookups, steps = counts
+    inputs, inserted, formed, coprime, by_m, by_f, by_trail, zero, hits, lookups, steps = counts
     assert inputs == len(gens) and inserted >= len(gb.elements) > 0
     # each pair of inserted elements is formed or pruned, each counted where it happens
-    assert formed + coprime + by_m + by_f == inserted * (inserted - 1) // 2
+    assert formed + coprime + by_m + by_f + by_trail == inserted * (inserted - 1) // 2
     assert zero + inserted == formed + inputs and zero < formed
     assert by_m > 0 and by_f > 0  # the Gebauer-Moeller criteria both prune here
     assert 0 < hits < lookups and steps > 0
 
 
-# Every number of buchberger's debug line, recorded when the pending pairs
-# were a heap of (degree, formation) entries, the order the per-degree FIFO
-# lists must keep: inputs, inserted, pairs formed, skipped as coprime,
-# pruned by M, pruned by F, reduced to zero, cache hits, lookups and
-# reduction steps.  The small `lift` and `grow` benchmark inputs; C(8;0,2,6),
-# where an S-pair's two sides both have cached terminals and the terminals
-# differ; and four degree-4 binomials of C(6;0,0,3) as index multisets,
-# whose S-pairs reduce to binomials with a common factor of degree 2, so
-# stripping it forms pairs below the degree being processed, which come next.
+# Every number of buchberger's debug line: inputs, inserted, pairs formed,
+# skipped as coprime, pruned by M, pruned by F, skipped as their trails share
+# a variable, reduced to zero, cache hits, lookups and reduction steps.  The
+# pending pairs were a heap of (degree, formation) entries when these were
+# first recorded, the order the per-degree FIFO lists must keep.  The small
+# `lift` and `grow` benchmark inputs; C(8;0,2,6), where an S-pair's two sides
+# both had cached terminals and the terminals differed until the trail
+# criterion skipped that pair; four degree-4 binomials of C(6;0,0,3) as
+# index multisets, whose S-pairs reduce to binomials with a common factor of
+# degree 2, so stripping it forms pairs below the degree being processed,
+# which come next; and C(4;0,0,2,2), which has a pair with two cached and
+# different terminals under the trail criterion.  The C(6;0,0,3) binomials
+# are a partial seed, so they run with whole_ideal=False and skip no pair.
 PINNED_TRACES = [
     ("group(C(6;0,1,3,3))", "lift(rc(6,3,1); sizes=1,1,2)", None,
-     (174, 174, 1976, 12539, 0, 536, 1976, 2906, 4300, 1658)),
+     (174, 174, 992, 12539, 0, 536, 984, 992, 1105, 2332, 1419)),
     ("group(C(6;0,1,1,3))", "lift(rc(6,3,1); sizes=1,2,1)", None,
-     (102, 102, 852, 4099, 0, 200, 852, 1161, 1908, 685)),
-    ("pinched(2,4,2)", "lex", None, (33, 58, 365, 1085, 88, 115, 340, 130, 796, 760)),
-    ("pinched(3,3,2)", "degrevlex", 3, (56, 64, 410, 1503, 11, 92, 402, 205, 932, 694)),
+     (102, 102, 445, 4099, 0, 200, 407, 445, 507, 1094, 551)),
+    ("pinched(2,4,2)", "lex", None, (33, 58, 151, 1085, 88, 115, 214, 126, 26, 368, 393)),
+    ("pinched(3,3,2)", "degrevlex", 3, (56, 64, 214, 1503, 11, 92, 196, 206, 87, 540, 427)),
     ("group(C(8;0,2,6))", "deglex : w12 > w0 > w4 > w10 > w1 > w5 > w7 > w3 > w9 > w11 > w8 > w2 > w6",
-     None, (50, 56, 341, 1104, 6, 89, 335, 248, 782, 636)),
+     None, (50, 56, 145, 1104, 6, 89, 196, 139, 63, 390, 397)),
     ("group(C(6;0,0,3))",
      "deglex : w4 > w0 > w15 > w2 > w3 > w9 > w10 > w7 > w8 > w13 > w14 > w11 > w1 > w6 > w12 > w5",
      [((8, 8, 8, 14), (3, 7, 15, 15)), ((1, 7, 9, 11), (2, 4, 6, 15)),
       ((6, 6, 9, 9), (0, 12, 12, 12)), ((1, 1, 3, 15), (0, 5, 5, 8))],
-     (4, 15, 40, 35, 29, 1, 29, 13, 88, 36)),
+     (4, 15, 40, 35, 29, 1, 0, 29, 13, 88, 36)),
+    ("group(C(4;0,0,2,2))",
+     "deglex : w2 > w4 > w12 > w1 > w6 > w0 > w17 > w16 > w10 > w3 > w15 > w18 > w5 > w14 > w11 > w9 > w8 > w7 > w13",
+     None, (105, 161, 965, 10038, 324, 750, 803, 909, 365, 2140, 2892)),
 ]
 
 
 @pytest.mark.parametrize("family, order_text, gens, counts", PINNED_TRACES)
 def test_buchberger_trace_is_pinned(caplog, family, order_text, gens, counts):
     omega = parse_family(family).build()
+    whole_ideal = not isinstance(gens, list)  # index multisets are a partial seed
     if isinstance(gens, list):
         gens = [from_indices(omega, lhs, rhs) for lhs, rhs in gens]
     else:  # a k_max for the table's generators
         gens = toric_generators(omega, k_max=gens)
     with caplog.at_level(logging.DEBUG, logger="veroproj"):
-        buchberger(gens, parse_order(order_text, omega))
+        buchberger(gens, parse_order(order_text, omega), whole_ideal=whole_ideal)
     [line] = [r.getMessage() for r in caplog.records if r.getMessage().startswith("buchberger:")]
     assert tuple(map(int, re.findall(r"\d+", line))) == counts
 
@@ -691,13 +726,14 @@ DECODE_CASES = [
 )
 def test_buchberger_decodes_only_what_no_input_gave(monkeypatch, family, order_text, gens, most, digest):
     omega = parse_family(family).build()
-    if isinstance(gens, list):  # pairs of index multisets, as in PINNED_TRACES
+    whole_ideal = not isinstance(gens, list)
+    if isinstance(gens, list):  # pairs of index multisets of a partial seed, as in PINNED_TRACES
         gens = [from_indices(omega, lhs, rhs) for lhs, rhs in gens]
     else:
         gens = toric_generators(omega, k_max=gens)
     decoded, decode = [], groebner._decode
     monkeypatch.setattr(groebner, "_decode", lambda code, mu: decoded.append(code) or decode(code, mu))
-    gb = buchberger(gens, parse_order(order_text, omega))
+    gb = buchberger(gens, parse_order(order_text, omega), whole_ideal=whole_ideal)
     # no input side is decoded, and no code twice
     sides = {_code(vec) for g in gens for vec in (g.plus, g.minus)}
     assert sides.isdisjoint(decoded) and len(set(decoded)) == len(decoded) <= most
@@ -846,7 +882,7 @@ def test_quadratic_basis_agrees_with_buchberger(data):
     gens = toric_generators(omega, k_max=k_max)
     mu = len(omega)
     order = TermOrder(data.draw(st.sampled_from(KINDS)), tuple(data.draw(st.permutations(range(mu)))))
-    gb = buchberger(gens, order)
+    gb = buchberger(gens, order, whole_ideal=quadratic)
     found = quadratic_basis(order, QuadraticFibers.of(omega))
     assert (found is not None) == (gb.max_degree <= 2)
     if found is not None:
@@ -1102,7 +1138,7 @@ def test_quadratic_basis_on_a_degree_two_table_of_a_cubic_ideal():
     for ranks in itertools.islice(itertools.permutations(range(len(b713))), 0, 720, 7):
         for kind in ("lex", "degrevlex"):
             order = TermOrder(kind, ranks)
-            gb = buchberger(gens, order)
+            gb = buchberger(gens, order, whole_ideal=False)
             found = quadratic_basis(order, fibers)
             assert (found is not None) == (gb.max_degree <= 2), order
             if found is not None:

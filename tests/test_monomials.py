@@ -109,6 +109,22 @@ def test_set_helpers():
     assert (tagged.origin_group, tagged.origin_t, full.origin_group) == ("G", 1, None)
 
 
+def test_set_from_descending_members():
+    # the constructor the invariant walk uses: the same set as the checked
+    # one, and a list that is not strictly descending raises
+    members = [tuple(m) for m in enumerate_degree(2, 3) if m != (1, 1, 1)]
+    built = MonomialSet.from_descending(members, 3)
+    checked = MonomialSet(members)
+    assert built == checked and (built.n, built.d) == (checked.n, checked.d) == (2, 3)
+    assert all(built.index_of(m) == i for i, m in enumerate(members))
+    assert [m.degree for m in built] == [3] * len(members) and built.origin_group is None
+    for bad in (members[::-1], members[:3] + members[2:], members[:2] + members[3:4] + members[2:3]):
+        with pytest.raises(ValueError, match="strictly descending"):
+            MonomialSet.from_descending(bad, 3)
+    with pytest.raises(ValueError, match="empty"):
+        MonomialSet.from_descending([], 3)
+
+
 def test_file_roundtrip(tmp_path):
     omega = MonomialSet.full(2, 3).remove((1, 1, 1))
     path = tmp_path / "omega.txt"
