@@ -50,6 +50,7 @@ from .groebner import (
     quadratic_basis,
     rc_term_order,
     search_quadratic_order,
+    toric_basis,
     toric_generators,
     verify_groebner,
 )

@@ -21,12 +21,11 @@ from .fibers import (
     minimal_generator_table,
 )
 from .groebner import (
-    buchberger,
     lift_omega,
     lift_order,
     parse_order,
     search_quadratic_order,
-    toric_generators,
+    toric_basis,
 )
 from .groups import block_group, h_vector_group, invariants_of_degree, parse_group
 from .monomials import MonomialSet, format_omega
@@ -133,10 +132,8 @@ def _cmd_hvec(args) -> int:
 
 def _cmd_gb(args) -> int:
     spec, omega = _build(args)
-    gens = toric_generators(omega, k_max=args.max_degree, guard=args.guard)
     order = parse_order(args.order, omega)
-    # a user-bounded seed may generate a smaller ideal than the toric one
-    gb = buchberger(gens, order, whole_ideal=args.max_degree is None)
+    gb = toric_basis(omega, order, k_max=args.max_degree, guard=args.guard)
     payload = {"family": spec.spec_string(), **gb.to_json_dict(), "size": len(gb.elements)}
     text = (
         f"order {order.spec_string()}\n"
@@ -204,8 +201,7 @@ def _cmd_lift(args) -> int:
         if [tuple(m) for m in lifted] != [tuple(m) for m in block]:
             # the order ranks the lifted members, the generators index the block's
             raise AssertionError("the lifted members are not the block group's invariants in order")
-        gens = toric_generators(block, guard=args.guard)
-        gb = buchberger(gens, lifted_order)
+        gb = toric_basis(block, lifted_order, guard=args.guard)
         payload["order"] = lifted_order.spec_string()
         payload["max_degree"] = gb.max_degree
         payload["basis_size"] = len(gb.elements)
@@ -378,13 +374,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except SpecParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except GuardExceeded as exc:
         print(f"guard: {exc}", file=sys.stderr)
         return 3
-    except ValueError as exc:
+    except ValueError as exc:  # SpecParseError among them
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

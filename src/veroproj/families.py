@@ -29,9 +29,9 @@ from .groebner import (
     buchberger,
     lift_omega,
     lift_order,
-    quadratic_basis,
     rc_term_order,
     search_quadratic_order,
+    toric_basis,
     toric_generators,
     verify_groebner,
 )
@@ -861,15 +861,7 @@ def _scenario_lift(opts: ScenarioOptions) -> list[dict]:
                 block = invariants_of_degree(block_group(g, sizes), 1, guard=opts.guard)
                 same = [tuple(m) for m in lifted] == [tuple(m) for m in block]
                 order = lift_order(found.order, b1, lifted, sizes)
-                # the fiber criterion decides a lift whose ideal is generated in
-                # degree 2; Buchberger reports the true degree of any other answer
-                table = minimal_generator_table(block, guard=opts.guard)
-                leads = quadratic_basis(order, table.fibers) if table.quadraticity() else None
-                if leads is None:
-                    gens = toric_generators(block, guard=opts.guard)
-                    max_degree = buchberger(gens, order).max_degree
-                else:
-                    max_degree = 2 if leads else 0
+                max_degree = toric_basis(block, order, guard=opts.guard).max_degree
                 steps.append(_step(
                     "lift", {"group": spec, "sizes": sizes},
                     {"matches-block-group": True, "max_degree": 2},

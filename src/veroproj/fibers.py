@@ -19,7 +19,7 @@ index, so every fiber is an independent set and the count is just
 The class walk (`_class_walk`) counts the components of every table from
 index masks, with no multiset formed.  A degree-2 class is one multiset,
 so the degree-2 fibers the order search pairs are decoded off its masks
-when read, and `representatives=True` (only `groebner.toric_generators`)
+when read, and `representatives=True` (only the seed table in `groebner`)
 searches each split fiber's classes for their lex-least multisets.
 Hilbert values and 2-normality walk distinct products only (`_walk`).
 """
@@ -310,17 +310,11 @@ class GeneratorTable:
         return QuadraticityAnswer("unknown-above", None, self.verified_up_to)
 
     def to_json_dict(self) -> dict:
-        out = {
+        return {
             "degrees": {str(k): v for k, v in sorted(self.degrees.items())},
             "verified_up_to": self.verified_up_to,
             "bound": self.bound,
         }
-        if self.representatives is not None:
-            out["representatives"] = {
-                str(k): [{"lhs": list(a), "rhs": list(b)} for a, b in pairs]
-                for k, pairs in sorted(self.representatives.items())
-            }
-        return out
 
 
 def minimal_generator_table(

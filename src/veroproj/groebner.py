@@ -13,8 +13,8 @@ a normal selection strategy, the quadratic basis an order induces read
 off the degree-2 fibers and decided by one count of standard degree-3
 multisets, and a deterministic search for orders that make the reduced
 basis quadratic.  A candidate is scored by that count alone, over the
-set bits of per-variable masks; the lead map is built only for an order
-that passes.
+set bits of per-variable masks; `toric_basis`, the one route to a reduced
+basis, builds the quadratic one only for an order that passes.
 
 Buchberger's reducer (`_Reducer`) files every lead, whatever its
 degree, under its two least support variables, so a lookup probes only
@@ -60,7 +60,7 @@ from typing import Iterable, Iterator, Sequence
 from .errors import DEFAULT_GUARD, GuardExceeded, SpecParseError
 from .fibers import GeneratorTable, QuadraticFibers, minimal_generator_table
 from .groups import SurfaceCertificate, cyclic_group, invariants_of_degree, surface_certificate
-from .monomials import MonomialSet
+from .monomials import MonomialSet, enumerate_degree
 
 ORDER_KINDS = ("lex", "deglex", "degrevlex", "revlex")
 logger = logging.getLogger("veroproj")
@@ -85,9 +85,9 @@ class Binomial:
 
     `plus` and `minus` play symmetric roles until an order orients the
     binomial, as Buchberger's elements are, with `plus` the leading side.
-    Nothing is checked on construction: `toric_generators` builds them
-    from the two multisets of a fiber table pair, balanced and disjoint
-    by construction, and `buchberger` from the elements it checks.
+    Nothing is checked on construction: `toric_generators` and
+    `quadratic_basis` build them from two disjoint multisets of one
+    fiber, and `buchberger` from the elements it checks.
     """
 
     plus: tuple[int, ...]
@@ -253,15 +253,17 @@ def toric_generators(
     or group-tagged omega, or an explicit k_max) the seed would be
     silently partial, so that case is an error instead.
     """
-    try:
-        table = minimal_generator_table(omega, k_max=k_max, guard=guard, representatives=True)
-    except ValueError as exc:
-        raise ValueError(f"uncertified seed: {exc}") from exc
-    mu, gens = len(omega), []
-    for degree in sorted(table.representatives):
-        for lhs, rhs in table.representatives[degree]:
-            # the least multisets of two components of one fiber: balanced, and
-            # disjoint unless the table is wrong
+    table = minimal_generator_table(omega, k_max=k_max, guard=guard, representatives=True)
+    return _binomials(table.representatives, len(omega))
+
+
+def _binomials(pairs: dict, mu: int) -> list[Binomial]:
+    """One binomial per (lhs, rhs) index multiset pair, the pairs listed by degree."""
+    gens = []
+    for degree in sorted(pairs):
+        for lhs, rhs in pairs[degree]:
+            # multisets of two components of one fiber: balanced, and disjoint
+            # unless the table is wrong
             if not set(lhs).isdisjoint(rhs):
                 raise AssertionError(
                     f"degree-{degree} fiber representatives {lhs} and {rhs} share a factor"
@@ -692,7 +694,7 @@ def _standard_count(order: TermOrder, fibers: QuadraticFibers) -> int:
     return standard
 
 
-def quadratic_basis(order: TermOrder, fibers: QuadraticFibers) -> dict | None:
+def quadratic_basis(order: TermOrder, fibers: QuadraticFibers) -> GroebnerBasis | None:
     """The reduced basis of the ideal the degree-2 fibers generate, if quadratic.
 
     A toric ideal has one standard monomial per fiber, so the only
@@ -706,17 +708,40 @@ def quadratic_basis(order: TermOrder, fibers: QuadraticFibers) -> dict | None:
     (a', b', c) smaller, in the same fiber and sharing c.  So G is a basis
     exactly when C3 = `fibers.cubics` multisets, one per component with
     singletons counted, are standard (Sturmfels, Groebner Bases and Convex
-    Polytopes, ch. 4, counted instead of walked).  Returns G as a map from
-    each lead pair to its trail pair, built only for an order that passes,
-    or None.
+    Polytopes, ch. 4, counted instead of walked).  Returns G, its elements
+    sorted as `buchberger` sorts them, built only for an order that
+    passes, or None.
     """
     if _standard_count(order, fibers) != fibers.cubics:
         return None
-    weights, leads = order.weights, {}
+    weights, pairs = order.weights, []
     for fiber in fibers.quadrics:
         least = min(fiber, key=lambda pair: weights[pair[0]] + weights[pair[1]])
-        leads.update((pair, least) for pair in fiber if pair != least)
-    return leads
+        pairs += ((pair, least) for pair in fiber if pair != least)
+    elements = sorted(_binomials({2: pairs}, order.mu), key=lambda g: (g.plus, g.minus))
+    return GroebnerBasis(tuple(elements), order, 2 if elements else 0)
+
+
+def toric_basis(
+    omega: MonomialSet, order: TermOrder, k_max: int | None = None, guard: int = DEFAULT_GUARD
+) -> GroebnerBasis:
+    """The reduced Groebner basis of the toric ideal of omega under order.
+
+    Read off the fibers when the seed table of `toric_generators`
+    certifies a quadratic ideal and `quadratic_basis` passes the order;
+    else `buchberger` on the table's binomials, with `whole_ideal` unless
+    a user's k_max bounds the table.  Logs the route at debug level.
+    """
+    table = minimal_generator_table(omega, k_max=k_max, guard=guard, representatives=True)
+    if table.quadraticity() and (gb := quadratic_basis(order, table.fibers)) is not None:
+        route = "fiber route"
+    else:
+        whole_ideal = table.bound != "user"  # a user's k_max may seed a smaller ideal
+        gens = _binomials(table.representatives, len(omega))
+        gb = buchberger(gens, order, whole_ideal=whole_ideal)
+        route = f"buchberger, whole_ideal={whole_ideal}"
+    logger.debug("toric_basis: %s, %d elements", route, len(gb.elements))
+    return gb
 
 
 # ---------------------------------------------------------------------------
@@ -857,15 +882,6 @@ def search_quadratic_order(
 # lifting through a variable split
 
 
-def _weak_compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total, -1, -1):
-        for rest in _weak_compositions(total - first, parts - 1):
-            yield (first,) + rest
-
-
 def lift_omega(
     omega: MonomialSet, sizes: Sequence[int], guard: int = DEFAULT_GUARD
 ) -> MonomialSet:
@@ -892,7 +908,7 @@ def lift_omega(
         raise GuardExceeded("split-variable lift", total, guard)
     members: list[tuple[int, ...]] = []
     for m in omega:
-        blocks = [list(_weak_compositions(e, l)) for e, l in zip(m, sizes)]
+        blocks = [enumerate_degree(l - 1, e) for e, l in zip(m, sizes)]
         for choice in itertools.product(*blocks):
             members.append(tuple(itertools.chain.from_iterable(choice)))
     return MonomialSet(members)
@@ -993,6 +1009,9 @@ def parse_order(text: str, omega: MonomialSet) -> TermOrder:
             sizes = tuple(int(s) for s in sizes_part[len("sizes=") :].split(","))
         except ValueError:
             raise SpecParseError("order", text, sizes_part, "sizes must be integers") from None
+        if sum(sizes) != omega.n + 1:
+            reason = f"sizes sum to {sum(sizes)}, but the monomials have {omega.n + 1} variables"
+            raise SpecParseError("order", text, sizes_part, reason)
         merged = {_merge_image(m, sizes) for m in omega}
         base_omega = MonomialSet(sorted(merged, reverse=True))
         relift = lift_omega(base_omega, sizes)

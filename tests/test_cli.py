@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import veroproj
-from veroproj import cli
+from veroproj import cli, groebner
 from veroproj.cli import main
 from veroproj.families import parse_family
 from veroproj.groebner import Binomial, GroebnerBasis, parse_order, toric_generators, verify_groebner
@@ -157,6 +157,40 @@ def test_lift_order_checks_the_block_group(monkeypatch):
     monkeypatch.setattr(cli, "block_group", lambda group, sizes: block_group(group, sizes[::-1]))
     with pytest.raises(AssertionError, match="not the block group's invariants"):
         main(["lift", "group(C(4;0,1,3))", "--sizes", "2,1,1", "--order", "degrevlex"])
+
+
+# orders under which each basis is quadratic, so `toric_basis` reads it off the fibers
+FIBER_ROUTE_COMMANDS = [
+    ("gb", "full(2,3)", "--order", "degrevlex"),
+    ("gb", "pinched(3,2,2)", "--order", "lex"),
+    ("gb", "group(C(12;0,1,3))", "--order", "rc(12,3,2)"),
+    ("gb", "group(C(4;0,1,2,3))", "--order", "revlex : w0 > w2 > w8 > w3 > w5 > w1 > w7 > w4 > w6 > w9"),
+    ("lift", "group(C(6;0,1,3))", "--sizes", "1,2,2", "--order", "rc(6,3,1)"),
+    ("lift", "group(C(6;0,1,3))", "--sizes", "1,1,3", "--order", "rc(6,3,1)"),
+]
+
+
+@pytest.mark.parametrize("argv", FIBER_ROUTE_COMMANDS)
+def test_fiber_route_prints_what_buchberger_prints(monkeypatch, capsys, argv):
+    """`gb --json` and `lift --order --json` print the same bytes when
+    `quadratic_basis` gives up and Buchberger runs instead."""
+    found = []
+    quadratic_basis = groebner.quadratic_basis
+    monkeypatch.setattr(
+        groebner, "quadratic_basis", lambda *args: found.append(quadratic_basis(*args)) or found[-1]
+    )
+    code, fibers, _ = run(capsys, *argv, "--json")
+    assert code == 0 and len(found) == 1 and found[0] is not None
+    monkeypatch.setattr(groebner, "quadratic_basis", lambda *args: None)
+    code, buchberger, _ = run(capsys, *argv, "--json")
+    assert code == 0 and buchberger == fibers
+
+
+@pytest.mark.parametrize("sizes, total", [("1,1", 2), ("1,1,1,1", 4)])
+def test_gb_rejects_lift_sizes_that_miss_the_variables(capsys, sizes, total):
+    code, out, err = run(capsys, "gb", "full(2,2)", "--order", f"lift(lex; sizes={sizes})")
+    assert code == 2 and out == ""
+    assert f"sizes sum to {total}, but the monomials have 3 variables" in err
 
 
 def test_label_subcommand(capsys):

@@ -162,7 +162,6 @@ def test_representatives():
     js = table.to_json_dict()
     assert js["degrees"] == {"2": 2, "4": 1}
     assert js["bound"] == "user"
-    assert "representatives" in js
 
 
 def test_bound_resolution():

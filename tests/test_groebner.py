@@ -31,6 +31,7 @@ from veroproj.groebner import (
     quadratic_basis,
     rc_term_order,
     search_quadratic_order,
+    toric_basis,
     toric_generators,
     verify_groebner,
 )
@@ -349,7 +350,7 @@ def test_toric_generators_examples():
 def test_toric_generators_uncertified_seed():
     b512 = invariants_of_degree(cyclic_group(5, (0, 1, 2)), 1)
     untagged = MonomialSet(list(b512))  # drops the group tag
-    with pytest.raises(ValueError, match="uncertified seed"):
+    with pytest.raises(ValueError, match="no completeness bound applies"):
         toric_generators(untagged)
     # an explicit user bound overrides
     gens = toric_generators(untagged, k_max=3)
@@ -770,23 +771,14 @@ def test_groebner_degree_dominates_generator_degrees():
         assert gb.max_degree >= want
 
 
-def _quadratic_elements(omega, order, leads) -> GroebnerBasis:
-    """The basis a `quadratic_basis` lead -> trail map stands for, its
-    elements sorted as `buchberger` sorts them."""
-    elements = sorted(
-        (from_indices(omega, lead, trail) for lead, trail in leads.items()),
-        key=lambda g: (g.degree, g.plus, g.minus),
-    )
-    return GroebnerBasis(tuple(elements), order, 2 if elements else 0)
-
-
 def test_search_finds_rc_order_first():
     b613 = invariants_of_degree(cyclic_group(6, (0, 1, 3)), 1)
     res = search_quadratic_order(b613, budget=40, seed=0)
     assert res.found and res.tried == 1
     assert res.order.spec_string() == "rc(6,3,1)"
-    gb = _quadratic_elements(b613, res.order, quadratic_basis(res.order, QuadraticFibers.of(b613)))
+    gb = quadratic_basis(res.order, QuadraticFibers.of(b613))
     assert gb.max_degree == 2
+    assert gb.elements == buchberger(toric_generators(b613), res.order).elements
     assert verify_groebner(gb, toric_generators(b613))
 
 
@@ -795,8 +787,9 @@ def test_search_quartic_group_within_heuristics():
     res = search_quadratic_order(bq, budget=400, seed=0)
     assert res.found
     assert res.tried <= 60  # found among the sorted-member heuristics
-    gb = _quadratic_elements(bq, res.order, quadratic_basis(res.order, QuadraticFibers.of(bq)))
+    gb = quadratic_basis(res.order, QuadraticFibers.of(bq))
     assert gb.is_quadratic
+    assert gb.elements == buchberger(toric_generators(bq), res.order).elements
     assert verify_groebner(gb)
 
 
@@ -886,14 +879,14 @@ def test_quadratic_basis_agrees_with_buchberger(data):
     found = quadratic_basis(order, QuadraticFibers.of(omega))
     assert (found is not None) == (gb.max_degree <= 2)
     if found is not None:
-        found = _quadratic_elements(omega, order, found)
         assert found.elements == gb.elements and found.max_degree == gb.max_degree
 
 
-def _reference_quadratic_basis(quadrics, components, order):
-    """The per-component criterion: the lead -> trail map an order puts on
-    the degree-2 fibers when every degree-3 fiber component with more than
-    one multiset has exactly one multiset with no lead sub-pair, else None."""
+def _reference_quadratic_basis(omega, quadrics, components, order):
+    """The per-component criterion: the basis of the lead -> trail map an
+    order puts on the degree-2 fibers, its elements sorted as `buchberger`
+    sorts them, when every degree-3 fiber component with more than one
+    multiset has exactly one multiset with no lead sub-pair, else None."""
     weights = order.weights
     leads = {}
     for fiber in quadrics:
@@ -903,7 +896,11 @@ def _reference_quadratic_basis(quadrics, components, order):
         standard = sum(not leads.keys() & {(a, b), (a, c), (b, c)} for a, b, c in comp)
         if len(comp) > 1 and standard != 1:
             return None
-    return leads
+    elements = sorted(
+        (from_indices(omega, lead, trail) for lead, trail in leads.items()),
+        key=lambda g: (g.degree, g.plus, g.minus),
+    )
+    return GroebnerBasis(tuple(elements), order, 2 if elements else 0)
 
 
 @settings(max_examples=80, deadline=None)
@@ -933,14 +930,14 @@ def test_standard_count_agrees_with_per_component_reference(data):
     for _ in range(4):
         ranks = tuple(data.draw(st.permutations(range(mu))))
         order = TermOrder(data.draw(st.sampled_from(KINDS)), ranks)
-        assert quadratic_basis(order, fibers) == _reference_quadratic_basis(quadrics, components, order)
+        assert quadratic_basis(order, fibers) == _reference_quadratic_basis(omega, quadrics, components, order)
 
     k_max = None if table.quadraticity() else 2
     res = search_quadratic_order(omega, budget=8, seed=data.draw(st.integers(0, 3)), k_max=k_max)
     tried = 0
     for order in itertools.islice(_candidate_orders(omega, res.seed), 8):
         tried += 1
-        if _reference_quadratic_basis(quadrics, components, order) is not None:
+        if _reference_quadratic_basis(omega, quadrics, components, order) is not None:
             assert res.found and res.order == order and res.tried == tried
             break
     else:
@@ -1142,7 +1139,7 @@ def test_quadratic_basis_on_a_degree_two_table_of_a_cubic_ideal():
             found = quadratic_basis(order, fibers)
             assert (found is not None) == (gb.max_degree <= 2), order
             if found is not None:
-                assert _quadratic_elements(b713, order, found).elements == gb.elements
+                assert found.elements == gb.elements
             verdicts.add(found is not None)
     assert verdicts == {True, False}
 
@@ -1301,8 +1298,33 @@ def test_parse_order_errors():
         parse_order("rc(6,3,1)", omega)  # wrong monomial set
     with pytest.raises(SpecParseError):
         parse_order("lift(lex; sizes=2,2)", omega)  # block count does not fit 3 variables
+    for sizes, total in (("1,1", 2), ("1,1,1,1", 4)):  # checked before the blocks are merged
+        with pytest.raises(SpecParseError, match=f"sizes sum to {total}, but the monomials have 3"):
+            parse_order(f"lift(lex; sizes={sizes})", omega)
     with pytest.raises(SpecParseError):
         parse_order("nonsense", omega)
+
+
+def test_toric_basis_logs_its_route(caplog):
+    """Each route gives Buchberger's basis on the table's generators, and
+    one debug line names it with the element count."""
+    cases = [
+        ("full(2,3)", "degrevlex", None, "fiber route"),
+        ("group(C(4;0,1,2,3))", "degrevlex", None, "buchberger, whole_ideal=True"),
+        ("group(C(5;0,1,2,3))", "lex", 2, "buchberger, whole_ideal=False"),
+        # a cubic ideal whose quadrics alone have a quadratic basis under lex
+        ("group(C(7;0,1,3))", "lex", 3, "buchberger, whole_ideal=False"),
+    ]
+    for family, order_text, k_max, route in cases:
+        omega = parse_family(family).build()
+        order = parse_order(order_text, omega)
+        caplog.clear()
+        with caplog.at_level(logging.DEBUG, logger="veroproj"):
+            gb = toric_basis(omega, order, k_max=k_max)
+        lines = [r.getMessage() for r in caplog.records if r.getMessage().startswith("toric_basis:")]
+        assert lines == [f"toric_basis: {route}, {len(gb.elements)} elements"]
+        want = buchberger(toric_generators(omega, k_max=k_max), order, whole_ideal=k_max is None)
+        assert gb == want
 
 
 def test_rc_label_search_and_parse_agree():
