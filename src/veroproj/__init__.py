@@ -33,7 +33,6 @@ from .groups import (
 )
 from .fibers import (
     GeneratorTable,
-    QuadraticFibers,
     h_polynomial,
     hilbert_values,
     is_2_normal,

@@ -145,18 +145,16 @@ class TheoremVerdict:
 
     property is one of Quadratic, Koszul, GQuadratic, NotQuadratic,
     NotKoszul, or None when the status is unknown.  A proved-by-theorem
-    status always names a citation key from CITATIONS; computed-up-to
-    carries the degree horizon of the computation.
+    status always names a citation key from CITATIONS.
     """
 
     property: str | None
     status: str
     citation: str | None = None
-    k_max: int | None = None
     detail: str = ""
 
     PROPERTIES = ("Quadratic", "Koszul", "GQuadratic", "NotQuadratic", "NotKoszul")
-    STATUSES = ("proved-by-theorem", "computed-unconditionally", "computed-up-to", "unknown")
+    STATUSES = ("proved-by-theorem", "unknown")
 
     def __post_init__(self) -> None:
         if self.status not in self.STATUSES:
@@ -167,17 +165,13 @@ class TheoremVerdict:
             return
         if self.property not in self.PROPERTIES:
             raise ValueError(f"unknown property {self.property!r}")
-        if self.status == "proved-by-theorem" and self.citation not in CITATIONS:
+        if self.citation not in CITATIONS:
             raise ValueError(f"citation {self.citation!r} is not in the registry")
-        if self.status == "computed-up-to" and self.k_max is None:
-            raise ValueError("computed-up-to needs the degree horizon k_max")
 
     def to_json_dict(self) -> dict:
         out: dict = {"property": self.property, "status": self.status}
         if self.citation is not None:
             out["citation"] = self.citation
-        if self.k_max is not None:
-            out["k_max"] = self.k_max
         if self.detail:
             out["detail"] = self.detail
         return out

@@ -17,11 +17,12 @@ index, so every fiber is an independent set and the count is just
 (fiber size - 1), summed.
 
 The class walk (`_class_walk`) counts the components of every table from
-index masks, with no multiset formed.  A degree-2 class is one multiset,
-so the degree-2 fibers the order search pairs are decoded off its masks
-when read, and `representatives=True` (only the seed table in `groebner`)
-searches each split fiber's classes for their lex-least multisets.
-Hilbert values and 2-normality walk distinct products only (`_walk`).
+index masks, with no multiset formed.  The table keeps the masks of each
+split fiber's classes and decodes them only when read: a degree-2 class
+is one multiset, so the degree-2 fibers the order search pairs come
+straight off its masks, and `representatives` searches the classes of
+higher degrees for their lex-least multisets.  Hilbert values and
+2-normality walk distinct products only (`_walk`).
 """
 
 from __future__ import annotations
@@ -253,35 +254,6 @@ class QuadraticityAnswer:
         return self.status == "yes"
 
 
-def _quadric_pairs(split: dict) -> list[list[tuple[int, int]]]:
-    """Split degree-2 fibers as (lowest, highest index) pairs of their classes, sorted
-    within a fiber (they arrive lowest index descending), fibers by descending product."""
-    return [[((c & -c).bit_length() - 1, c.bit_length() - 1) for c in reversed(classes)]
-            for _, classes in sorted(split.items(), reverse=True)]
-
-
-@dataclass(frozen=True)
-class QuadraticFibers:
-    """What decides whether an order's basis is quadratic, for any number of orders.
-
-    `quadrics`, decoded on first read from the masks in `split`, holds the
-    degree-2 fibers of more than one multiset, and `cubics` is C3, the number
-    of degree-3 fiber components, singletons included (`quadratic_basis` says why).
-    """
-
-    split: dict[int, list[int]]
-    cubics: int
-
-    @functools.cached_property
-    def quadrics(self) -> list[list[tuple[int, int]]]:
-        return _quadric_pairs(self.split)
-
-    @classmethod
-    def of(cls, omega: MonomialSet, guard: int = DEFAULT_GUARD) -> "QuadraticFibers":
-        """Walk them for omega; a table verified to degree 3 already holds them."""
-        return minimal_generator_table(omega, k_max=3, bound="user", guard=guard).fibers
-
-
 @dataclass
 class GeneratorTable:
     """Minimal generator counts of the toric ideal, by degree.
@@ -289,16 +261,44 @@ class GeneratorTable:
     degrees holds only the nonzero counts.  bound records what certifies
     completeness up to verified_up_to: "two-normal" and "group" both cap
     the generation degree at 3, "user" means the caller chose the cap.
-    `fibers` keeps the degree-2 fibers and the count C3 of degree-3
-    components (singletons included) for `quadratic_basis` when the
-    table reaches degree 3.
+    `cubics` is C3, the number of degree-3 fiber components, singletons
+    included (`quadratic_basis` says why), or None below degree 3.
+    `split` keeps, per degree, the class masks of each fiber of several
+    components, off which `quadrics` and `representatives` are decoded
+    when read.
     """
 
     degrees: dict[int, int]
     verified_up_to: int
     bound: str
-    representatives: dict[int, list[tuple[tuple[int, ...], tuple[int, ...]]]] | None = None
-    fibers: QuadraticFibers | None = field(default=None, compare=False, repr=False)
+    cubics: int | None
+    split: dict[int, dict[int, list[int]]] = field(compare=False, repr=False)
+    omega: MonomialSet = field(compare=False, repr=False)
+
+    @functools.cached_property
+    def quadrics(self) -> list[list[tuple[int, int]]]:
+        """The degree-2 fibers of more than one multiset, by descending
+        product, each as the (lowest, highest index) pairs of its classes,
+        ascending (they arrive lowest index descending)."""
+        return [[((c & -c).bit_length() - 1, c.bit_length() - 1) for c in reversed(classes)]
+                for _, classes in sorted(self.split.get(2, {}).items(), reverse=True)]
+
+    @functools.cached_property
+    def representatives(self) -> dict[int, list[tuple[tuple[int, ...], tuple[int, ...]]]]:
+        """One (lhs, rhs) multiset pair per minimal generator, by degree:
+        each component's lex-least multiset of a split fiber paired with
+        the fiber's, fibers by descending product."""
+        reps = {}
+        for k, split in self.split.items():
+            if k == 2:
+                least = self.quadrics
+            else:
+                radix = _radix(self.omega, self.verified_up_to)
+                members = [_pack(m, radix) for m in self.omega]
+                least = [sorted(_least_multiset(members, c, q, k) for c in cs)
+                         for q, cs in sorted(split.items(), reverse=True)]
+            reps[k] = [(e, fiber[0]) for fiber in least for e in fiber[1:]]
+        return reps
 
     def quadraticity(self) -> QuadraticityAnswer:
         beyond = sorted(k for k, c in self.degrees.items() if k > 2 and c > 0)
@@ -322,7 +322,6 @@ def minimal_generator_table(
     k_max: int | None = None,
     bound: str | None = None,
     guard: int = DEFAULT_GUARD,
-    representatives: bool = False,
 ) -> GeneratorTable:
     """Count minimal generators of the toric ideal degree by degree.
 
@@ -336,9 +335,10 @@ def minimal_generator_table(
 
     Every degree comes from the class walk.  A degree-2 class is one
     multiset, so its degree-2 products and generators must add up to the
-    C(mu+1, 2) multisets.  With `representatives` the lex-least multiset
-    of each component of a split fiber pairs with the fiber's.  Each call
-    logs its counts per degree to the "veroproj" logger at debug level.
+    C(mu+1, 2) multisets.  The table keeps each degree's split fibers, off
+    which it decodes its representatives and degree-2 quadrics when read.
+    Each call logs its counts per degree to the "veroproj" logger at debug
+    level.
     """
     if k_max is not None and k_max < 1:
         raise ValueError(f"need k_max >= 1, got {k_max}")
@@ -375,27 +375,19 @@ def minimal_generator_table(
 
     mu = len(omega)
     _check_fiber_guard(mu, 2, k_max, guard)
-    members = [_pack(m, _radix(omega, k_max)) for m in omega] if representatives else []
-    reps: dict[int, list[tuple[tuple[int, ...], tuple[int, ...]]]] = {}
+    splits: dict[int, dict[int, list[int]]] = {}
     # per degree: k, products, (p, j) pairs walked, fibers split, generators
     counts: list[tuple[int, int, int, int, int]] = []
     for k, (masks, pairs, split) in enumerate(_class_walk(omega, k_max), start=2):
         count = sum(len(classes) - 1 for classes in split.values())
         counts.append((k, len(masks), pairs, len(split), count))
-        if k == 2:
-            if len(masks) + count != _multiset_count(mu, 2):
-                raise RuntimeError(
-                    f"class walk check failed: {len(masks)} degree-2 products and "
-                    f"{count} generators, but {_multiset_count(mu, 2)} multisets"
-                )
-            degree2 = split  # every walk to k_max >= 2 passes here
-        if representatives and split:
-            least = _quadric_pairs(split) if k == 2 else [
-                sorted(_least_multiset(members, c, q, k) for c in cs)
-                for q, cs in sorted(split.items(), reverse=True)
-            ]
-            # each component's lex-least multiset pairs with the fiber's
-            reps[k] = [(e, fiber[0]) for fiber in least for e in fiber[1:]]
+        if split:
+            splits[k] = split
+        if k == 2 and len(masks) + count != _multiset_count(mu, 2):
+            raise RuntimeError(
+                f"class walk check failed: {len(masks)} degree-2 products and "
+                f"{count} generators, but {_multiset_count(mu, 2)} multisets"
+            )
     if logger.isEnabledFor(logging.DEBUG):
         logger.debug(
             "minimal_generator_table: %d members; %s",
@@ -408,9 +400,8 @@ def minimal_generator_table(
         )
     degrees = {k: count for k, *_, count in counts if count}
     # C3: each degree-3 fiber has one component more than it adds generators
-    cubics = sum(products + count for k, products, *_, count in counts if k == 3)
-    fibers = QuadraticFibers(degree2, cubics) if k_max >= 3 else None
-    return GeneratorTable(degrees, k_max, bound, reps if representatives else None, fibers)
+    cubics = next((products + count for k, products, *_, count in counts if k == 3), None)
+    return GeneratorTable(degrees, k_max, bound, cubics, splits, omega)
 
 
 def h_polynomial(

@@ -58,7 +58,7 @@ from operator import and_, lshift, mul, rshift
 from typing import Iterable, Iterator, Sequence
 
 from .errors import DEFAULT_GUARD, GuardExceeded, SpecParseError
-from .fibers import GeneratorTable, QuadraticFibers, minimal_generator_table
+from .fibers import GeneratorTable, minimal_generator_table
 from .groups import SurfaceCertificate, cyclic_group, invariants_of_degree, surface_certificate
 from .monomials import MonomialSet, enumerate_degree
 
@@ -253,7 +253,7 @@ def toric_generators(
     or group-tagged omega, or an explicit k_max) the seed would be
     silently partial, so that case is an error instead.
     """
-    table = minimal_generator_table(omega, k_max=k_max, guard=guard, representatives=True)
+    table = minimal_generator_table(omega, k_max=k_max, guard=guard)
     return _binomials(table.representatives, len(omega))
 
 
@@ -660,7 +660,7 @@ def verify_groebner(gb: GroebnerBasis, gens: Sequence[Binomial] | None = None) -
 # quadratic bases read off the degree-2 and degree-3 fibers
 
 
-def _standard_count(order: TermOrder, fibers: QuadraticFibers) -> int:
+def _standard_count(order: TermOrder, table: GeneratorTable) -> int:
     """The number of degree-3 multisets with no lead among their sub-pairs
     under the leads an order puts on the degree-2 fibers.
 
@@ -671,7 +671,7 @@ def _standard_count(order: TermOrder, fibers: QuadraticFibers) -> int:
     """
     weights, mu = order.weights, order.mu
     free = [(1 << mu) - 1] * mu  # free[i]: the j with (i, j) not a lead
-    for fiber in fibers.quadrics:
+    for fiber in table.quadrics:
         it = iter(fiber)
         a0, b0 = next(it)
         low = weights[a0] + weights[b0]
@@ -689,12 +689,12 @@ def _standard_count(order: TermOrder, fibers: QuadraticFibers) -> int:
             b = a + bit.bit_length() - 1
             standard += ((fa & free[b]) >> b).bit_count()
             bits ^= bit
-    if standard < fibers.cubics:  # every component has a standard multiset
-        raise AssertionError(f"{standard} standard multisets for {fibers.cubics} components")
+    if standard < table.cubics:  # every component has a standard multiset
+        raise AssertionError(f"{standard} standard multisets for {table.cubics} components")
     return standard
 
 
-def quadratic_basis(order: TermOrder, fibers: QuadraticFibers) -> GroebnerBasis | None:
+def quadratic_basis(order: TermOrder, table: GeneratorTable) -> GroebnerBasis | None:
     """The reduced basis of the ideal the degree-2 fibers generate, if quadratic.
 
     A toric ideal has one standard monomial per fiber, so the only
@@ -706,19 +706,27 @@ def quadratic_basis(order: TermOrder, fibers: QuadraticFibers) -> GroebnerBasis 
     its three sub-pairs.  Each has at least one, its least multiset: a
     lead sub-pair (a, b) of (a, b, c) with trail (a', b') would make
     (a', b', c) smaller, in the same fiber and sharing c.  So G is a basis
-    exactly when C3 = `fibers.cubics` multisets, one per component with
+    exactly when C3 = `table.cubics` multisets, one per component with
     singletons counted, are standard (Sturmfels, Groebner Bases and Convex
-    Polytopes, ch. 4, counted instead of walked).  Returns G, its elements
-    sorted as `buchberger` sorts them, built only for an order that
-    passes, or None.
+    Polytopes, ch. 4, counted instead of walked).  Returns G, built only
+    for an order that passes, or None; raises ValueError for a table
+    verified below degree 3, which has no C3.  G's elements come sorted
+    as `buchberger` sorts them, by ascending lead: leads never repeat,
+    and w_a w_b has the greater exponent vector exactly when (a, b) is
+    the lesser index pair, so the (lead, trail) pairs sort descending.
     """
-    if _standard_count(order, fibers) != fibers.cubics:
+    if table.cubics is None:
+        raise ValueError(
+            f"quadratic_basis needs a table verified to degree 3, got {table.verified_up_to}"
+        )
+    if _standard_count(order, table) != table.cubics:
         return None
     weights, pairs = order.weights, []
-    for fiber in fibers.quadrics:
+    for fiber in table.quadrics:
         least = min(fiber, key=lambda pair: weights[pair[0]] + weights[pair[1]])
         pairs += ((pair, least) for pair in fiber if pair != least)
-    elements = sorted(_binomials({2: pairs}, order.mu), key=lambda g: (g.plus, g.minus))
+    pairs.sort(reverse=True)
+    elements = _binomials({2: pairs}, order.mu)
     return GroebnerBasis(tuple(elements), order, 2 if elements else 0)
 
 
@@ -732,8 +740,8 @@ def toric_basis(
     else `buchberger` on the table's binomials, with `whole_ideal` unless
     a user's k_max bounds the table.  Logs the route at debug level.
     """
-    table = minimal_generator_table(omega, k_max=k_max, guard=guard, representatives=True)
-    if table.quadraticity() and (gb := quadratic_basis(order, table.fibers)) is not None:
+    table = minimal_generator_table(omega, k_max=k_max, guard=guard)
+    if table.quadraticity() and (gb := quadratic_basis(order, table)) is not None:
         route = "fiber route"
     else:
         whole_ideal = table.bound != "user"  # a user's k_max may seed a smaller ideal
@@ -861,19 +869,20 @@ def search_quadratic_order(
             f"generator table only certified up to degree {answer.verified_up_to}; "
             "a found basis is quadratic for the ideal generated by that table"
         )
-    fibers = table.fibers if table.fibers is not None else QuadraticFibers.of(omega, guard)
+    if table.cubics is None:
+        table = minimal_generator_table(omega, k_max=3, bound="user", guard=guard)
     surplus: list[int] = []  # standard degree-3 multisets over C3, per failed candidate
     found = None
     for order in itertools.islice(_candidate_orders(omega, seed), 0 if impossible else max(budget, 0)):
-        standard = _standard_count(order, fibers)
-        if standard == fibers.cubics:
+        standard = _standard_count(order, table)
+        if standard == table.cubics:
             found = order
             break
-        surplus.append(standard - fibers.cubics)
+        surplus.append(standard - table.cubics)
     status, tried = ("found", len(surplus) + 1) if found else ("not-found-within", len(surplus))
     logger.debug(
         "search_quadratic_order: C3 = %d, %s after %d candidates, surplus per failed candidate %s",
-        fibers.cubics, status, tried, surplus,
+        table.cubics, status, tried, surplus,
     )
     return SearchResult(status, found, tried, budget, seed, warning, impossible)
 

@@ -281,10 +281,14 @@ def read_omega(path) -> MonomialSet:
     """Parse a monomial-set file.
 
     First non-comment line is "n d"; every following line holds n+1
-    space-separated exponents.  Errors cite the 1-based line number.
+    space-separated exponents.  Errors cite the 1-based line number, and a
+    file that cannot be read raises ValueError naming its path.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.readlines()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except OSError as exc:
+        raise ValueError(f"{path}: cannot read: {exc.strerror or exc}") from None
     header: tuple[int, int] | None = None
     members: list[Monomial] = []
     for lineno, raw in enumerate(lines, start=1):

@@ -222,6 +222,14 @@ def test_scenario_exit_codes(capsys):
     assert "quadratic-surface-gb-search" in err  # the listing names every scenario
 
 
+def test_unreadable_family_file_exits_two(tmp_path, capsys):
+    # exit 1 means a scenario mismatch, so a file that cannot be read is a usage error
+    for path in (tmp_path / "missing.txt", tmp_path):
+        code, out, err = run(capsys, "normal2", f"file:{path}")
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and str(path) in err
+
+
 def test_survey_usage_and_rows(tmp_path, capsys):
     code, _, err = run(capsys, "survey")
     assert code == 2 and "--d-max" in err

@@ -136,9 +136,6 @@ def test_theorem_verdict_validation():
         "status": "proved-by-theorem",
         "citation": "removed-power-koszul",
     }
-    bounded = TheoremVerdict("Quadratic", "computed-up-to", k_max=5, detail="sweep")
-    assert bounded.to_json_dict()["k_max"] == 5
-
     with pytest.raises(ValueError):
         TheoremVerdict("Koszul", "guessed")
     with pytest.raises(ValueError):

@@ -99,7 +99,7 @@ def test_class_levels_match_brute_components():
 def test_guard_trips_with_exact_count():
     omega = MonomialSet.full(2, 3)  # degrees 2 to 4 hold at most 715 multisets
     with pytest.raises(GuardExceeded, match="degree-5 fibers") as exc:
-        minimal_generator_table(omega, k_max=5, guard=1000, representatives=True)
+        minimal_generator_table(omega, k_max=5, guard=1000)
     assert exc.value.count == math.comb(len(omega) + 4, 5)
 
 
@@ -118,7 +118,7 @@ def test_escalating_generator_tables():
     # each generator joins two factorizations that no chain of trivial
     # moves connects: the degree-2 and degree-4 fibers are disconnected
     omega = escalating_family(4)
-    reps = minimal_generator_table(omega, k_max=4, representatives=True).representatives
+    reps = minimal_generator_table(omega, k_max=4).representatives
     assert {k: len(pairs) for k, pairs in reps.items()} == {2: 2, 4: 1}
     for pairs in reps.values():
         for lhs, rhs in pairs:
@@ -152,7 +152,7 @@ def test_complement_quartic_table():
 
 def test_representatives():
     omega = escalating_family(4)
-    table = minimal_generator_table(omega, k_max=4, representatives=True)
+    table = minimal_generator_table(omega, k_max=4)
     assert set(table.representatives) == {2, 4}
     for k, pairs in table.representatives.items():
         assert len(pairs) == table.degrees[k]
@@ -299,7 +299,7 @@ def test_representatives_against_brute_components():
     cases = ((MonomialSet.full(2, 2), 3), (escalating_family(5), 5), (OVERLAP_OMEGA, 3))
     for omega, k_max in cases:
         degrees, reps = _brute_table(omega, k_max)
-        table = minimal_generator_table(omega, k_max=k_max, representatives=True)
+        table = minimal_generator_table(omega, k_max=k_max)
         assert (table.degrees, table.representatives) == (degrees, reps)
 
 
@@ -345,19 +345,17 @@ def test_walker_agrees_with_bruteforce(omega, k_max):
     _check_class_levels(omega, k_max)
 
     degrees, reps = _brute_table(omega, k_max)
-    # the table with representatives and without
-    with_reps = minimal_generator_table(omega, k_max=k_max, representatives=True)
-    assert with_reps.representatives == reps
-    for table in (with_reps, minimal_generator_table(omega, k_max=k_max)):
-        assert table.degrees == degrees
-        if k_max >= 3:
-            # descending product order, each fiber's pairs ascending
-            quadrics = [brute[2][t] for t in sorted(brute[2], reverse=True) if len(brute[2][t]) > 1]
-            cubics = [c for e in brute[3].values() for c in brute_components(e)]  # singletons too
-            assert table.fibers.quadrics == quadrics
-            assert table.fibers.cubics == len(cubics)
-        else:
-            assert table.fibers is None
+    table = minimal_generator_table(omega, k_max=k_max)
+    assert (table.degrees, table.representatives) == (degrees, reps)
+    if k_max >= 2:
+        # descending product order, each fiber's pairs ascending
+        quadrics = [brute[2][t] for t in sorted(brute[2], reverse=True) if len(brute[2][t]) > 1]
+        assert table.quadrics == quadrics
+    if k_max >= 3:
+        cubics = [c for e in brute[3].values() for c in brute_components(e)]  # singletons too
+        assert table.cubics == len(cubics)
+    else:
+        assert table.cubics is None
 
     assert hilbert_values(omega, k_max) == [1] + [len(brute[k]) for k in range(1, k_max + 1)]
 
@@ -371,15 +369,14 @@ def test_walker_agrees_with_bruteforce(omega, k_max):
 def test_quadrics_are_decoded_once_and_only_when_read():
     omega = escalating_family(4)
     table = minimal_generator_table(omega, k_max=3)
-    assert "quadrics" not in vars(table.fibers)
-    quadrics = table.fibers.quadrics
+    assert "quadrics" not in vars(table) and "representatives" not in vars(table)
+    quadrics = table.quadrics
     # x^4 z^4 = x^4 * z^4 = (x^2 z^2)^2 and x^2 y^4 z^2 = x^2 z^2 * y^4 = (x y^2 z)^2
     assert quadrics == [[(0, 5), (2, 2)], [(2, 4), (3, 3)]]
-    assert vars(table.fibers)["quadrics"] is quadrics is table.fibers.quadrics
-    # a table with representatives reads the same pairs
-    reps = minimal_generator_table(omega, k_max=3, representatives=True)
-    assert reps.representatives[2] == [(b, a) for a, b in quadrics]
-    assert reps.fibers.quadrics == quadrics
+    assert vars(table)["quadrics"] is quadrics is table.quadrics
+    # the degree-2 representatives pair the same decoded pairs
+    assert table.representatives == {2: [(b, a) for a, b in quadrics]}
+    assert table.quadrics is quadrics
 
 
 def test_class_walk_joins_every_class_a_pair_overlaps():
@@ -403,9 +400,8 @@ def test_class_walk_is_checked_by_the_degree_two_identity(monkeypatch):
             yield masks, pairs, split
 
     monkeypatch.setattr(fibers, "_class_walk", drops_a_pair)
-    for representatives in (False, True):
-        with pytest.raises(RuntimeError, match="class walk check failed"):
-            minimal_generator_table(omega, k_max=3, representatives=representatives)
+    with pytest.raises(RuntimeError, match="class walk check failed"):
+        minimal_generator_table(omega, k_max=3)
 
 
 def test_k_max_below_one_is_rejected():
@@ -413,31 +409,25 @@ def test_k_max_below_one_is_rejected():
     for k_max in (0, -3):
         with pytest.raises(ValueError, match="need k_max >= 1"):
             minimal_generator_table(omega, k_max=k_max)
-    table = minimal_generator_table(omega, k_max=1, representatives=True)
-    assert (table.degrees, table.representatives, table.fibers) == ({}, {}, None)
+    table = minimal_generator_table(omega, k_max=1)
+    assert (table.degrees, table.representatives, table.quadrics, table.cubics) == ({}, {}, [], None)
 
 
 def test_table_logs_its_counts(caplog):
     omega = escalating_family(5)  # generators in degrees 2, 3 and 5
     with caplog.at_level(logging.DEBUG, logger="veroproj"):
         table = minimal_generator_table(omega, k_max=5)
-        reps = minimal_generator_table(omega, k_max=5, representatives=True)
-    assert table.degrees == reps.degrees == {2: 1, 3: 2, 5: 1}
+    assert table.degrees == {2: 1, 3: 2, 5: 1}
     lines = [r.getMessage() for r in caplog.records]
     lines = [line for line in lines if line.startswith("minimal_generator_table:")]
-    assert len(lines) == 2
-    # both paths walk the same classes, so they report the same counts
-    per_degree = [
-        re.findall(
-            r"degree (\d+): (\d+) products, (\d+) \(p, j\) pairs, (\d+) fibers .*?, (\d+) generators",
-            line,
-        )
-        for line in lines
-    ]
-    assert per_degree[0] == per_degree[1]
-    assert [int(k) for k, *_ in per_degree[0]] == list(range(2, table.verified_up_to + 1))
-    assert {int(k): int(g) for k, *_, g in per_degree[0] if int(g)} == table.degrees
-    for k, products, walked, split, generators in per_degree[0]:
+    assert len(lines) == 1
+    per_degree = re.findall(
+        r"degree (\d+): (\d+) products, (\d+) \(p, j\) pairs, (\d+) fibers .*?, (\d+) generators",
+        lines[0],
+    )
+    assert [int(k) for k, *_ in per_degree] == list(range(2, table.verified_up_to + 1))
+    assert {int(k): int(g) for k, *_, g in per_degree if int(g)} == table.degrees
+    for k, products, walked, split, generators in per_degree:
         assert int(products) == len(brute_fibers(omega, int(k)))
         assert int(split) <= int(generators) < int(walked)
 
@@ -449,7 +439,7 @@ def test_walker_checks_its_guard_before_allocating(monkeypatch):
     monkeypatch.setattr(fibers, "_pack", forbidden)
     omega = MonomialSet.full(2, 3)  # mu = 10
     with pytest.raises(GuardExceeded) as exc:
-        minimal_generator_table(omega, k_max=4, guard=700, representatives=True)
+        minimal_generator_table(omega, k_max=4, guard=700)
     assert exc.value.count == math.comb(13, 4)
     # degree 2 (55 multisets) fits, degree 3 (220) does not: nothing is walked
     with pytest.raises(GuardExceeded, match="degree-3 fibers") as exc:

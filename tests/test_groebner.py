@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-import dataclasses
+import copy
+import functools
 import hashlib
 import itertools
 import json
@@ -22,7 +23,6 @@ from veroproj.groebner import (
     KEY_DEGREE_BOUND,
     Binomial,
     GroebnerBasis,
-    QuadraticFibers,
     TermOrder,
     buchberger,
     lift_omega,
@@ -376,7 +376,7 @@ def test_toric_generators_match_the_checked_oracle(family, k_max):
     # the table's pairs built straight into binomials, against the oracle
     # that checks balance and strips common factors
     omega = parse_family(family).build()
-    table = minimal_generator_table(omega, k_max=k_max, representatives=True)
+    table = minimal_generator_table(omega, k_max=k_max)
     want = [
         from_indices(omega, lhs, rhs)
         for degree in sorted(table.representatives)
@@ -390,10 +390,10 @@ def test_toric_generators_raises_on_a_shared_index(monkeypatch):
     import veroproj.groebner
 
     omega = MonomialSet.full(2, 2)  # x0^2, x0x1, x0x2, x1^2, x1x2, x2^2
-    table = minimal_generator_table(omega, representatives=True)
+    table = minimal_generator_table(omega)
     # x0^2 * x1x2 = x0x1 * x0x2 is a sound pair; times x0^2 both sides hold w0
-    pairs = {2: [((0, 4), (1, 2))], 3: [((0, 0, 4), (0, 1, 2))]}
-    faulty = dataclasses.replace(table, representatives=pairs)
+    faulty = copy.copy(table)
+    faulty.representatives = {2: [((0, 4), (1, 2))], 3: [((0, 0, 4), (0, 1, 2))]}
     monkeypatch.setattr(veroproj.groebner, "minimal_generator_table", lambda *a, **k: faulty)
     with pytest.raises(AssertionError, match=r"\(0, 0, 4\) and \(0, 1, 2\) share a factor"):
         toric_generators(omega)
@@ -776,7 +776,7 @@ def test_search_finds_rc_order_first():
     res = search_quadratic_order(b613, budget=40, seed=0)
     assert res.found and res.tried == 1
     assert res.order.spec_string() == "rc(6,3,1)"
-    gb = quadratic_basis(res.order, QuadraticFibers.of(b613))
+    gb = quadratic_basis(res.order, minimal_generator_table(b613, k_max=3, bound="user"))
     assert gb.max_degree == 2
     assert gb.elements == buchberger(toric_generators(b613), res.order).elements
     assert verify_groebner(gb, toric_generators(b613))
@@ -787,7 +787,7 @@ def test_search_quartic_group_within_heuristics():
     res = search_quadratic_order(bq, budget=400, seed=0)
     assert res.found
     assert res.tried <= 60  # found among the sorted-member heuristics
-    gb = quadratic_basis(res.order, QuadraticFibers.of(bq))
+    gb = quadratic_basis(res.order, minimal_generator_table(bq, k_max=3, bound="user"))
     assert gb.is_quadratic
     assert gb.elements == buchberger(toric_generators(bq), res.order).elements
     assert verify_groebner(gb)
@@ -800,7 +800,7 @@ def test_search_logs_its_count(caplog):
         miss = search_quadratic_order(bq, budget=5, seed=0)
     lines = [r.getMessage() for r in caplog.records if r.getMessage().startswith("search_quadratic_order:")]
     assert len(lines) == 2
-    cubics = QuadraticFibers.of(bq).cubics
+    cubics = minimal_generator_table(bq, k_max=3, bound="user").cubics
     pattern = (
         r"search_quadratic_order: C3 = (\d+), (\S+) after (\d+) candidates, "
         r"surplus per failed candidate \[(.*)\]"
@@ -876,7 +876,7 @@ def test_quadratic_basis_agrees_with_buchberger(data):
     mu = len(omega)
     order = TermOrder(data.draw(st.sampled_from(KINDS)), tuple(data.draw(st.permutations(range(mu)))))
     gb = buchberger(gens, order, whole_ideal=quadratic)
-    found = quadratic_basis(order, QuadraticFibers.of(omega))
+    found = quadratic_basis(order, minimal_generator_table(omega, k_max=3, bound="user"))
     assert (found is not None) == (gb.max_degree <= 2)
     if found is not None:
         assert found.elements == gb.elements and found.max_degree == gb.max_degree
@@ -921,7 +921,7 @@ def test_standard_count_agrees_with_per_component_reference(data):
         weights = (0, data.draw(st.integers(0, d - 1)), data.draw(st.integers(1, d - 1)))
         omega = invariants_of_degree(cyclic_group(d, weights), 1)
     table = minimal_generator_table(omega)
-    fibers = table.fibers if data.draw(st.booleans()) else QuadraticFibers.of(omega)
+    fibers = table if data.draw(st.booleans()) else minimal_generator_table(omega, k_max=3, bound="user")
     quadrics = [e for e in brute_fibers(omega, 2).values() if len(e) > 1]
     components = [c for e in brute_fibers(omega, 3).values() for c in brute_components(e)]
     assert fibers.cubics == len(components)
@@ -958,11 +958,11 @@ def test_standard_count_against_brute_force(data):
         d = data.draw(st.integers(2, 9))
         weights = (0, data.draw(st.integers(0, d - 1)), data.draw(st.integers(1, d - 1)))
         omega = invariants_of_degree(cyclic_group(d, weights), 1)
-    fibers = QuadraticFibers.of(omega)
+    table = minimal_generator_table(omega, k_max=3, bound="user")
     mu = len(omega)
     lead = data.draw(st.just(()) | st.lists(st.integers(0, 3), min_size=mu, max_size=mu).map(tuple))
     order = TermOrder(data.draw(st.sampled_from(KINDS)), tuple(data.draw(st.permutations(range(mu)))), lead=lead)
-    assert _standard_count(order, fibers) == standard_count(order, fibers.quadrics)
+    assert _standard_count(order, table) == standard_count(order, table.quadrics)
 
 
 def test_standard_count_with_square_leads():
@@ -970,14 +970,14 @@ def test_standard_count_with_square_leads():
     # square, which some orders make the lead and others the trail; the
     # multisets with a repeated index, (1, 1, c) among them, count either way
     omega = MonomialSet.full(2, 2)
-    fibers = QuadraticFibers.of(omega)
-    assert [(0, 3), (1, 1)] in fibers.quadrics
+    table = minimal_generator_table(omega, k_max=3, bound="user")
+    assert [(0, 3), (1, 1)] in table.quadrics
     squares = set()
     for ranks in itertools.islice(itertools.permutations(range(len(omega))), 0, 720, 5):
         for kind in KINDS:
             order = TermOrder(kind, ranks)
-            assert _standard_count(order, fibers) == standard_count(order, fibers.quadrics)
-            squares.add(any(a == b for a, b in leads(order, fibers.quadrics)))
+            assert _standard_count(order, table) == standard_count(order, table.quadrics)
+            squares.add(any(a == b for a, b in leads(order, table.quadrics)))
     assert squares == {True, False}
 
 
@@ -1129,19 +1129,51 @@ def test_quadratic_basis_on_a_degree_two_table_of_a_cubic_ideal():
     # two components: a whole-fiber count would reject every order, while
     # the ideal its quadrics span has quadratic bases under some of them
     b713 = invariants_of_degree(cyclic_group(7, (0, 1, 3)), 1)
-    fibers = QuadraticFibers.of(b713)
+    table = minimal_generator_table(b713, k_max=3, bound="user")
     gens = toric_generators(b713, k_max=2)
     verdicts = set()
     for ranks in itertools.islice(itertools.permutations(range(len(b713))), 0, 720, 7):
         for kind in ("lex", "degrevlex"):
             order = TermOrder(kind, ranks)
             gb = buchberger(gens, order, whole_ideal=False)
-            found = quadratic_basis(order, fibers)
+            found = quadratic_basis(order, table)
             assert (found is not None) == (gb.max_degree <= 2), order
             if found is not None:
                 assert found.elements == gb.elements
             verdicts.add(found is not None)
     assert verdicts == {True, False}
+
+
+def test_quadratic_basis_needs_a_table_verified_to_degree_three():
+    omega = MonomialSet.full(2, 2)
+    table = minimal_generator_table(omega, k_max=2)
+    assert table.cubics is None
+    with pytest.raises(ValueError, match="verified to degree 3, got 2"):
+        quadratic_basis(TermOrder("lex", tuple(range(len(omega)))), table)
+
+
+def test_fiber_route_decodes_the_quadrics_once(monkeypatch):
+    """`toric_basis` reads the basis off its one table: the split degree-2
+    classes are decoded once, and no lex-least multiset is searched for."""
+    import veroproj.fibers
+    import veroproj.groebner
+
+    order, omega = rc_term_order(6, 3)
+    want = buchberger(toric_generators(omega), order).elements
+    decoded, searched = [], []
+    decode = veroproj.fibers.GeneratorTable.quadrics.func
+    quadrics = functools.cached_property(lambda table: decoded.append(table) or decode(table))
+    quadrics.__set_name__(veroproj.fibers.GeneratorTable, "quadrics")
+    monkeypatch.setattr(veroproj.fibers.GeneratorTable, "quadrics", quadrics)
+    least = veroproj.fibers._least_multiset
+    monkeypatch.setattr(veroproj.fibers, "_least_multiset", lambda *args: searched.append(args) or least(*args))
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("toric_basis ran buchberger on a quadratic order")
+
+    monkeypatch.setattr(veroproj.groebner, "buchberger", forbidden)
+    assert toric_basis(omega, order).elements == want
+    assert len(decoded) == 1 and searched == []
 
 
 def test_search_reads_fibers_once_and_never_runs_buchberger(monkeypatch):
