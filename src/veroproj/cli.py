@@ -47,8 +47,11 @@ def _build(args) -> tuple[FamilySpec, MonomialSet]:
 def _emit(args, text: str, payload: dict) -> None:
     out = json.dumps(payload, indent=2, sort_keys=False) + "\n" if args.json else text
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(out)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(out)
+        except OSError as exc:
+            raise ValueError(f"{args.out}: cannot write: {exc.strerror or exc}") from None
     else:
         sys.stdout.write(out)
 

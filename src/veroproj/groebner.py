@@ -54,7 +54,7 @@ import random
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import repeat
-from operator import and_, lshift, mul, rshift
+from operator import and_, mul, rshift
 from typing import Iterable, Iterator, Sequence
 
 from .errors import DEFAULT_GUARD, GuardExceeded, SpecParseError
@@ -326,7 +326,7 @@ class _Reducer:
     """
 
     def __init__(self, order: TermOrder, elements: Iterable[tuple[int, int]] = ()):
-        self.key, self.mu = order.key, order.mu
+        self.weights, self.mu = order.weights, order.mu
         self.ones = ((1 << 9 * order.mu) - 1) // 511
         self.guard = self.ones << 8
         self.codes: list[int] = []
@@ -397,8 +397,15 @@ class _Reducer:
         return vec
 
     def key_of(self, code: int) -> int:
+        """`TermOrder.key` summed over the code's nonzero lanes alone.  No KEY_DEGREE_BOUND
+        check is needed: codes stay below degree 2**8, far under 2**31."""
         if (k := self.keys.get(code)) is None:
-            k = self.keys[code] = self.key(self.vector(code))
+            k, weights, mask = 0, self.weights, self.nonzero(code)
+            while mask:
+                low = mask.bit_length() - 9  # the bottom bit of the top nonzero lane
+                k += (code >> low & 511) * weights[low // 9]
+                mask ^= 1 << low + 8
+            self.keys[code] = k
         return k
 
     def reduce(self, code: int) -> int:
@@ -459,9 +466,15 @@ def _check_code_degree(degree: int) -> None:
 
 def _code(vec: Sequence[int]) -> int:
     """The code sum(e_t << 9t) of a monomial: one 9-bit lane per exponent,
-    whose bit 8 no exponent below CODE_DEGREE_BOUND reaches."""
+    whose bit 8 no exponent below CODE_DEGREE_BOUND reaches.  Packed one
+    exponent per byte, each nonzero byte t moves up t bits, to bit 9t."""
     _check_code_degree(sum(vec))
-    return sum(map(lshift, vec, range(0, 9 * len(vec), 9)))
+    packed, code = int.from_bytes(bytes(vec), "little"), 0
+    while packed:
+        byte = packed & 255 << ((packed & -packed).bit_length() - 1 & ~7)  # the lowest nonzero one
+        code |= byte << (byte.bit_length() - 1 >> 3)
+        packed ^= byte
+    return code
 
 
 def _decode(code: int, mu: int) -> tuple[int, ...]:
@@ -536,17 +549,28 @@ def buchberger(
         # q_i = lcm(L_i, L_new) - L_new is the code of L_i / gcd(L_i, L_new), the
         # lanes of L_i - L_new where L_i >= L_new; a code's degree is its value
         # mod 511 (512 = 1 mod 511), and deg q_i >= 1 as no earlier lead divides
-        # the irreducible L_new
-        quotients = []
-        for i in candidates:
+        # the irreducible L_new.  Gebauer-Moeller, by ascending (deg q_i, i): drop
+        # (i, new) when the lcm of a kept pair (j, new) divides its lcm, i.e.
+        # q_j | q_i: M when strictly, F when equal; a witness is the degree of
+        # q_j, so it is equal exactly when dq matches.  Only a linear q_j divides
+        # a linear q_i, so those are settled by i at once; the rest are sorted.
+        linear = 0  # the guard bits of the variables of kept degree-1 quotients
+        quotients = []  # (deg q_i, i, q_i) for deg q_i >= 2
+        for i in sorted(candidates):
             diff = (codes[i] | guard) - Lnew
             high = diff & guard  # the guard bits of the lanes where L_i >= L_new
             q = (diff & (high >> 8) * 511) - high
-            quotients.append((q % 511, i, q))
-        # Gebauer-Moeller: drop (i, new) when the lcm of a kept pair (j, new)
-        # divides its lcm, i.e. q_j | q_i: M when strictly, F when equal; a
-        # witness is the degree of q_j, so it is equal exactly when dq matches
-        linear = 0  # the guard bits of the variables of kept degree-1 quotients
+            if (dq := q % 511) > 1:
+                quotients.append((dq, i, q))
+            elif linear & q << 8:
+                by_f += 1
+            else:
+                linear |= q << 8
+                if trails[i] & tnew:
+                    by_trail += 1
+                else:
+                    queues.setdefault(dnew + 1, []).append((i, new))
+                    formed += 1
         kept: list[tuple[int, int]] = []  # kept quotients of degree >= 2, ascending
         for dq, i, q in sorted(quotients):
             if linear & (q + low):
@@ -561,10 +585,7 @@ def buchberger(
             elif witness:
                 by_m += 1
             else:
-                if dq == 1:
-                    linear |= q << 8
-                else:
-                    kept.append((dq, q))
+                kept.append((dq, q))
                 if trails[i] & tnew:  # a kept witness, but its S-binomial is w_t times a lower one
                     by_trail += 1
                 else:

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .errors import DEFAULT_GUARD, GuardExceeded
-from .families import FamilySpec, koszul_label
+from .families import FamilySpec, TheoremVerdict, koszul_label
 from .fibers import minimal_generator_table
 from .groebner import search_quadratic_order
 from .groups import (
@@ -130,8 +130,7 @@ class SurveyRow:
         )
 
 
-def _koszul_tristate(group: DiagonalGroup, t: int, guard: int) -> TriState:
-    verdict = koszul_label(FamilySpec("group", group=group, t=t), guard=guard)
+def _koszul_tristate(verdict: TheoremVerdict) -> TriState:
     if verdict.status == "unknown":
         return TriState("unknown", "no-rule")
     cite = f"theorem:{verdict.citation}"
@@ -143,6 +142,18 @@ def _koszul_tristate(group: DiagonalGroup, t: int, guard: int) -> TriState:
         return TriState("no", f"{cite} (not even quadratic)")
     # Quadratic alone does not settle Koszulness
     return TriState("unknown", f"{cite} gives quadraticity only")
+
+
+def _implied_quadratic(verdict: TheoremVerdict) -> str | None:
+    """The quadraticity a decided verdict implies: Koszul and G-quadratic algebras
+    are quadratic, and the surface classification is an iff."""
+    if verdict.property in ("Quadratic", "Koszul", "GQuadratic"):
+        return "yes"
+    if verdict.property == "NotQuadratic" or (
+        verdict.property == "NotKoszul" and verdict.citation == "surface-koszul-classification"
+    ):
+        return "no"
+    return None
 
 
 def _ms() -> int:
@@ -164,7 +175,8 @@ def build_survey_row(group: DiagonalGroup, options: SurveyOptions = SurveyOption
     group, record = canonical_group(group)
     spec = group.spec_string()
     timings: dict[str, int] = {}
-    koszul = _koszul_tristate(group, 1, options.guard)
+    verdict = koszul_label(FamilySpec("group", group=group, t=1), guard=options.guard)
+    koszul = _koszul_tristate(verdict)
     not_attempted = {
         "status": "not-attempted",
         "order": None,
@@ -198,6 +210,11 @@ def build_survey_row(group: DiagonalGroup, options: SurveyOptions = SurveyOption
         answer.status if answer.status in ("yes", "no") else "unknown",
         f"computation:fiber-components-up-to-{answer.verified_up_to}",
     )
+    if quadratic.value != "unknown" and _implied_quadratic(verdict) not in (None, quadratic.value):
+        raise AssertionError(
+            f"{spec}: theorem {verdict.citation} says {verdict.property}, but the generator "
+            f"table computed quadratic={quadratic.value}"
+        )
     if quadratic.value == "no":
         search = {**not_attempted, "status": "impossible-non-quadratic"}
     elif options.search:
@@ -351,10 +368,18 @@ def _load_jsonl(path: Path) -> dict[str, SurveyRow]:
     return rows
 
 
+def _opened(path: Path, mode: str):
+    """path.open(mode) to write, or a ValueError that names the path."""
+    try:
+        return path.open(mode, encoding="utf-8", newline="")
+    except OSError as exc:
+        raise ValueError(f"{path}: cannot write: {exc.strerror or exc}") from None
+
+
 def _write_csv(path: Path, rows: list[SurveyRow]) -> None:
     """Write the digest beside the old one, then swap it in atomically."""
     tmp = path.with_name(path.name + ".tmp")
-    with tmp.open("w", encoding="utf-8", newline="") as fh:
+    with _opened(tmp, "w") as fh:
         writer = csv.writer(fh)
         writer.writerow([
             "spec", "n", "d",
@@ -413,6 +438,13 @@ def survey_groups(
             specs[g.spec_string()] = g
 
     jsonl_path = Path(options.jsonl_path) if options.jsonl_path is not None else None
+    csv_path = Path(options.csv_path) if options.csv_path is not None else None
+    for path in (jsonl_path, csv_path):  # fail before the first row is built
+        if path is not None:
+            existed = path.exists()
+            _opened(path, "a").close()
+            if not existed:
+                path.unlink()
     existing = _load_jsonl(jsonl_path) if jsonl_path is not None else {}
     rows: dict[str, SurveyRow] = {
         spec: row for spec, row in existing.items() if spec in specs and _reusable(row, options)
@@ -424,15 +456,15 @@ def survey_groups(
         row = build_survey_row(g, options)
         rows[row.spec] = row
         if jsonl_path is not None:
-            with jsonl_path.open("a", encoding="utf-8") as fh:
+            with _opened(jsonl_path, "a") as fh:
                 fh.write(json.dumps(row.to_json_dict(), sort_keys=True) + "\n")
             existing[row.spec] = row
 
-    if options.csv_path is not None:
+    if csv_path is not None:
         digest_rows = sorted(
             (existing | rows).values() if jsonl_path is not None else rows.values(),
             key=_row_sort_key,
         )
-        _write_csv(Path(options.csv_path), digest_rows)
+        _write_csv(csv_path, digest_rows)
 
     return sorted(rows.values(), key=_row_sort_key)

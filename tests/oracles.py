@@ -10,6 +10,7 @@ every vector of weights, and `invariants` filters every monomial of a
 degree by the congruences, sharing nothing with `veroproj.groups`.
 `standard_count` counts the degree-3 multisets an order leaves standard
 by testing each one's sub-pairs, sharing nothing with `veroproj.groebner`.
+`code` is Buchberger's lane code taken densely, one lane per variable.
 """
 
 from __future__ import annotations
@@ -50,6 +51,11 @@ def brute_components(elements: list[tuple[int, ...]]) -> list[list[tuple[int, ..
             left = [e for e in left if e not in joined]
         comps.append(sorted(comp))
     return comps
+
+
+def code(vec) -> int:
+    """The lane code sum(e_t << 9t) of an exponent vector, over every lane."""
+    return sum(e << 9 * t for t, e in enumerate(vec))
 
 
 def vec_strip(u: tuple[int, ...], v: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:

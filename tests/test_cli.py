@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import veroproj
-from veroproj import cli, groebner
+from veroproj import cli, groebner, survey
 from veroproj.cli import main
 from veroproj.families import parse_family
 from veroproj.groebner import Binomial, GroebnerBasis, parse_order, toric_generators, verify_groebner
@@ -228,6 +228,20 @@ def test_unreadable_family_file_exits_two(tmp_path, capsys):
         code, out, err = run(capsys, "normal2", f"file:{path}")
         assert code == 2 and out == ""
         assert err.startswith("error:") and str(path) in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("survey", "--d-max", "3", "--jsonl", "{missing}/x.jsonl"),
+    ("survey", "--d-max", "3", "--csv", "{missing}/x.csv"),
+    ("omega", "full(2,2)", "--out", "{missing}/x.txt"),
+])
+def test_unwritable_output_exits_two(tmp_path, monkeypatch, capsys, argv):
+    # a survey checks its store and CSV paths before it builds the first row
+    monkeypatch.setattr(survey, "build_survey_row", lambda *_: pytest.fail("a row was built"))
+    argv = [arg.format(missing=tmp_path / "missing") for arg in argv]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == f"error: {argv[-1]}: cannot write: No such file or directory\n"
 
 
 def test_survey_usage_and_rows(tmp_path, capsys):

@@ -10,7 +10,7 @@ import json
 import logging
 import random
 import re
-from operator import le
+from operator import le, mul
 
 import pytest
 from hypothesis import given, settings
@@ -42,7 +42,7 @@ from veroproj.groups import block_group, canonical_weight_vectors, cyclic_group,
 from veroproj.monomials import MonomialSet
 
 from oracles import (
-    brute_components, brute_fibers, from_indices, is_gcd_reduced, leads, make, standard_count, vec_strip,
+    brute_components, brute_fibers, code, from_indices, is_gcd_reduced, leads, make, standard_count, vec_strip,
 )
 
 # Frozen (r, c) table for d = 6, k = 3, worked out by hand from the
@@ -606,6 +606,51 @@ def test_lane_arithmetic_agrees_with_tuples(data):
             assert _lane_divides(reducer, qj, qi) == all(map(le, _decode(qj, mu), _decode(qi, mu)))
 
 
+@functools.cache
+def _lane_orders():
+    """lex and degrevlex on a drawn mu, and the lift of rc(6,3,1) through sizes 1,2,2."""
+    rc, omega = rc_term_order(6, 3)
+    lifted = lift_omega(omega, (1, 2, 2))
+    lift = lift_order(rc, omega, lifted, (1, 2, 2))
+    plain = st.tuples(st.sampled_from(["lex", "degrevlex"]), st.integers(1, 64).flatmap(
+        lambda mu: st.permutations(range(mu))))
+    return st.just(lift) | plain.map(lambda kind_rank: TermOrder(*kind_rank))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_sparse_lane_helpers_agree_with_dense_references(data):
+    """`_code` and `_Reducer.key_of`, which visit only nonzero lanes, against
+    the dense code sum(e << 9t) and `TermOrder.key`.
+
+    The monomials are sparse, with exponents 1, 2, 254 or 255, the last lane
+    set when drawn so, and their degree filled up to CODE_DEGREE_BOUND - 1
+    when drawn so; one more unit on any lane must make `_code` raise.
+    """
+    order = data.draw(_lane_orders())
+    mu = order.mu
+    reducer = _Reducer(order)
+    lane = st.integers(0, mu - 1)
+    exponent = st.sampled_from([1, 2, 254, 255]) | st.integers(1, 255)
+    for _ in range(4):
+        vec = [0] * mu
+        for t, e in data.draw(st.lists(st.tuples(lane | st.just(mu - 1), exponent), max_size=6)):
+            vec[t] = e
+        vec = list(_below_code_bound(vec))
+        if data.draw(st.booleans()):  # fill up to degree CODE_DEGREE_BOUND - 1
+            t = data.draw(lane | st.just(mu - 1))
+            vec[t] += CODE_DEGREE_BOUND - 1 - sum(vec)
+        vec = tuple(vec)
+        assert _code(vec) == code(vec)
+        assert reducer.key_of(_code(vec)) == order.key(vec)
+        assert reducer.key_of(code(vec)) == order.key(vec)  # again, from the memo
+        if sum(vec) == CODE_DEGREE_BOUND - 1:
+            over = list(vec)
+            over[data.draw(lane)] += 1
+            with pytest.raises(ValueError, match="code degree bound"):
+                _code(over)
+
+
 # Reducers whose elements walk in a circle, as (lead, trail) exponent pairs,
 # and a monomial whose walk enters it: w0^8 takes a tail of seven steps into
 # the 2-cycle w1^2 w2^6 <-> w2^8, w0^2 goes round a 3-cycle from the start,
@@ -1067,7 +1112,7 @@ def _reference_normal_form(reducer, elements, u, v):
     """The uncached alternating normal form: one step at a time, on the
     greater side while it reduces, else on the lesser."""
     while u != v:
-        if reducer.key(u) < reducer.key(v):
+        if sum(map(mul, u, reducer.weights)) < sum(map(mul, v, reducer.weights)):  # dense keys
             u, v = v, u
         if (hit := reducer.find(_code(u))) is not None:
             u = _apply(u, elements[hit])

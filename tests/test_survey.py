@@ -10,6 +10,7 @@ import random
 import pytest
 
 from veroproj.errors import GuardExceeded
+from veroproj.families import TheoremVerdict
 from veroproj.groups import (
     canonical_group,
     canonical_weight_vectors,
@@ -150,6 +151,27 @@ def test_build_survey_row_nonquadratic_surface():
     assert row.gq_search["status"] == "impossible-non-quadratic"
     assert row.gq_search["tried"] == 0
     assert max(row.generator_degrees) > 2
+
+
+@pytest.mark.parametrize("weights, verdict, raises", [
+    # C(4;0,1,2) is quadratic, C(5;0,1,2) is not
+    ((4, (0, 1, 2)), TheoremVerdict("NotQuadratic", "proved-by-theorem", "threefold-parity"), True),
+    ((4, (0, 1, 2)), TheoremVerdict("NotKoszul", "proved-by-theorem", "surface-koszul-classification"), True),
+    ((4, (0, 1, 2)), TheoremVerdict("NotKoszul", "proved-by-theorem", "surface-koszul-noncyclic"), False),
+    ((5, (0, 1, 2)), TheoremVerdict("Koszul", "proved-by-theorem", "surface-koszul-classification"), True),
+    ((5, (0, 1, 2)), TheoremVerdict("GQuadratic", "proved-by-theorem", "cyclic-extension-gb"), True),
+    ((5, (0, 1, 2)), TheoremVerdict("Quadratic", "proved-by-theorem", "threefold-parity"), True),
+    ((5, (0, 1, 2)), TheoremVerdict(None, "unknown"), False),
+])
+def test_build_survey_row_raises_when_a_theorem_contradicts_the_table(monkeypatch, weights, verdict, raises):
+    import veroproj.survey
+
+    monkeypatch.setattr(veroproj.survey, "koszul_label", lambda *_, **__: verdict)
+    if raises:
+        with pytest.raises(AssertionError, match=f"theorem {verdict.citation} says {verdict.property}"):
+            build_survey_row(cyclic_group(*weights))
+    else:
+        build_survey_row(cyclic_group(*weights))
 
 
 def test_build_survey_row_canonicalizes_first():
