@@ -17,7 +17,8 @@ index, so every fiber is an independent set and the count is just
 (fiber size - 1), summed.
 
 The class walk (`_class_walk`) counts the components of every table from
-index masks, with no multiset formed.  The table keeps the masks of each
+index masks, with no multiset formed; a table that stops at degree 3 walks
+only the standard multisets there.  The table keeps the masks of each
 split fiber's classes and decodes them only when read: a degree-2 class
 is one multiset, so the degree-2 fibers the order search pairs come
 straight off its masks, and `representatives` searches the classes of
@@ -87,29 +88,87 @@ def _walk(omega: MonomialSet, k_max: int) -> Iterator[dict]:
         yield level
 
 
-def _class_walk(omega: MonomialSet, k_max: int) -> Iterator[tuple[dict, int, dict]]:
+def _class_walk(omega: MonomialSet, k_max: int) -> Iterator[tuple[dict, int | tuple, dict]]:
     """Fiber components degree by degree, from index masks alone.
 
-    Yields, for k = 2..k_max, the dict from each degree-k product (packed
-    in `_radix(omega, k_max)`) to the mask of the indices its multisets
-    use, then the (p, j) pairs visited, and the dict from each product
-    whose fiber has more than one component to its components' masks.
-
-    A degree-k multiset of the fiber of q that holds index j is j plus a
-    degree-(k-1) multiset of p = q - m_j, so the multisets of each pair
-    (p, j) share j and lie in one component, and their indices are
-    mask(p) | 1 << j.  Components of one fiber use disjoint indices, so
-    they are the classes of pair masks joined by overlap.  The pairs with
-    j at least the least last index of p's multisets still cover every
-    multiset e: take p = e minus its last index j.  Degree-2 pairs are
-    appended unscanned; `split` skips listed splits that merged back.
+    Yields, for k = 2..k_max, a dict keyed by the degree-k products
+    (packed in `_radix(omega, k_max)`), what the degree walked, and the
+    dict from each product whose fiber has several components to their
+    masks.  A product maps to the mask of its multisets' indices, save at
+    a last degree 3, where it maps to one multiset's.  (README, *Fiber
+    walk*, has the proofs.)  Degree 2 walks the pairs (i, j), i <= j, j
+    ascending; `free` marks each product's first, its least under lex with
+    w_(mu-1) > ... > w_0.  A last degree 3 walks the standard multisets of
+    that order and closes those of each product reached more than once
+    under j -> mask(q - m_j) until one meets them all.  It counts both.  Past degree 3 each degree
+    walks the pairs (p, j), j from the least last index of p's multisets,
+    whose multisets share j and use the indices mask(p) | 1 << j, and
+    joins their masks by overlap.  It counts the pairs; `split` skips
+    listed splits that merged back.
     """
+    if k_max < 2:
+        return
     radix = _radix(omega, k_max)
     members = [_pack(m, radix) for m in omega]
     mu = len(members)
-    # by_start[s]: (product, mask) of each product whose least last index is s
-    by_start = [[(p, 1 << i)] for i, p in enumerate(members)]
-    for k in range(2, k_max + 1):
+    masks: dict = {}  # product -> its one class mask, or a list of its classes
+    free = [0] * mu  # free[i]: the j >= i with (i, j) the least pair of its product
+    for j, mj in enumerate(members):
+        bj = 1 << j
+        for i in range(j + 1):
+            q, g = members[i] + mj, 1 << i | bj
+            c = masks.get(q)
+            if c is None:
+                masks[q] = g
+                free[i] |= bj
+            elif c.__class__ is int:
+                masks[q] = [c, g]
+            else:
+                c.append(g)
+    split = {q: c for q, c in masks.items() if c.__class__ is list}
+    masks.update((q, sum(c)) for q, c in split.items())
+    yield masks, mu * (mu + 1) // 2, split
+    if k_max == 3:
+        first: dict = {}  # product -> its first standard multiset, as a mask
+        repeated: dict = {}  # product -> each of its standard multisets, if several
+        for a, bs in enumerate(free):
+            while bs:
+                bb = bs & -bs
+                bs ^= bb
+                b = bb.bit_length() - 1
+                pab, gab = members[a] + members[b], 1 << a | bb
+                cs = free[a] & free[b]
+                while cs:
+                    bc = cs & -cs
+                    cs ^= bc
+                    q = pab + members[bc.bit_length() - 1]
+                    if q in first:
+                        repeated.setdefault(q, [first[q]]).append(gab | bc)
+                    else:
+                        first[q] = gab | bc
+        split = {}
+        for q, starts in repeated.items():
+            comps: list = []
+            for g in starts:
+                if any(g & c for c in comps):  # components use disjoint indices
+                    continue
+                comp = todo = g
+                while todo and not all(s & comp for s in starts):  # met all: one component
+                    bit = todo & -todo
+                    reach = masks[q - members[bit.bit_length() - 1]]
+                    todo = (todo ^ bit) | (reach & ~comp)
+                    comp |= reach
+                comps.append(comp)
+            if len(comps) > 1:
+                split[q] = comps
+        standard = len(first) + sum(map(len, repeated.values())) - len(repeated)
+        yield first, (standard, len(repeated)), split
+    if k_max <= 3:
+        return
+    # by_start[j]: (product, mask) of each product whose least pair is (i, j), i ascending
+    by_start = [[(mi + mj, masks[mi + mj]) for i, mi in enumerate(members[: j + 1]) if free[i] >> j & 1]
+                for j, mj in enumerate(members)]
+    for k in range(3, k_max + 1):
         classes: dict = {}  # product -> its one class mask, or a list of disjoint ones
         firsts: list = [[] for _ in range(mu)]  # products by the index j that reached them first
         splits: list = []  # products as their fibers split; some may merge back
@@ -134,8 +193,6 @@ def _class_walk(omega: MonomialSet, k_max: int) -> Iterator[tuple[dict, int, dic
                     else:
                         classes[q] = [c, g]
                         splits.append(q)
-                elif k == 2:  # distinct degree-2 multisets of one product share no index
-                    c.append(g)
                 else:
                     keep = []
                     for other in c:
@@ -335,10 +392,10 @@ def minimal_generator_table(
 
     Every degree comes from the class walk.  A degree-2 class is one
     multiset, so its degree-2 products and generators must add up to the
-    C(mu+1, 2) multisets.  The table keeps each degree's split fibers, off
-    which it decodes its representatives and degree-2 quadrics when read.
-    Each call logs its counts per degree to the "veroproj" logger at debug
-    level.
+    C(mu+1, 2) multisets; a group-tagged surface's H(3) must be 3 H(2) -
+    3 H(1) + 1.  The table keeps each degree's split fibers, off which it
+    decodes its representatives and degree-2 quadrics when read.  Each
+    call logs its counts per degree to the "veroproj" logger at debug level.
     """
     if k_max is not None and k_max < 1:
         raise ValueError(f"need k_max >= 1, got {k_max}")
@@ -376,26 +433,33 @@ def minimal_generator_table(
     mu = len(omega)
     _check_fiber_guard(mu, 2, k_max, guard)
     splits: dict[int, dict[int, list[int]]] = {}
-    # per degree: k, products, (p, j) pairs walked, fibers split, generators
-    counts: list[tuple[int, int, int, int, int]] = []
-    for k, (masks, pairs, split) in enumerate(_class_walk(omega, k_max), start=2):
+    # per degree: k, products, what the walk counted, fibers split, generators
+    counts: list[tuple[int, int, object, int, int]] = []
+    for k, (products, walked, split) in enumerate(_class_walk(omega, k_max), start=2):
         count = sum(len(classes) - 1 for classes in split.values())
-        counts.append((k, len(masks), pairs, len(split), count))
+        counts.append((k, len(products), walked, len(split), count))
         if split:
             splits[k] = split
-        if k == 2 and len(masks) + count != _multiset_count(mu, 2):
+        if k == 2 and len(products) + count != _multiset_count(mu, 2):
             raise RuntimeError(
-                f"class walk check failed: {len(masks)} degree-2 products and "
+                f"class walk check failed: {len(products)} degree-2 products and "
                 f"{count} generators, but {_multiset_count(mu, 2)} multisets"
             )
+    if omega.n == 2 and omega.origin_t == 1 and k_max >= 3:
+        # a lattice polygon's H is quadratic with H(0) = 1 (README, *Fiber walk*); none for n >= 3
+        h2, h3 = counts[0][1], counts[1][1]
+        if h3 != 3 * h2 - 3 * mu + 1:
+            raise RuntimeError(f"class walk check failed: H(3) = {h3}, not 3 H(2) - 3 H(1) + 1")
     if logger.isEnabledFor(logging.DEBUG):
         logger.debug(
             "minimal_generator_table: %d members; %s",
             mu,
             "; ".join(
-                f"degree {k}: {products} products, {pairs} (p, j) pairs, "
-                f"{split} fibers of several components, {count} generators"
-                for k, products, pairs, split, count in counts
+                f"degree {k}: {products} products, "
+                + (f"{walked} (p, j) pairs, " if walked.__class__ is int else
+                   "%d standard multisets, %d repeated products, " % walked)
+                + f"{split} fibers of several components, {count} generators"
+                for k, products, walked, split, count in counts
             ),
         )
     degrees = {k: count for k, *_, count in counts if count}

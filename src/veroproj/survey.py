@@ -377,27 +377,32 @@ def _opened(path: Path, mode: str):
 
 
 def _write_csv(path: Path, rows: list[SurveyRow]) -> None:
-    """Write the digest beside the old one, then swap it in atomically."""
+    """Write the digest beside the old one, then swap it in atomically or remove it."""
     tmp = path.with_name(path.name + ".tmp")
-    with _opened(tmp, "w") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([
-            "spec", "n", "d",
-            "quadratic", "quadratic_provenance",
-            "koszul", "koszul_provenance",
-            "gq_status", "gq_order",
-            "generator_degrees", "guard_error",
-        ])
-        for row in rows:
-            degrees = ";".join(f"{k}:{v}" for k, v in sorted(row.generator_degrees.items()))
+    fh = _opened(tmp, "w")
+    try:
+        with fh:
+            writer = csv.writer(fh)
             writer.writerow([
-                row.spec, row.n, row.d,
-                row.quadratic.value, row.quadratic.provenance,
-                row.koszul.value, row.koszul.provenance,
-                row.gq_search.get("status"), row.gq_search.get("order") or "",
-                degrees, row.guard_error or "",
+                "spec", "n", "d",
+                "quadratic", "quadratic_provenance",
+                "koszul", "koszul_provenance",
+                "gq_status", "gq_order",
+                "generator_degrees", "guard_error",
             ])
-    os.replace(tmp, path)
+            for row in rows:
+                degrees = ";".join(f"{k}:{v}" for k, v in sorted(row.generator_degrees.items()))
+                writer.writerow([
+                    row.spec, row.n, row.d,
+                    row.quadratic.value, row.quadratic.provenance,
+                    row.koszul.value, row.koszul.provenance,
+                    row.gq_search.get("status"), row.gq_search.get("order") or "",
+                    degrees, row.guard_error or "",
+                ])
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)  # a half-written digest is no digest
+        raise
 
 
 def _reusable(row: SurveyRow, options: SurveyOptions) -> bool:

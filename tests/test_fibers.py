@@ -7,11 +7,12 @@ import re
 from itertools import chain, combinations, combinations_with_replacement
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from veroproj import fibers
 from veroproj.errors import GuardExceeded
+from veroproj.families import parse_family
 from veroproj.fibers import (
     h_polynomial,
     hilbert_values,
@@ -19,7 +20,13 @@ from veroproj.fibers import (
     is_product_of_two,
     minimal_generator_table,
 )
-from veroproj.groups import h_vector_group, invariants_of_degree, parse_group
+from veroproj.groups import (
+    canonical_weight_vectors,
+    cyclic_group,
+    h_vector_group,
+    invariants_of_degree,
+    parse_group,
+)
 from veroproj.monomials import MonomialSet, enumerate_degree, enumerate_support_bounded
 
 from oracles import brute_components, brute_fibers, product
@@ -72,15 +79,20 @@ def _check_walk_levels(omega: MonomialSet, k_max: int) -> None:
 
 
 def _check_class_levels(omega: MonomialSet, k_max: int) -> None:
-    # each class level maps every product to the union of its components' indices,
-    # and its split dict holds exactly the fibers of several components, with their masks
+    # each class level maps every product to the union of its components' indices
+    # (a last degree 3, walked from standard multisets, keeps no union masks: only its
+    # products are compared), and its split dict holds exactly the fibers of several
+    # components, with their masks
     radix = fibers._radix(omega, k_max)
     for k, (masks, _, split) in enumerate(fibers._class_walk(omega, k_max), start=2):
         comps = {
             fibers._pack(t, radix): [sum(1 << i for i in set(chain(*c))) for c in brute_components(e)]
             for t, e in brute_fibers(omega, k).items()
         }
-        assert masks == {q: sum(cs) for q, cs in comps.items()}
+        if k == k_max == 3:
+            assert set(masks) == set(comps)
+        else:
+            assert masks == {q: sum(cs) for q, cs in comps.items()}
         assert set(split) == {q for q, cs in comps.items() if len(cs) > 1}
         for q, classes in split.items():
             assert sorted(classes) == sorted(comps[q])
@@ -366,6 +378,26 @@ def test_walker_agrees_with_bruteforce(omega, k_max):
     assert witness == (min(missing) if missing else None)
 
 
+def _degree_three_level(omega: MonomialSet, k_max: int) -> tuple[set, dict]:
+    # the degree-3 products as exponent vectors, and each split fiber's classes as a set
+    radix = fibers._radix(omega, k_max)
+
+    def unpack(q: int) -> tuple[int, ...]:
+        return tuple(q // radix**e % radix for e in range(omega.n, -1, -1))
+
+    products, _, split = list(fibers._class_walk(omega, k_max))[1]
+    return {unpack(q) for q in products}, {unpack(q): set(cs) for q, cs in split.items()}
+
+
+@settings(max_examples=100, deadline=None)
+@given(_small_omegas())
+@example(parse_family("pinched(3,3,2)").build())  # closures that take more than one round
+def test_standard_route_agrees_with_the_pair_walk(omega):
+    # a walk that stops at degree 3 takes it from standard multisets; one walked
+    # to degree 4 visits every (p, j) pair there
+    assert _degree_three_level(omega, 3) == _degree_three_level(omega, 4)
+
+
 def test_quadrics_are_decoded_once_and_only_when_read():
     omega = escalating_family(4)
     table = minimal_generator_table(omega, k_max=3)
@@ -404,6 +436,37 @@ def test_class_walk_is_checked_by_the_degree_two_identity(monkeypatch):
         minimal_generator_table(omega, k_max=3)
 
 
+def test_group_surfaces_meet_the_lattice_polygon_identity():
+    # H(3) = 3 H(2) - 3 H(1) + 1 for every group-tagged surface, by the independent
+    # distinct-product walk, and each table's own degree-3 products agree with it
+    groups = [cyclic_group(d, w) for d in range(2, 13) for w in canonical_weight_vectors(2, d)]
+    groups += [parse_group("C(4;0,1,3)+C(2;0,1,1)"), parse_group("C(2;0,1,1)+C(4;0,2,3)")]
+    for group in groups:
+        omega = invariants_of_degree(group, 1)
+        h = hilbert_values(omega, 3)
+        assert h[3] == 3 * h[2] - 3 * h[1] + 1, group.spec_string()
+        table = minimal_generator_table(omega)
+        assert table.cubics - table.degrees.get(3, 0) == h[3]
+
+
+def test_class_walk_is_checked_by_the_surface_hilbert_identity(monkeypatch):
+    omega = invariants_of_degree(parse_group("C(7;0,1,3)"), 1)
+    walk = fibers._class_walk
+
+    def drops_a_product(omega, k_max):
+        for k, (products, walked, split) in enumerate(walk(omega, k_max), start=2):
+            if k == 3:
+                # forget one connected degree-3 fiber
+                products = dict(products)
+                del products[next(q for q in products if q not in split)]
+            yield products, walked, split
+
+    monkeypatch.setattr(fibers, "_class_walk", drops_a_product)
+    for k_max in (None, 4):  # the standard route of the group bound, and the pair walk
+        with pytest.raises(RuntimeError, match=r"H\(3\) = 36, not 3 H\(2\) - 3 H\(1\) \+ 1"):
+            minimal_generator_table(omega, k_max=k_max)
+
+
 def test_k_max_below_one_is_rejected():
     omega = MonomialSet.full(2, 2)
     for k_max in (0, -3):
@@ -430,6 +493,35 @@ def test_table_logs_its_counts(caplog):
     for k, products, walked, split, generators in per_degree:
         assert int(products) == len(brute_fibers(omega, int(k)))
         assert int(split) <= int(generators) < int(walked)
+
+
+def test_degree_three_tables_log_their_standard_walk(caplog):
+    cases = [
+        (escalating_family(5), (
+            48,  # products: H(3), as hilbert_values counts them
+            50,  # standard multisets: C3 = 48 + 2, one per component and no more
+            2,  # repeated products: each split fiber is reached once per component
+            2,  # split fibers: the two degree-3 fibers of two components
+            2,  # generators: the family's two cubics, as test_escalating_generator_tables has
+        )),
+        (invariants_of_degree(parse_group("C(7;0,1,3)"), 1), (
+            37,  # products: 3 H(2) - 3 H(1) + 1 = 3 * 18 - 3 * 6 + 1, a lattice polygon's H(3)
+            38,  # standard multisets: C3 = 37 + 1, one per component and no more
+            1,  # repeated products: the split fiber, reached once per component
+            1,  # split fibers: one degree-3 fiber of two components
+            1,  # generators: the one cubic this group's ideal needs
+        )),
+    ]
+    for omega, pinned in cases:
+        caplog.clear()
+        with caplog.at_level(logging.DEBUG, logger="veroproj"):
+            table = minimal_generator_table(omega, k_max=3)
+        line = next(r.getMessage() for r in caplog.records if r.getMessage().startswith("minimal_"))
+        got = re.search(
+            r"degree 3: (\d+) products, (\d+) standard multisets, (\d+) repeated products, "
+            r"(\d+) fibers of several components, (\d+) generators$", line)
+        assert tuple(map(int, got.groups())) == pinned
+        assert hilbert_values(omega, 3)[3] == pinned[0] and table.cubics == pinned[1]
 
 
 def test_walker_checks_its_guard_before_allocating(monkeypatch):

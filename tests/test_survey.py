@@ -327,6 +327,7 @@ def test_survey_csv_digest_is_replaced_atomically(tmp_path, monkeypatch):
     with pytest.raises(OSError, match="disk full"):
         survey_groups(2, range(2, 5), options)
     assert digest.read_text() == before
+    assert not (tmp_path / "rows.csv.tmp").exists()
     monkeypatch.undo()
 
     survey_groups(2, range(2, 5), options)
