@@ -249,7 +249,8 @@ def _check_fiber_guard(mu: int, k_min: int, k_max: int, guard: int) -> None:
 def hilbert_values(
     omega: MonomialSet, k_max: int, guard: int = DEFAULT_GUARD
 ) -> list[int]:
-    """Hilbert function values for degrees 0..k_max: distinct member products."""
+    """Hilbert function values for degrees 0..k_max: distinct member products,
+    walked up to the first full level k >= 1, H(k) = C(n + kd, n) (README, *Fiber walk*)."""
     if k_max < 0:
         raise ValueError(f"need k_max >= 0, got {k_max}")
     values = [1]
@@ -259,6 +260,9 @@ def hilbert_values(
         if work > guard:
             raise GuardExceeded(f"Hilbert value at degree {k}", work, guard)
         values.append(len(next(walk)))
+        if values[-1] == math.comb(omega.n + k * omega.d, omega.n):
+            values += (math.comb(omega.n + j * omega.d, omega.n) for j in range(k + 1, k_max + 1))
+            break
     return values
 
 
@@ -445,11 +449,15 @@ def minimal_generator_table(
                 f"class walk check failed: {len(products)} degree-2 products and "
                 f"{count} generators, but {_multiset_count(mu, 2)} multisets"
             )
-    if omega.n == 2 and omega.origin_t == 1 and k_max >= 3:
-        # a lattice polygon's H is quadratic with H(0) = 1 (README, *Fiber walk*); none for n >= 3
-        h2, h3 = counts[0][1], counts[1][1]
-        if h3 != 3 * h2 - 3 * mu + 1:
-            raise RuntimeError(f"class walk check failed: H(3) = {h3}, not 3 H(2) - 3 H(1) + 1")
+    if omega.n == 2 and omega.origin_t == 1 and k_max >= 2:
+        # H is a lattice polygon's, second difference g d for one factor (README, *Fiber walk*);
+        # tables of several factors or of n >= 3 get no check
+        h2, (w0, w1, w2) = counts[0][1], omega.origin_group.factors[0].weights
+        area = math.gcd(omega.d, w1 - w0, w2 - w0) * omega.d
+        if len(omega.origin_group.factors) == 1 and h2 - 2 * mu + 1 != area:
+            raise RuntimeError(f"class walk check failed: H(2) - 2 H(1) + 1 = {h2 - 2 * mu + 1}, not g d = {area}")
+        if k_max >= 3 and counts[1][1] != 3 * h2 - 3 * mu + 1:
+            raise RuntimeError(f"class walk check failed: H(3) = {counts[1][1]}, not 3 H(2) - 3 H(1) + 1")
     if logger.isEnabledFor(logging.DEBUG):
         logger.debug(
             "minimal_generator_table: %d members; %s",

@@ -12,8 +12,8 @@ holds for every factor.  Everything downstream (Hilbert series slices,
 h-vectors, the surface quadraticity criterion, block groups for lifts)
 reduces to enumerating solutions of those congruences degree by degree,
 in one walk per call whose last two exponents step through one
-arithmetic progression per prefix, with the congruence constants
-computed once per call.
+arithmetic progression per prefix, as does its last walked exponent,
+with the congruence constants computed once per call.
 
 Presentations are taken at face value: weights are reduced modulo the
 factor order but a factor whose action has smaller order than presented
@@ -151,34 +151,33 @@ def _invariant_monomials(
     With scale == 1 these are exactly the invariant monomials of the
     group.  Positions 0..n-2 are walked with degree bounds; the last two
     exponents (x, rem - x) then solve one linear congruence a*x == b per
-    factor, merged by CRT, so the innermost level is one arithmetic
-    progression, counted or appended whole.  Only b depends on the
-    prefix, so each factor's gcd, inverse and merge constants are
-    computed once per call, and b is carried down the walk.
+    factor, merged by CRT, so each tail is one arithmetic progression,
+    counted or appended whole.  Only b depends on the prefix, so each
+    factor's gcd, inverse and merge constants are computed once per
+    call, and b is carried down the walk.  The e of the last walked
+    position with a solvable tail form one progression of step E, the
+    period, along which x's class moves by a fixed delta: each prefix
+    solves at most E times, until its first solvable e, and then steps.
     """
     nv = group.n + 1
-    if cap is not None and cap * nv < degree:
-        return 0
     if nv == 1:
-        if (cap is not None and degree > cap) or any(
-            f.weights[0] * degree % (f.order * scale) for f in group.factors
-        ):
-            return 0
-        if out is not None:
+        invariant = (cap is None or degree <= cap) and not any(
+            f.weights[0] * degree % (f.order * scale) for f in group.factors)
+        if invariant and out is not None:
             out.append((degree,))
-        return 1
+        return int(invariant)
     # per factor of modulus m: w_p*x + w_q*(rem - x) + sum_j w_j*e_j == 0, so
     # a = w_p - w_q and b = -w_q*degree - sum_j (w_j - w_q)*e_j; a solution needs
     # g = gcd(a, m) | b and is x == (b/g) * inv (mod m2 = m/g), which joins the
     # earlier factors' class r (mod step) when h = gcd(step, m2) divides x - r
-    solve, moduli, coefs, start, step = [], [], [], [], 1
+    consts, moduli, coefs, start, step = [], [], [], [], 1
     for f in group.factors:
         m = f.order * scale
         *ws, wp, wq = f.weights
         g = math.gcd(wp - wq, m)
         m2 = m // g
         h = math.gcd(step, m2)
-        solve.append((g, m2, pow((wp - wq) // g, -1, m2), step, h, m2 // h, pow(step // h, -1, m2 // h)))
+        consts.append((g, m2, pow((wp - wq) // g, -1, m2), step, h, m2 // h, pow(step // h, -1, m2 // h)))
         step = step // h * m2
         moduli.append(m)
         coefs.append([(w - wq) % m for w in ws])
@@ -187,26 +186,20 @@ def _invariant_monomials(
     total, last = 0, nv - 2
     head = [0] * last  # the prefix's exponents
 
-    def walk(pos: int, rem: int, bs: Sequence[int]) -> None:
-        nonlocal total
-        if pos < last:
-            top = rem if cap is None else min(rem, cap)
-            low = 0 if cap is None else max(0, rem - cap * (nv - pos - 1))
-            cs = coefs[pos]
-            for e in range(top, low - 1, -1):
-                head[pos] = e
-                walk(pos + 1, rem - e, [(b - c * e) % m for b, c, m in zip(bs, cs, moduli)])
-            return
+    def solve(bs: Sequence[int]) -> int | None:
         r = 0
-        for b, (g, m2, inv, merged, h, m3, inv_merged) in zip(bs, solve):
+        for b, (g, m2, inv, merged, h, m3, inv_merged) in zip(bs, consts):
             if b % g:
-                return
+                return None
             x = b // g * inv % m2
             if (x - r) % h:
-                return
+                return None
             r += merged * ((x - r) // h * inv_merged % m3)
-        lo = 0 if cap is None else max(0, rem - cap)
-        hi = rem if cap is None else min(rem, cap)
+        return r
+
+    def emit(rem: int, r: int) -> None:
+        nonlocal total
+        lo, hi = (0, rem) if cap is None else (max(0, rem - cap), min(rem, cap))
         first = hi - (hi - r) % step  # descending lex wants the larger x first
         if first < lo:
             return
@@ -215,7 +208,34 @@ def _invariant_monomials(
         if out is not None:
             out.extend(zip(*map(repeat, head), xs, map(rem.__sub__, xs)))
 
-    walk(0, degree, start)
+    def walk(pos: int, rem: int, bs: Sequence[int]) -> None:
+        top = rem if cap is None else min(rem, cap)
+        low = 0 if cap is None else max(0, rem - cap * (nv - pos - 1))
+        cs = coefs[pos]
+        if pos < last - 1:
+            for e in range(top, low - 1, -1):
+                head[pos] = e
+                walk(pos + 1, rem - e, [(b - c * e) % m for b, c, m in zip(bs, cs, moduli)])
+            return
+        # the last walked position: solve until the first solvable e, then step
+        for e in range(top, max(low, top - period + 1) - 1, -1):
+            if (r := solve([(b - c * e) % m for b, c, m in zip(bs, cs, moduli)])) is not None:
+                break
+        else:
+            return
+        for e in range(e, low - 1, -period):
+            head[pos] = e
+            emit(rem - e, r)
+            r = (r + delta) % step
+
+    if last:
+        # b grows by the last walked column c per step down; the k with k*c solvable are a subgroup of Z
+        period = 1
+        while (delta := solve([period * c % m for c, m in zip(coefs[-1], moduli)])) is None:
+            period += 1
+        walk(0, degree, start)
+    elif (r := solve(start)) is not None:
+        emit(degree, r)
     return total
 
 
@@ -569,9 +589,6 @@ def h_vector_group(group: DiagonalGroup, guard: int = DEFAULT_GUARD) -> HVector:
     """
     d = group.order
     n = group.n
-    if d == 1:
-        # every exponent would need to be < 1, only the empty monomial counts
-        return HVector((1,) + (0,) * n, 1)
     h = [count_invariants(group, i * d, cap=d - 1, guard=guard) for i in range(n + 1)]
     last = max(i for i, v in enumerate(h) if v != 0)
     return HVector(tuple(h), last + 1)

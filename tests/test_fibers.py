@@ -11,6 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from veroproj import fibers
+from veroproj import groups as groups_module
 from veroproj.errors import GuardExceeded
 from veroproj.families import parse_family
 from veroproj.fibers import (
@@ -465,6 +466,82 @@ def test_class_walk_is_checked_by_the_surface_hilbert_identity(monkeypatch):
     for k_max in (None, 4):  # the standard route of the group bound, and the pair walk
         with pytest.raises(RuntimeError, match=r"H\(3\) = 36, not 3 H\(2\) - 3 H\(1\) \+ 1"):
             minimal_generator_table(omega, k_max=k_max)
+
+
+def test_one_factor_surfaces_meet_the_volume_identity():
+    # H(2) - 2 H(1) + 1 = g d, g = gcd(d, w1 - w0, w2 - w0), by the independent
+    # distinct-product walk; each table runs the same check and must pass it
+    groups = [cyclic_group(d, w) for d in range(1, 13) for w in canonical_weight_vectors(2, d)]
+    groups += [parse_group("C(6;0,2,4)"), parse_group("C(3;0,0,0)")]  # g = 2 and g = d
+    for group in groups:
+        d, (w0, w1, w2) = group.order, group.factors[0].weights
+        omega = invariants_of_degree(group, 1)
+        h = hilbert_values(omega, 2)
+        assert h[2] - 2 * h[1] + 1 == math.gcd(d, w1 - w0, w2 - w0) * d, group.spec_string()
+        minimal_generator_table(omega, k_max=2, bound="group")
+    # a table that stops at degree 1 has no H(2) to check
+    assert minimal_generator_table(omega, k_max=1).degrees == {}
+
+
+def test_surface_tables_are_checked_by_the_volume_identity(monkeypatch):
+    walk = groups_module._invariant_monomials
+
+    def drops_its_last_progression(group, degree, cap=None, scale=1, out=None):
+        members: list[tuple[int, ...]] = []
+        walk(group, degree, cap, scale, members)
+        prefix = members[-1][:-2]
+        while members[-1][:-2] == prefix:
+            members.pop()
+        out.extend(members)
+        return len(members)
+
+    monkeypatch.setattr(groups_module, "_invariant_monomials", drops_its_last_progression)
+    for spec, message in (("C(7;0,1,3)", "= 2, not g d = 7"), ("C(6;0,2,4)", "= 7, not g d = 12")):
+        omega = invariants_of_degree(parse_group(spec), 1)
+        for k_max in (2, 3):  # the check runs first, with or without the H(3) one
+            with pytest.raises(RuntimeError, match=r"H\(2\) - 2 H\(1\) \+ 1 " + message):
+                minimal_generator_table(omega, k_max=k_max, bound="group")
+
+
+def _first_full_level(omega: MonomialSet, k_max: int) -> int | None:
+    return next((k for k in range(1, k_max + 1)
+                 if len(brute_fibers(omega, k)) == math.comb(omega.n + k * omega.d, omega.n)), None)
+
+
+def test_hilbert_values_past_the_first_full_level_against_bruteforce():
+    # first full at level 1, at level 2 (a pinched set, two-normal complements), and never
+    # (a group's invariants, and complements of a near-power, one monomial short at level 1)
+    full = MonomialSet.full(2, 4)
+    cases = [(MonomialSet.full(2, 3), 1), (parse_family("pinched(2,4,2)").build(), 2)]
+    cases += [(full.remove(m), None if max(m) == 3 else 2) for m in full if len(m.support()) >= 2]
+    cases += [(invariants_of_degree(parse_group("C(7;0,1,3)"), 1), None)]
+    for omega, first in cases:
+        assert _first_full_level(omega, 4) == first
+        assert hilbert_values(omega, 4) == [1] + [len(brute_fibers(omega, k)) for k in range(1, 5)]
+
+
+def test_hilbert_values_stop_walking_at_the_first_full_level(monkeypatch):
+    walk = fibers._walk
+    drawn = []
+
+    def counting(omega, k_max):
+        for level in walk(omega, k_max):
+            drawn[-1] += 1
+            yield level
+
+    monkeypatch.setattr(fibers, "_walk", counting)
+    cases = (
+        (MonomialSet.full(2, 3), 6, 1),
+        (parse_family("pinched(2,8,2)").build(), 4, 2),
+        (invariants_of_degree(parse_group("C(7;0,1,3)"), 1), 3, 3),
+    )
+    for omega, k_max, levels in cases:
+        drawn.append(0)
+        hilbert_values(omega, k_max)
+        assert drawn[-1] == levels
+    # the guard covers the walked levels only: level 1 of full(2, 3) is full, so the
+    # 100 products level 2 would extend are never formed
+    assert hilbert_values(MonomialSet.full(2, 3), 6, guard=10) == [math.comb(2 + 3 * k, 2) for k in range(7)]
 
 
 def test_k_max_below_one_is_rejected():

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from veroproj.groups import (
     CyclicFactor,
     DiagonalGroup,
+    HVector,
     block_group,
     canonical_weight_vectors,
     count_invariants,
@@ -139,6 +140,14 @@ def walk_cases(draw):
 @given(walk_cases())
 @example(([(4, (0, 1, 2)), (6, (1, 3, 0))], 12, None, 1))  # factor classes mod 4 and 6 that clash
 @example(([(2, (0, 1, 1, 0)), (4, (1, 0, 3, 2))], 8, 3, 1))  # a cap below the degree
+# the last walked exponent steps by a period E > 1: E = 2 for C(4;0,1,2,0) and C(4;1,2,0), and for
+# C(4;3,0,1)+C(2;1,1,0), whose factors alone have period 1, E = 2 (4 at scale 2) from the CRT merge
+@example(([(4, (0, 1, 2, 0))], 8, 3, 1))
+@example(([(4, (0, 1, 2, 0))], 8, None, 2))
+@example(([(4, (1, 2, 0))], 12, 7, 1))
+@example(([(4, (1, 2, 0))], 8, None, 2))
+@example(([(4, (3, 0, 1)), (2, (1, 1, 0))], 12, 7, 1))
+@example(([(4, (3, 0, 1)), (2, (1, 1, 0))], 16, None, 2))
 def test_invariant_walk_agrees_with_filtered_enumeration(case):
     """The flat walk against every monomial of the degree filtered by the
     congruences: the same members in the same order, and the same count,
@@ -327,6 +336,13 @@ def test_h_vector_invariants():
         if n == 2:
             assert hv.h[2] <= hv.h[1]
         assert 1 <= hv.regularity <= n + 1
+
+
+def test_h_vector_of_a_trivial_group():
+    # every exponent must stay below d = 1: only the empty monomial counts
+    for spec in ("C(1;0,0)", "C(1;0,0,0)", "C(1;0,0,0,0)"):
+        g = parse_group(spec)
+        assert h_vector_group(g) == HVector((1,) + (0,) * g.n, 1)
 
 
 def test_triple_projections():
