@@ -66,7 +66,6 @@ from .survey import (
     SurveyRow,
     build_survey_row,
     conjecture1_check,
-    conjecture2_check,
     survey_groups,
 )
 from .errors import GuardExceeded, SpecParseError

@@ -29,12 +29,7 @@ from .groebner import (
 )
 from .groups import block_group, h_vector_group, invariants_of_degree, parse_group
 from .monomials import MonomialSet, format_omega
-from .survey import (
-    SurveyOptions,
-    conjecture1_check,
-    conjecture2_check,
-    survey_groups,
-)
+from .survey import SurveyOptions, build_survey_row, conjecture1_check, survey_groups
 
 __all__ = ["main"]
 
@@ -231,6 +226,10 @@ def _cmd_scenario(args) -> int:
 
 
 def _cmd_survey(args) -> int:
+    single = "--group" if args.group else "--conjecture1" if args.conjecture1 else None
+    stores = [flag for flag, path in (("--jsonl", args.jsonl), ("--csv", args.csv)) if path]
+    if single and stores:
+        raise ValueError(f"{single} reports one group and takes no {' or '.join(stores)}")
     if args.conjecture1:
         report = conjecture1_check(parse_group(args.conjecture1), guard=args.guard)
         lines = [f"group {report['group']}: {report['status']}"]
@@ -245,22 +244,10 @@ def _cmd_survey(args) -> int:
         )
         _emit(args, "\n".join(lines) + "\n", report)
         return 0
-    if args.conjecture2:
-        report = conjecture2_check(
-            parse_group(args.conjecture2), budget=args.budget, seed=args.seed, guard=args.guard
+    if not args.group and args.d_max is None:
+        raise SpecParseError(
+            "survey", "survey", "--d-max", "a survey needs --d-max (or --group or --conjecture1)"
         )
-        search = report["gq_search"]
-        text = (
-            f"group {report['group']}: quadratic {report['quadratic']['value']}, "
-            f"search {search['status']}"
-            + (f" ({search['order']})" if search.get("order") else "")
-            + "\n"
-        )
-        _emit(args, text, report)
-        return 0
-    if args.d_max is None:
-        raise SpecParseError("survey", "survey", "--d-max", "a survey needs --d-max (or a conjecture flag)")
-    d_values = range(args.d_min, args.d_max + 1)
     options = SurveyOptions(
         seed=args.seed,
         budget=args.budget,
@@ -269,7 +256,10 @@ def _cmd_survey(args) -> int:
         jsonl_path=args.jsonl,
         csv_path=args.csv,
     )
-    rows = survey_groups(args.n, d_values, options)
+    if args.group:
+        rows = [build_survey_row(parse_group(args.group), options)]
+    else:
+        rows = survey_groups(args.n, range(args.d_min, args.d_max + 1), options)
     payload = {"rows": [row.to_json_dict() for row in rows]}
     lines = []
     for row in rows:
@@ -359,15 +349,16 @@ def _parser() -> argparse.ArgumentParser:
     p = add("scenario", _cmd_scenario, "run a named reproduction scenario")
     p.add_argument("name", help="scenario name; see error listing for choices")
 
-    p = add("survey", _cmd_survey, "survey canonical cyclic groups, or scan one conjecture")
+    p = add("survey", _cmd_survey, "survey canonical cyclic groups, or report one group")
     p.add_argument("--n", type=int, default=2, help="number of variables minus one (default 2)")
     p.add_argument("--d-min", type=int, default=2, help="smallest group order (default 2)")
-    p.add_argument("--d-max", type=int, default=None, help="largest group order")
+    mode = p.add_mutually_exclusive_group()
+    mode.add_argument("--d-max", type=int, default=None, help="largest group order")
     p.add_argument("--no-search", action="store_true", help="skip the quadratic-order search phase")
     p.add_argument("--jsonl", default=None, metavar="PATH", help="append-only row store (enables resuming)")
     p.add_argument("--csv", default=None, metavar="PATH", help="write a CSV digest of the row store")
-    p.add_argument("--conjecture1", default=None, metavar="GROUP", help="triple-restriction check for one cyclic group")
-    p.add_argument("--conjecture2", default=None, metavar="GROUP", help="quadraticity vs order-search check for one group")
+    mode.add_argument("--group", default=None, metavar="GROUP", help="the survey row of one group's canonical form")
+    mode.add_argument("--conjecture1", default=None, metavar="GROUP", help="triple-restriction check for one cyclic group")
 
     return parser
 

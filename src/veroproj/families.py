@@ -60,7 +60,6 @@ __all__ = [
     "CITATIONS",
     "FamilySpec",
     "TheoremVerdict",
-    "ambient_sorted_revlex",
     "koszul_label",
     "parse_family",
     "run_scenario",
@@ -499,25 +498,6 @@ def koszul_label(spec: FamilySpec, guard: int = DEFAULT_GUARD) -> TheoremVerdict
 
 
 # ---------------------------------------------------------------------------
-# term-order helper used by the quartic threefold reproduction
-
-
-def ambient_sorted_revlex(omega: MonomialSet, xperm: tuple[int, ...]) -> TermOrder:
-    """Revlex on presentation variables ranked by sorted ambient members.
-
-    The members of omega are sorted descending by graded reverse
-    lexicographic order on the ambient variables taken in the order
-    xperm; the presentation variable mapped to the largest member gets
-    rank 0, and monomials of the presentation ring then compare by
-    plain revlex against that ranking.
-    """
-    if sorted(xperm) != list(range(omega.n + 1)):
-        raise ValueError(f"xperm must permute 0..{omega.n}, got {xperm}")
-    ranks = ambient_ranks(omega, TermOrder("degrevlex", xperm))
-    return TermOrder("revlex", ranks, origin=f"ambient-sorted-revlex{xperm}")
-
-
-# ---------------------------------------------------------------------------
 # scenarios
 
 
@@ -784,7 +764,10 @@ def _scenario_rc_orders(opts: ScenarioOptions) -> list[dict]:
 def _scenario_quartic_gb(opts: ScenarioOptions) -> list[dict]:
     g = parse_group(QUARTIC_GROUP)
     b1 = invariants_of_degree(g, 1, guard=opts.guard)
-    order = ambient_sorted_revlex(b1, (1, 3, 0, 2))
+    # revlex on the members ranked by degrevlex on the ambient variables 1 > 3 > 0 > 2
+    xperm = (1, 3, 0, 2)
+    ranks = ambient_ranks(b1, TermOrder("degrevlex", xperm))
+    order = TermOrder("revlex", ranks, origin=f"ambient-sorted-revlex{xperm}")
     gens = toric_generators(b1, guard=opts.guard)
     gb = buchberger(gens, order)
     return [

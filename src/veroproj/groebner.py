@@ -876,6 +876,8 @@ def search_quadratic_order(
     degree-2 generators span.  One debug line logs C3, the candidates
     tried and each failed candidate's surplus of standard multisets.
     """
+    if budget < 0:
+        raise ValueError(f"the order-search budget must be non-negative, got {budget}")
     if table is None:
         table = minimal_generator_table(omega, k_max=k_max, guard=guard)
     answer = table.quadraticity()
@@ -894,7 +896,7 @@ def search_quadratic_order(
         table = minimal_generator_table(omega, k_max=3, bound="user", guard=guard)
     surplus: list[int] = []  # standard degree-3 multisets over C3, per failed candidate
     found = None
-    for order in itertools.islice(_candidate_orders(omega, seed), 0 if impossible else max(budget, 0)):
+    for order in itertools.islice(_candidate_orders(omega, seed), 0 if impossible else budget):
         standard = _standard_count(order, table)
         if standard == table.cubics:
             found = order

@@ -1,13 +1,14 @@
-"""Batch surveys over cyclic group parameters and conjecture scanners.
+"""Batch surveys over cyclic group parameters and a conjecture scanner.
 
 A survey row records, for one diagonal group, the computed generator
 table, the quadraticity and Koszulness verdicts with their provenance,
 and the outcome of a quadratic-order search.  Rows are persisted as
 append-only line-delimited JSON keyed by the group spec, so an
 interrupted survey picks up without recomputing, and a CSV digest is
-regenerated after every run.  The two conjecture checkers compare
-independently computed routes and flag mismatches as counterexample
-candidates with full witness data, never as bare refutations.
+regenerated after every run.  The triple-restriction checker compares
+two independently computed routes and flags a mismatch as a
+counterexample candidate with full witness data, never as a bare
+refutation.
 """
 from __future__ import annotations
 
@@ -41,7 +42,6 @@ __all__ = [
     "TriState",
     "build_survey_row",
     "conjecture1_check",
-    "conjecture2_check",
     "survey_groups",
 ]
 
@@ -169,6 +169,10 @@ class SurveyOptions:
     jsonl_path: str | Path | None = None
     csv_path: str | Path | None = None
 
+    def __post_init__(self) -> None:
+        if self.budget < 0:
+            raise ValueError(f"the order-search budget must be non-negative, got {self.budget}")
+
 
 def build_survey_row(group: DiagonalGroup, options: SurveyOptions = SurveyOptions()) -> SurveyRow:
     """Compute one survey row (canonicalizing a cyclic presentation first)."""
@@ -245,7 +249,7 @@ def build_survey_row(group: DiagonalGroup, options: SurveyOptions = SurveyOption
 
 
 # ---------------------------------------------------------------------------
-# conjecture scanners
+# conjecture scanner
 
 
 def conjecture1_check(group: DiagonalGroup, guard: int = DEFAULT_GUARD) -> dict:
@@ -304,31 +308,6 @@ def conjecture1_check(group: DiagonalGroup, guard: int = DEFAULT_GUARD) -> dict:
                 "generator_degrees_above_2": beyond,
             }
     return out
-
-
-def conjecture2_check(
-    group: DiagonalGroup,
-    budget: int = 200,
-    seed: int = 0,
-    guard: int = DEFAULT_GUARD,
-) -> dict:
-    """Quadraticity versus quadratic-Groebner-basis search for one group.
-
-    The "only if" direction is a theorem (basis degrees dominate minimal
-    generator degrees), so non-quadratic groups are marked impossible
-    without burning the budget.  For quadratic groups the search outcome
-    is recorded with its budget and seed; a not-found is data about the
-    search, never a negative certificate.
-    """
-    options = SurveyOptions(seed=seed, budget=budget, guard=guard, search=True)
-    row = build_survey_row(group, options)
-    return {
-        "group": row.spec,
-        "quadratic": row.quadratic.to_json_dict(),
-        "generator_degrees": dict(row.generator_degrees),
-        "gq_search": row.gq_search,
-        "guard_error": row.guard_error,
-    }
 
 
 # ---------------------------------------------------------------------------

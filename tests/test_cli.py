@@ -16,6 +16,7 @@ from veroproj import cli, groebner, survey
 from veroproj.cli import main
 from veroproj.families import parse_family
 from veroproj.groebner import Binomial, GroebnerBasis, parse_order, toric_generators, verify_groebner
+from veroproj.groups import parse_group
 from veroproj.monomials import read_omega
 
 
@@ -266,9 +267,96 @@ def test_survey_conjecture_flags(capsys):
     assert "consistent" in out
     assert out.count("triple") == 4
 
-    code, out, _ = run(capsys, "survey", "--conjecture2", "C(5;0,1,2)")
+    code, out, _ = run(capsys, "survey", "--group", "C(5;0,1,2)")
     assert code == 0
     assert "search impossible-non-quadratic" in out
+
+
+def _without_timings(row: dict) -> dict:
+    return {k: v for k, v in row.items() if k != "timings_ms"}
+
+
+@pytest.mark.parametrize("group, d, spec", [
+    ("C(12;0,1,3)", 12, "C(12;0,1,3)"),
+    ("C(6;1,2,4)", 6, "C(6;0,1,3)"),  # non-canonical: reported as its canonical form
+    ("C(5;0,1,2)", 5, "C(5;0,1,2)"),  # non-quadratic
+])
+def test_survey_group_prints_the_range_survey_row(capsys, group, d, spec):
+    code, out, _ = run(capsys, "survey", "--group", group)
+    assert code == 0
+    code, ranged, _ = run(capsys, "survey", "--d-min", str(d), "--d-max", str(d))
+    assert code == 0
+    assert [out] == [line + "\n" for line in ranged.splitlines() if line.startswith(spec + ":")]
+
+    code, out, _ = run(capsys, "survey", "--group", group, "--json")
+    assert code == 0
+    (row,) = json.loads(out)["rows"]
+    code, ranged, _ = run(capsys, "survey", "--d-min", str(d), "--d-max", str(d), "--json")
+    assert code == 0
+    (ranged_row,) = [r for r in json.loads(ranged)["rows"] if r["spec"] == spec]
+    # a range survey enumerates canonical specs only, so it records no canonicalization
+    record = row.pop("canonicalization", None)
+    assert _without_timings(row) == _without_timings(ranged_row)
+    assert (record is not None and record["changed"]) == (group != spec)
+
+
+def test_survey_group_noncyclic_row(capsys):
+    group = "C(2;0,1,1)+C(4;0,2,3)"  # in no range survey
+    code, out, _ = run(capsys, "survey", "--group", group, "--json")
+    assert code == 0
+    (row,) = json.loads(out)["rows"]
+    expected = survey.build_survey_row(parse_group(group)).to_json_dict()
+    assert _without_timings(row) == _without_timings(expected)
+
+
+def test_survey_group_reports_a_guard_trip_and_no_search(capsys):
+    code, out, _ = run(capsys, "survey", "--group", "C(7;0,1,3)", "--guard", "5")
+    assert code == 0
+    assert out.startswith("C(7;0,1,3): quadratic unknown, ") and ", guard: " in out
+
+    code, out, _ = run(capsys, "survey", "--group", "C(12;0,1,3)", "--no-search")
+    assert code == 0
+    assert out == "C(12;0,1,3): quadratic yes, koszul yes, search not-attempted\n"
+
+
+@pytest.mark.parametrize("first, second", [
+    (("--group", "C(5;0,1,2)"), ("--conjecture1", "C(5;0,1,2,3)")),
+    (("--group", "C(5;0,1,2)"), ("--d-max", "3")),
+    (("--conjecture1", "C(5;0,1,2,3)"), ("--d-max", "3")),
+])
+def test_survey_modes_exclude_one_another(monkeypatch, capsys, first, second):
+    monkeypatch.setattr(cli, "build_survey_row", lambda *_: pytest.fail("a row was built"))
+    monkeypatch.setattr(cli, "conjecture1_check", lambda *_, **__: pytest.fail("a check ran"))
+    with pytest.raises(SystemExit) as exc:
+        main(["survey", *first, *second])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and first[0] in err and second[0] in err
+
+
+@pytest.mark.parametrize("mode", [("--group", "C(5;0,1,2)"), ("--conjecture1", "C(5;0,1,2,3)")])
+@pytest.mark.parametrize("store", ["--jsonl", "--csv"])
+def test_single_group_survey_takes_no_store(tmp_path, monkeypatch, capsys, mode, store):
+    monkeypatch.setattr(cli, "build_survey_row", lambda *_: pytest.fail("a row was built"))
+    monkeypatch.setattr(cli, "conjecture1_check", lambda *_, **__: pytest.fail("a check ran"))
+    path = tmp_path / "store"
+    code, out, err = run(capsys, "survey", *mode, store, str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and mode[0] in err and store in err
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ("gb-search", "group(C(4;0,1,2))", "--out", "{tmp}/out.json"),
+    ("scenario", "quadratic-surface-gb-search", "--out", "{tmp}/out.json"),
+    ("survey", "--d-max", "4", "--jsonl", "{tmp}/rows.jsonl", "--csv", "{tmp}/rows.csv"),
+])
+def test_negative_budget_exits_two(tmp_path, capsys, argv):
+    argv = [arg.format(tmp=tmp_path) for arg in argv]
+    code, out, err = run(capsys, *argv, "--budget", "-1")
+    assert (code, out) == (2, "")
+    assert err == "error: the order-search budget must be non-negative, got -1\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_guard_exit_code(capsys):

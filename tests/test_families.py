@@ -13,7 +13,6 @@ from veroproj.families import (
     CITATIONS,
     FamilySpec,
     TheoremVerdict,
-    ambient_sorted_revlex,
     koszul_label,
     parse_family,
     run_scenario,
@@ -217,20 +216,6 @@ def test_labels_never_contradict_computation_threefolds():
             assert not quadratic, (d, table.degrees)
         else:
             raise AssertionError(f"threefold rule missed d={d}")
-
-
-def test_ambient_sorted_revlex():
-    omega = MonomialSet.full(1, 3)  # members descending: 30, 21, 12, 03
-    identity = ambient_sorted_revlex(omega, (0, 1))
-    assert identity.kind == "revlex"
-    assert identity.variable_rank == (0, 1, 2, 3)
-    assert "ambient-sorted-revlex" in identity.origin
-
-    swapped = ambient_sorted_revlex(omega, (1, 0))
-    assert swapped.variable_rank == (3, 2, 1, 0)
-
-    with pytest.raises(ValueError):
-        ambient_sorted_revlex(omega, (0, 0))
 
 
 def test_scenario_registry_and_report_shape():

@@ -24,6 +24,7 @@ from veroproj.groebner import (
     Binomial,
     GroebnerBasis,
     TermOrder,
+    ambient_ranks,
     buchberger,
     lift_omega,
     lift_order,
@@ -857,6 +858,12 @@ def test_search_logs_its_count(caplog):
         # a failed candidate has more standard multisets than components
         assert len(surplus) == res.tried - res.found and min(surplus) > 0
     assert hit.found and hit.tried > 1 and miss.tried == 5 and not miss.found
+
+
+def test_ambient_ranks():
+    omega = MonomialSet.full(1, 3)  # members descending: 30, 21, 12, 03
+    assert ambient_ranks(omega, TermOrder("degrevlex", (0, 1))) == (0, 1, 2, 3)
+    assert ambient_ranks(omega, TermOrder("degrevlex", (1, 0))) == (3, 2, 1, 0)
 
 
 def test_candidate_orders_are_distinct():

@@ -1,4 +1,4 @@
-"""Tests for weight canonicalization, survey rows, and conjecture scanners."""
+"""Tests for weight canonicalization, survey rows, and the conjecture scanner."""
 
 from __future__ import annotations
 
@@ -9,6 +9,7 @@ import random
 
 import pytest
 
+from veroproj.cli import main
 from veroproj.errors import GuardExceeded
 from veroproj.families import TheoremVerdict
 from veroproj.groups import (
@@ -24,7 +25,6 @@ from veroproj.survey import (
     TriState,
     build_survey_row,
     conjecture1_check,
-    conjecture2_check,
     survey_groups,
 )
 
@@ -382,13 +382,18 @@ def test_conjecture1_consistent_cases():
         conjecture1_check(parse_group("C(2;0,1,1,0)+C(2;0,0,1,1)"))
 
 
-def test_conjecture2_report_shape():
-    found = conjecture2_check(parse_group("C(6;0,1,3)"))
+def test_group_report_shape(capsys):
+    def group_row(group: str) -> dict:
+        assert main(["survey", "--group", group, "--json"]) == 0
+        (row,) = json.loads(capsys.readouterr().out)["rows"]
+        return row
+
+    found = group_row("C(6;0,1,3)")
     assert found["quadratic"]["value"] == "yes"
     assert found["gq_search"]["status"] == "found"
     assert found["gq_search"]["order"]
 
-    hopeless = conjecture2_check(parse_group("C(5;0,1,2)"))
+    hopeless = group_row("C(5;0,1,2)")
     assert hopeless["quadratic"]["value"] == "no"
     assert hopeless["gq_search"]["status"] == "impossible-non-quadratic"
     assert hopeless["gq_search"]["tried"] == 0
