@@ -13,20 +13,9 @@ import json
 import sys
 
 from .errors import DEFAULT_GUARD, GuardExceeded, SpecParseError
-from .families import FamilySpec, koszul_label, parse_family, run_scenario, scenario_names
-from .fibers import (
-    h_polynomial,
-    hilbert_values,
-    is_2_normal,
-    minimal_generator_table,
-)
-from .groebner import (
-    lift_omega,
-    lift_order,
-    parse_order,
-    search_quadratic_order,
-    toric_basis,
-)
+from .families import FamilySpec, koszul_label, parse_family, run_scenario
+from .fibers import h_polynomial, hilbert_values, is_2_normal, minimal_generator_table
+from .groebner import lift_omega, lift_order, parse_order, search_quadratic_order, toric_basis
 from .groups import block_group, h_vector_group, invariants_of_degree, parse_group
 from .monomials import MonomialSet, format_omega
 from .survey import SurveyOptions, build_survey_row, conjecture1_check, survey_groups
@@ -227,9 +216,11 @@ def _cmd_scenario(args) -> int:
 
 def _cmd_survey(args) -> int:
     single = "--group" if args.group else "--conjecture1" if args.conjecture1 else None
-    stores = [flag for flag, path in (("--jsonl", args.jsonl), ("--csv", args.csv)) if path]
-    if single and stores:
-        raise ValueError(f"{single} reports one group and takes no {' or '.join(stores)}")
+    unread = {"--n": args.n, "--d-min": args.d_min, "--jsonl": args.jsonl, "--csv": args.csv} if single else {}
+    if args.conjecture1:
+        unread.update({"--seed": args.seed, "--budget": args.budget, "--no-search": args.no_search or None})
+    if flags := [flag for flag, value in unread.items() if value is not None]:
+        raise ValueError(f"{single} reports one group and takes no {' or '.join(flags)}")
     if args.conjecture1:
         report = conjecture1_check(parse_group(args.conjecture1), guard=args.guard)
         lines = [f"group {report['group']}: {report['status']}"]
@@ -249,8 +240,8 @@ def _cmd_survey(args) -> int:
             "survey", "survey", "--d-max", "a survey needs --d-max (or --group or --conjecture1)"
         )
     options = SurveyOptions(
-        seed=args.seed,
-        budget=args.budget,
+        seed=args.seed or 0,
+        budget=SurveyOptions.budget if args.budget is None else args.budget,
         guard=args.guard,
         search=not args.no_search,
         jsonl_path=args.jsonl,
@@ -259,7 +250,8 @@ def _cmd_survey(args) -> int:
     if args.group:
         rows = [build_survey_row(parse_group(args.group), options)]
     else:
-        rows = survey_groups(args.n, range(args.d_min, args.d_max + 1), options)
+        n, d_min = (2 if value is None else value for value in (args.n, args.d_min))
+        rows = survey_groups(n, range(d_min, args.d_max + 1), options)
     payload = {"rows": [row.to_json_dict() for row in rows]}
     lines = []
     for row in rows:
@@ -293,17 +285,18 @@ def _cmd_label(args) -> int:
 def _parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="emit a JSON document instead of text")
-    common.add_argument("--seed", type=int, default=0, help="seed for randomized search stages")
-    common.add_argument("--budget", type=int, default=200, help="candidate budget for order searches")
-    common.add_argument(
-        "--max-degree", type=int, default=None, metavar="K",
-        help="explicit degree horizon (user completeness bound / series cutoff)",
-    )
     common.add_argument(
         "--guard", type=int, default=DEFAULT_GUARD, metavar="N",
         help="abort any enumeration larger than this many objects",
     )
     common.add_argument("--out", metavar="PATH", default=None, help="write output to a file")
+    family = argparse.ArgumentParser(add_help=False, parents=[common])  # all but survey
+    family.add_argument("--seed", type=int, default=0, help="seed for randomized search stages")
+    family.add_argument("--budget", type=int, default=200, help="candidate budget for order searches")
+    family.add_argument(
+        "--max-degree", type=int, default=None, metavar="K",
+        help="explicit degree horizon (user completeness bound / series cutoff)",
+    )
 
     parser = argparse.ArgumentParser(
         prog="veroproj",
@@ -311,8 +304,8 @@ def _parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name: str, func, help_: str) -> argparse.ArgumentParser:
-        p = sub.add_parser(name, parents=[common], help=help_)
+    def add(name: str, func, help_: str, parent=family) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, parents=[parent], help=help_)
         p.set_defaults(func=func)
         return p
 
@@ -349,9 +342,12 @@ def _parser() -> argparse.ArgumentParser:
     p = add("scenario", _cmd_scenario, "run a named reproduction scenario")
     p.add_argument("name", help="scenario name; see error listing for choices")
 
-    p = add("survey", _cmd_survey, "survey canonical cyclic groups, or report one group")
-    p.add_argument("--n", type=int, default=2, help="number of variables minus one (default 2)")
-    p.add_argument("--d-min", type=int, default=2, help="smallest group order (default 2)")
+    # no --max-degree; None defaults let a mode reject each flag it does not read
+    p = add("survey", _cmd_survey, "survey canonical cyclic groups, or report one group", common)
+    p.add_argument("--seed", type=int, default=None, help="seed for randomized search stages (default 0)")
+    p.add_argument("--budget", type=int, default=None, help="candidate budget for order searches (default 200)")
+    p.add_argument("--n", type=int, default=None, help="number of variables minus one (default 2)")
+    p.add_argument("--d-min", type=int, default=None, help="smallest group order (default 2)")
     mode = p.add_mutually_exclusive_group()
     mode.add_argument("--d-max", type=int, default=None, help="largest group order")
     p.add_argument("--no-search", action="store_true", help="skip the quadratic-order search phase")

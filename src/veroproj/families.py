@@ -13,7 +13,7 @@ returns a structured expected-versus-actual report.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import DEFAULT_GUARD, SpecParseError
 from .fibers import (

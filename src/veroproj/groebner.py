@@ -8,13 +8,14 @@ vectors of length mu, S-polynomials of binomials are binomials, and
 reduction never produces a coefficient other than +-1.  This module
 provides the binomial types, the term orders (including the (r,c)-Lex
 order for one-dimensional weight patterns (0,1,k) and the composite
-orders used to lift a basis through a variable split), Buchberger with
-a normal selection strategy, the quadratic basis an order induces read
-off the degree-2 fibers and decided by one count of standard degree-3
-multisets, and a deterministic search for orders that make the reduced
-basis quadratic.  A candidate is scored by that count alone, over the
-set bits of per-variable masks; `toric_basis`, the one route to a reduced
-basis, builds the quadratic one only for an order that passes.
+orders used to lift a basis through a variable split), Buchberger, which
+reduces each lcm degree's S-pairs against one basis before inserting, the
+quadratic basis an order induces read off the degree-2 fibers and decided
+by one count of standard degree-3 multisets, and a deterministic search
+for orders that make the reduced basis quadratic.  A candidate is scored
+by that count alone, over the set bits of per-variable masks;
+`toric_basis`, the one route to a reduced basis, builds the quadratic one
+only for an order that passes.
 
 Buchberger's reducer (`_Reducer`) files every lead, whatever its
 degree, under its two least support variables, so a lookup probes only
@@ -496,9 +497,15 @@ def buchberger(
     that may generate a smaller ideal, such as a table bounded by a user's
     k_max, to turn that criterion off.  The gcd strip stays either way.
 
-    Normal selection strategy: S-pairs are processed by ascending lcm
-    degree (formation order breaking ties: one FIFO queue per degree),
-    which keeps low-degree elements appearing early.  A new element is
+    Normal selection strategy, one lcm degree D at a time, least first:
+    D's pairs are reduced in formation order against the basis as it was
+    when D began, so the reduction cache serves them all; each nonzero
+    form is then reduced against the growing basis and inserted if still
+    nonzero.  A pair that reduces to zero against part of the final basis
+    has a standard representation by all of it.  An insert's pairs join
+    their degree's queue, below D only on a partial seed, where a strip
+    can lower a degree; there the result's ideal can depend on when each
+    element is inserted.  A new element is
     paired only with the earlier leads it shares a variable with (coprime
     pairs reduce to zero), and the Gebauer-Moeller M and F criteria drop
     each of those pairs whose lcm a kept pair's lcm divides; the B
@@ -602,9 +609,8 @@ def buchberger(
     while queues:
         degree = min(queues)
         _check_code_degree(degree)
-        queue, done = queues[degree], 0
-        for i, j in queue:  # pairs of this degree formed meanwhile join the loop
-            done += 1
+        forms = []  # the degree's nonzero normal forms against the frozen basis
+        for i, j in queues.pop(degree):
             Li, Lj = codes[i], codes[j]
             keep = ((((Li | guard) - Lj) & guard) >> 8) * 511
             lcm = (Li & keep) | (Lj & ~keep)
@@ -614,12 +620,10 @@ def buchberger(
                 cached += 1
                 continue
             if (nf := basis.normal_form(u, v)) is not None:
+                forms.append(nf)
+        for u, v in forms:  # against the growing basis, as one pair at a time would be
+            if (nf := basis.normal_form(u, v)) is not None:
                 insert(*nf)
-                if min(queues) < degree:
-                    break  # the new element formed a pair of lower degree
-        del queue[:done]
-        if not queue:
-            del queues[degree]
     basis.lookups += 2 * cached
     basis.hits += 2 * cached
     basis.zeros += cached

@@ -32,7 +32,7 @@ from itertools import repeat
 from typing import Sequence
 
 from .errors import DEFAULT_GUARD, GuardExceeded, SpecParseError
-from .monomials import Monomial, MonomialSet
+from .monomials import MonomialSet
 
 
 @dataclass(frozen=True)

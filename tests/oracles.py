@@ -11,10 +11,14 @@ degree by the congruences, sharing nothing with `veroproj.groups`.
 `standard_count` counts the degree-3 multisets an order leaves standard
 by testing each one's sub-pairs, sharing nothing with `veroproj.groebner`.
 `code` is Buchberger's lane code taken densely, one lane per variable.
+`sequential_buchberger` is the textbook pair loop on exponent tuples:
+one S-pair at a time, each nonzero normal form inserted before the next
+pair is reduced, with no pair criterion and no cache.
 """
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import math
 
@@ -171,3 +175,50 @@ def standard_count(order: TermOrder, quadrics) -> int:
         not lead & {(a, b), (a, c), (b, c)}
         for a, b, c in itertools.combinations_with_replacement(range(order.mu), 3)
     )
+
+
+def sequential_buchberger(gens, order: TermOrder) -> tuple[Binomial, ...]:
+    """The reduced basis of the ideal gens generate, gcd-stripping as Buchberger does.
+
+    Every pair of elements whose leads share a variable is reduced, by
+    ascending lcm degree and in formation order within a degree, against
+    the basis as it stands; a nonzero normal form is stripped of its gcd,
+    oriented and inserted at once.  Leads are then minimized and each kept
+    trail reduced by the minimal leads.  Elements sort by (degree, lead,
+    trail), as `buchberger` sorts them.
+    """
+    key, basis, pairs, formed = order.key, [], [], itertools.count()
+
+    def divides(a, b):
+        return all(map(int.__le__, a, b))
+
+    def reduce(m, elements):
+        while step := next(((L, T) for L, T in elements if divides(L, m)), None):
+            m = tuple(e - a + b for e, a, b in zip(m, *step))
+        return m
+
+    def insert(u, v):
+        u, v = vec_strip(reduce(u, basis), reduce(v, basis))
+        if u == v:
+            return
+        new = u if key(u) > key(v) else v
+        basis.append((new, v if new is u else u))
+        for i, (lead, _) in enumerate(basis[:-1]):
+            if any(map(min, lead, new)):
+                heapq.heappush(pairs, (sum(map(max, lead, new)), next(formed), i, len(basis) - 1))
+
+    def side(lcm, lead, trail):
+        return tuple(e - a + b for e, a, b in zip(lcm, lead, trail))
+
+    for g in gens:
+        insert(g.plus, g.minus)
+    while pairs:
+        _, _, i, j = heapq.heappop(pairs)
+        lcm = tuple(map(max, basis[i][0], basis[j][0]))
+        insert(side(lcm, *basis[i]), side(lcm, *basis[j]))
+    minimal = []
+    for lead, trail in sorted(basis, key=lambda element: key(element[0])):
+        if not any(divides(L, lead) for L, _ in minimal):
+            minimal.append((lead, trail))
+    rows = sorted((sum(L), L, reduce(T, minimal)) for L, T in minimal)
+    return tuple(Binomial(L, T) for _, L, T in rows)

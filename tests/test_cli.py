@@ -346,6 +346,44 @@ def test_single_group_survey_takes_no_store(tmp_path, monkeypatch, capsys, mode,
     assert not path.exists()
 
 
+@pytest.mark.parametrize("mode, flag", [
+    (("--group", "C(5;0,1,2)"), ("--n", "3")),
+    (("--group", "C(5;0,1,2)"), ("--d-min", "2")),
+    (("--conjecture1", "C(5;0,1,2,3)"), ("--n", "3")),
+    (("--conjecture1", "C(5;0,1,2,3)"), ("--d-min", "2")),
+    (("--conjecture1", "C(5;0,1,2,3)"), ("--seed", "0")),
+    (("--conjecture1", "C(5;0,1,2,3)"), ("--budget", "200")),
+    (("--conjecture1", "C(5;0,1,2,3)"), ("--no-search",)),
+])
+def test_single_group_survey_rejects_the_flags_it_does_not_read(monkeypatch, capsys, mode, flag):
+    # each flag is rejected even at its default value: the mode would ignore it
+    monkeypatch.setattr(cli, "build_survey_row", lambda *_: pytest.fail("a row was built"))
+    monkeypatch.setattr(cli, "conjecture1_check", lambda *_, **__: pytest.fail("a check ran"))
+    code, out, err = run(capsys, "survey", *mode, *flag)
+    assert (code, out) == (2, "")
+    assert err == f"error: {mode[0]} reports one group and takes no {flag[0]}\n"
+
+
+@pytest.mark.parametrize("mode", [("--d-max", "3"), ("--group", "C(5;0,1,2)"), ("--conjecture1", "C(5;0,1,2,3)")])
+def test_survey_takes_no_max_degree(capsys, mode):
+    with pytest.raises(SystemExit) as exc:
+        main(["survey", *mode, "--max-degree", "1"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --max-degree 1" in capsys.readouterr().err
+
+
+def test_survey_flags_keep_their_defaults(capsys):
+    # a range survey reads --seed, --budget, --n and --d-min, and without them
+    # runs as with their documented defaults
+    argv = ("survey", "--d-max", "3", "--json")
+    code, out, _ = run(capsys, *argv)
+    code_given, given, _ = run(capsys, *argv, "--seed", "0", "--budget", "200", "--n", "2", "--d-min", "2")
+    assert code == code_given == 0
+    rows = [_without_timings(row) for row in json.loads(out)["rows"]]
+    assert rows == [_without_timings(row) for row in json.loads(given)["rows"]]
+    assert [(row["gq_search"]["seed"], row["gq_search"]["budget"]) for row in rows] == [(0, 200)] * 4
+
+
 @pytest.mark.parametrize("argv", [
     ("gb-search", "group(C(4;0,1,2))", "--out", "{tmp}/out.json"),
     ("scenario", "quadratic-surface-gb-search", "--out", "{tmp}/out.json"),

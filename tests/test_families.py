@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import json
-import math
 import random
 
 import pytest

@@ -13,7 +13,7 @@ import re
 from operator import le, mul
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from veroproj.errors import GuardExceeded, SpecParseError
@@ -43,7 +43,8 @@ from veroproj.groups import block_group, canonical_weight_vectors, cyclic_group,
 from veroproj.monomials import MonomialSet
 
 from oracles import (
-    brute_components, brute_fibers, code, from_indices, is_gcd_reduced, leads, make, standard_count, vec_strip,
+    brute_components, brute_fibers, code, from_indices, is_gcd_reduced, leads, make, rho_image,
+    sequential_buchberger, standard_count, vec_strip,
 )
 
 # Frozen (r, c) table for d = 6, k = 3, worked out by hand from the
@@ -510,6 +511,16 @@ def test_trail_criterion_keeps_the_reduced_basis(data):
     threefold groups and of the 2-normal families, under drawn orders;
     `whole_ideal=False` runs Buchberger without the criterion.
     """
+    omega, order = _draw_omega_and_order(data)
+    gens = toric_generators(omega)
+    gb = buchberger(gens, order)
+    assert gb.elements == buchberger(gens, order, whole_ideal=False).elements
+    assert verify_groebner(gb, gens)
+
+
+def _draw_omega_and_order(data) -> tuple[MonomialSet, TermOrder]:
+    """A 2-normal family or the invariants of a small cyclic surface or
+    threefold group, and an order on its ring."""
     shape = data.draw(st.sampled_from(("family", "surface", "threefold")))
     if shape == "family":
         omega = parse_family(data.draw(st.sampled_from(TWO_NORMAL_FAMILIES))).build()
@@ -519,12 +530,55 @@ def test_trail_criterion_keeps_the_reduced_basis(data):
         middle = data.draw(st.lists(st.integers(0, d - 1), min_size=free, max_size=free))
         weights = (0, *middle, data.draw(st.integers(1, d - 1)))
         omega = invariants_of_degree(cyclic_group(d, weights), 1)
-    gens = toric_generators(omega)
     mu = len(omega)
-    order = TermOrder(data.draw(st.sampled_from(KINDS)), tuple(data.draw(st.permutations(range(mu)))))
-    gb = buchberger(gens, order)
-    assert gb.elements == buchberger(gens, order, whole_ideal=False).elements
+    return omega, TermOrder(data.draw(st.sampled_from(KINDS)), tuple(data.draw(st.permutations(range(mu)))))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_degree_batches_keep_the_sequential_basis(data):
+    """Reducing a degree's S-pairs against the basis the degree began with,
+    and inserting their forms after, gives the elements of the loop that
+    inserts each nonzero form before it reduces the next pair.
+
+    The seeds are whole tables, and tables a user's k_max of 2 bounds, run
+    with `whole_ideal=False` as `toric_basis` runs them.
+    """
+    omega, order = _draw_omega_and_order(data)
+    k_max = data.draw(st.sampled_from((None, 2)))
+    gens = toric_generators(omega, k_max=k_max)
+    gb = buchberger(gens, order, whole_ideal=k_max is None)
     assert verify_groebner(gb, gens)
+    assert gb.elements == sequential_buchberger(gens, order)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_degree_batches_give_a_basis_on_partial_seeds(data):
+    """Binomials between two multisets of a few degree-3 or degree-4 fibers
+    seed a smaller ideal, and their S-pairs often reduce to binomials with
+    a common factor, whose strip forms pairs below the degree being
+    processed.  The result is a Groebner basis that the seed reduces to
+    zero against, of gcd-free binomials of the toric ideal, or the final
+    check raises on an element that is not gcd-free.  Which ideal it
+    generates can depend on when each element is inserted, so it is not
+    compared with the sequential loop here.
+    """
+    omega, order = _draw_omega_and_order(data)
+    fibers = [f for _, f in sorted(brute_fibers(omega, data.draw(st.sampled_from((3, 4)))).items()) if len(f) > 1]
+    assume(fibers)
+    gens = [
+        from_indices(omega, *data.draw(st.lists(st.sampled_from(fiber), min_size=2, max_size=2, unique=True)))
+        for fiber in data.draw(st.lists(st.sampled_from(fibers), min_size=1, max_size=5))
+    ]
+    try:
+        gb = buchberger(gens, order, whole_ideal=False)
+    except AssertionError as err:
+        assert "is not gcd-free" in str(err)
+        return
+    assert verify_groebner(gb, gens)
+    for g in gb.elements:
+        assert is_gcd_reduced(g) and rho_image(omega, g.plus) == rho_image(omega, g.minus)
 
 
 def test_code_degree_bound_is_checked_before_coding():
@@ -711,34 +765,36 @@ def test_buchberger_logs_its_counters(caplog):
 
 # Every number of buchberger's debug line: inputs, inserted, pairs formed,
 # skipped as coprime, pruned by M, pruned by F, skipped as their trails share
-# a variable, reduced to zero, cache hits, lookups and reduction steps.  The
-# pending pairs were a heap of (degree, formation) entries when these were
-# first recorded, the order the per-degree FIFO lists must keep.  The small
+# a variable, reduced to zero, cache hits, lookups and reduction steps.  Each
+# degree's pairs are taken in formation order and reduced against the basis
+# as it stood when the degree began; their nonzero forms are inserted after
+# the whole degree, so the cache holds for the degree.  The small
 # `lift` and `grow` benchmark inputs; C(8;0,2,6), where an S-pair's two sides
 # both had cached terminals and the terminals differed until the trail
 # criterion skipped that pair; four degree-4 binomials of C(6;0,0,3) as
 # index multisets, whose S-pairs reduce to binomials with a common factor of
 # degree 2, so stripping it forms pairs below the degree being processed,
-# which come next; and C(4;0,0,2,2), which has a pair with two cached and
-# different terminals under the trail criterion.  The C(6;0,0,3) binomials
-# are a partial seed, so they run with whole_ideal=False and skip no pair.
+# which the next batch takes; and C(4;0,0,2,2), which has a pair with two
+# cached and different terminals under the trail criterion.  The C(6;0,0,3)
+# binomials are a partial seed, so they run with whole_ideal=False and skip
+# no pair.
 PINNED_TRACES = [
     ("group(C(6;0,1,3,3))", "lift(rc(6,3,1); sizes=1,1,2)", None,
      (174, 174, 992, 12539, 0, 536, 984, 992, 1105, 2332, 1419)),
     ("group(C(6;0,1,1,3))", "lift(rc(6,3,1); sizes=1,2,1)", None,
      (102, 102, 445, 4099, 0, 200, 407, 445, 507, 1094, 551)),
-    ("pinched(2,4,2)", "lex", None, (33, 58, 151, 1085, 88, 115, 214, 126, 26, 368, 393)),
-    ("pinched(3,3,2)", "degrevlex", 3, (56, 64, 214, 1503, 11, 92, 196, 206, 87, 540, 427)),
+    ("pinched(2,4,2)", "lex", None, (33, 58, 151, 1085, 88, 115, 214, 126, 94, 450, 305)),
+    ("pinched(3,3,2)", "degrevlex", 3, (56, 64, 214, 1503, 11, 92, 196, 206, 164, 580, 358)),
     ("group(C(8;0,2,6))", "deglex : w12 > w0 > w4 > w10 > w1 > w5 > w7 > w3 > w9 > w11 > w8 > w2 > w6",
-     None, (50, 56, 145, 1104, 6, 89, 196, 139, 63, 390, 397)),
+     None, (50, 56, 145, 1104, 6, 89, 196, 139, 160, 434, 268)),
     ("group(C(6;0,0,3))",
      "deglex : w4 > w0 > w15 > w2 > w3 > w9 > w10 > w7 > w8 > w13 > w14 > w11 > w1 > w6 > w12 > w5",
      [((8, 8, 8, 14), (3, 7, 15, 15)), ((1, 7, 9, 11), (2, 4, 6, 15)),
       ((6, 6, 9, 9), (0, 12, 12, 12)), ((1, 1, 3, 15), (0, 5, 5, 8))],
-     (4, 15, 40, 35, 29, 1, 0, 29, 13, 88, 36)),
+     (4, 15, 43, 35, 26, 1, 0, 32, 29, 116, 39)),
     ("group(C(4;0,0,2,2))",
      "deglex : w2 > w4 > w12 > w1 > w6 > w0 > w17 > w16 > w10 > w3 > w15 > w18 > w5 > w14 > w11 > w9 > w8 > w7 > w13",
-     None, (105, 161, 965, 10038, 324, 750, 803, 909, 365, 2140, 2892)),
+     None, (105, 161, 965, 10038, 324, 750, 803, 909, 1085, 2570, 1853)),
 ]
 
 

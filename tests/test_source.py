@@ -46,3 +46,20 @@ def test_every_export_has_a_caller():
     used = set().union(*map(_names_used, callers))
     unused = [name for name in exports if name not in used]
     assert not unused, f"exported from veroproj with no caller in src/veroproj or perfbench: {unused}"
+
+
+def test_every_import_is_read():
+    # a name a module imports and never reads is dead weight; `__init__`
+    # re-exports and `from __future__ import annotations` are exempt
+    package = Path(veroproj.__file__).resolve().parent
+    unread = []
+    for path in sorted(package.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__":
+                bound = [(alias.asname or alias.name).split(".")[0] for alias in node.names]
+                unread += [f"{path.name}:{node.lineno} {name}" for name in bound if name not in read]
+    assert not unread, f"imported but never read in src/veroproj: {unread}"
