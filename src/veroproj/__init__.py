@@ -65,7 +65,6 @@ from .survey import (
     SurveyOptions,
     SurveyRow,
     build_survey_row,
-    conjecture1_check,
     survey_groups,
 )
 from .errors import GuardExceeded, SpecParseError

@@ -18,7 +18,7 @@ from .fibers import h_polynomial, hilbert_values, is_2_normal, minimal_generator
 from .groebner import lift_omega, lift_order, parse_order, search_quadratic_order, toric_basis
 from .groups import block_group, h_vector_group, invariants_of_degree, parse_group
 from .monomials import MonomialSet, format_omega
-from .survey import SurveyOptions, build_survey_row, conjecture1_check, survey_groups
+from .survey import SurveyOptions, build_survey_row, survey_groups
 
 __all__ = ["main"]
 
@@ -215,33 +215,14 @@ def _cmd_scenario(args) -> int:
 
 
 def _cmd_survey(args) -> int:
-    single = "--group" if args.group else "--conjecture1" if args.conjecture1 else None
-    unread = {"--n": args.n, "--d-min": args.d_min, "--jsonl": args.jsonl, "--csv": args.csv} if single else {}
-    if args.conjecture1:
-        unread.update({"--seed": args.seed, "--budget": args.budget, "--no-search": args.no_search or None})
-    if flags := [flag for flag, value in unread.items() if value is not None]:
-        raise ValueError(f"{single} reports one group and takes no {' or '.join(flags)}")
-    if args.conjecture1:
-        report = conjecture1_check(parse_group(args.conjecture1), guard=args.guard)
-        lines = [f"group {report['group']}: {report['status']}"]
-        for t in report["triples"]:
-            lines.append(
-                f"  triple {tuple(t['vars'])} -> quadratic {t['quadratic']}"
-                f" (gcd product {t['gcd_product']})"
-            )
-        lines.append(
-            f"  parent quadratic: {report['parent']['quadratic']}"
-            f" (degrees {report['parent']['generator_degrees']})"
-        )
-        _emit(args, "\n".join(lines) + "\n", report)
-        return 0
+    unread = {"--n": args.n, "--d-min": args.d_min, "--jsonl": args.jsonl, "--csv": args.csv}
+    if args.group and (flags := [flag for flag, value in unread.items() if value is not None]):
+        raise ValueError(f"--group reports one group and takes no {' or '.join(flags)}")
     if not args.group and args.d_max is None:
-        raise SpecParseError(
-            "survey", "survey", "--d-max", "a survey needs --d-max (or --group or --conjecture1)"
-        )
+        raise SpecParseError("survey", "survey", "--d-max", "a survey needs --d-max (or --group)")
     options = SurveyOptions(
-        seed=args.seed or 0,
-        budget=SurveyOptions.budget if args.budget is None else args.budget,
+        seed=args.seed,
+        budget=args.budget,
         guard=args.guard,
         search=not args.no_search,
         jsonl_path=args.jsonl,
@@ -260,6 +241,7 @@ def _cmd_survey(args) -> int:
             f"{row.spec}: quadratic {row.quadratic.value}, koszul {row.koszul.value}, "
             f"search {search['status']}"
             + (f" ({search['order']})" if search.get("order") else "")
+            + (f", conjecture1 {row.conjecture1['status']}" if row.conjecture1 else "")
             + (f", guard: {row.guard_error}" if row.guard_error else "")
         )
     _emit(args, "\n".join(lines) + "\n", payload)
@@ -290,10 +272,11 @@ def _parser() -> argparse.ArgumentParser:
         help="abort any enumeration larger than this many objects",
     )
     common.add_argument("--out", metavar="PATH", default=None, help="write output to a file")
-    family = argparse.ArgumentParser(add_help=False, parents=[common])  # all but survey
-    family.add_argument("--seed", type=int, default=0, help="seed for randomized search stages")
-    family.add_argument("--budget", type=int, default=200, help="candidate budget for order searches")
-    family.add_argument(
+    searched = argparse.ArgumentParser(add_help=False)  # gb-search, scenario, survey
+    searched.add_argument("--seed", type=int, default=0, help="seed for randomized search stages")
+    searched.add_argument("--budget", type=int, default=200, help="candidate budget for order searches")
+    horizon = argparse.ArgumentParser(add_help=False)  # mingens, hilbert, hvec, gb, gb-search
+    horizon.add_argument(
         "--max-degree", type=int, default=None, metavar="K",
         help="explicit degree horizon (user completeness bound / series cutoff)",
     )
@@ -304,31 +287,31 @@ def _parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name: str, func, help_: str, parent=family) -> argparse.ArgumentParser:
-        p = sub.add_parser(name, parents=[parent], help=help_)
+    def add(name: str, func, help_: str, *parents) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, parents=[common, *parents], help=help_)
         p.set_defaults(func=func)
         return p
 
     p = add("omega", _cmd_omega, "build a family and emit its monomial set")
     p.add_argument("family", help="family spec, e.g. 'pinched(3,5,2)' or 'group(C(4;0,1,2,3))'")
 
-    p = add("mingens", _cmd_mingens, "minimal generator table of the toric ideal")
+    p = add("mingens", _cmd_mingens, "minimal generator table of the toric ideal", horizon)
     p.add_argument("family")
 
-    p = add("hilbert", _cmd_hilbert, "Hilbert function values HF(0..K)")
+    p = add("hilbert", _cmd_hilbert, "Hilbert function values HF(0..K)", horizon)
     p.add_argument("family")
 
     p = add("normal2", _cmd_normal2, "2-normality check with witness")
     p.add_argument("family")
 
-    p = add("hvec", _cmd_hvec, "h-vector (group slice count or series route)")
+    p = add("hvec", _cmd_hvec, "h-vector (group slice count or series route)", horizon)
     p.add_argument("family")
 
-    p = add("gb", _cmd_gb, "reduced Groebner basis under a given order")
+    p = add("gb", _cmd_gb, "reduced Groebner basis under a given order", horizon)
     p.add_argument("family")
     p.add_argument("--order", default="degrevlex", help="order spec, e.g. 'rc(6,2,3)' or 'lex : w2 > w0 > w1'")
 
-    p = add("gb-search", _cmd_gb_search, "search for a quadratic Groebner basis")
+    p = add("gb-search", _cmd_gb_search, "search for a quadratic Groebner basis", searched, horizon)
     p.add_argument("family")
 
     p = add("lift", _cmd_lift, "lift a family through a variable split")
@@ -339,13 +322,11 @@ def _parser() -> argparse.ArgumentParser:
     p = add("label", _cmd_label, "theorem-backed Koszul/quadraticity label for a family")
     p.add_argument("family")
 
-    p = add("scenario", _cmd_scenario, "run a named reproduction scenario")
+    p = add("scenario", _cmd_scenario, "run a named reproduction scenario", searched)
     p.add_argument("name", help="scenario name; see error listing for choices")
 
-    # no --max-degree; None defaults let a mode reject each flag it does not read
-    p = add("survey", _cmd_survey, "survey canonical cyclic groups, or report one group", common)
-    p.add_argument("--seed", type=int, default=None, help="seed for randomized search stages (default 0)")
-    p.add_argument("--budget", type=int, default=None, help="candidate budget for order searches (default 200)")
+    # None defaults let --group reject each flag it does not read
+    p = add("survey", _cmd_survey, "survey canonical cyclic groups, or report one group", searched)
     p.add_argument("--n", type=int, default=None, help="number of variables minus one (default 2)")
     p.add_argument("--d-min", type=int, default=None, help="smallest group order (default 2)")
     mode = p.add_mutually_exclusive_group()
@@ -354,7 +335,6 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--jsonl", default=None, metavar="PATH", help="append-only row store (enables resuming)")
     p.add_argument("--csv", default=None, metavar="PATH", help="write a CSV digest of the row store")
     mode.add_argument("--group", default=None, metavar="GROUP", help="the survey row of one group's canonical form")
-    mode.add_argument("--conjecture1", default=None, metavar="GROUP", help="triple-restriction check for one cyclic group")
 
     return parser
 

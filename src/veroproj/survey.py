@@ -1,14 +1,15 @@
-"""Batch surveys over cyclic group parameters and a conjecture scanner.
+"""Batch surveys over cyclic group parameters.
 
 A survey row records, for one diagonal group, the computed generator
 table, the quadraticity and Koszulness verdicts with their provenance,
-and the outcome of a quadratic-order search.  Rows are persisted as
+and the outcome of a quadratic-order search.  A decided row of a cyclic
+group on four or more variables also holds its quadraticity against
+Conjecture 1 (quadratic iff every restriction to three variables passes
+the surface criterion); a mismatch is a counterexample candidate with
+its failing triples, never a bare refutation.  Rows are persisted as
 append-only line-delimited JSON keyed by the group spec, so an
 interrupted survey picks up without recomputing, and a CSV digest is
-regenerated after every run.  The triple-restriction checker compares
-two independently computed routes and flags a mismatch as a
-counterexample candidate with full witness data, never as a bare
-refutation.
+regenerated after every run.
 """
 from __future__ import annotations
 
@@ -41,7 +42,6 @@ __all__ = [
     "SurveyRow",
     "TriState",
     "build_survey_row",
-    "conjecture1_check",
     "survey_groups",
 ]
 
@@ -83,6 +83,7 @@ class SurveyRow:
     canonicalization: dict | None = None
     guard_error: str | None = None
     guard: int | None = None  # the guard a guard_error tripped
+    conjecture1: dict | None = None  # n >= 3 cyclic rows with a decided quadraticity
 
     def __post_init__(self) -> None:
         status = self.gq_search.get("status")
@@ -111,6 +112,8 @@ class SurveyRow:
             out["guard_error"] = self.guard_error
         if self.guard is not None:
             out["guard"] = self.guard
+        if self.conjecture1 is not None:
+            out["conjecture1"] = self.conjecture1
         return out
 
     @classmethod
@@ -127,6 +130,7 @@ class SurveyRow:
             canonicalization=data.get("canonicalization"),
             guard_error=data.get("guard_error"),
             guard=data.get("guard"),
+            conjecture1=data.get("conjecture1"),
         )
 
 
@@ -235,6 +239,17 @@ def build_survey_row(group: DiagonalGroup, options: SurveyOptions = SurveyOption
         }
     else:
         search = not_attempted
+    conjecture1 = None
+    if group.is_cyclic_presentation and group.n >= 3 and quadratic.value != "unknown":
+        failing = [
+            list(vars_) for vars_, restricted in triple_projections(group)
+            if not surface_quadraticity(restricted).quadratic
+        ]
+        consistent = (quadratic.value == "yes") == (not failing)
+        conjecture1 = {
+            "status": "consistent" if consistent else "counterexample-candidate",
+            "failing_triples": failing,
+        }
     return SurveyRow(
         spec=spec,
         n=group.n,
@@ -245,69 +260,8 @@ def build_survey_row(group: DiagonalGroup, options: SurveyOptions = SurveyOption
         generator_degrees=dict(table.degrees),
         timings_ms=timings,
         canonicalization=record,
+        conjecture1=conjecture1,
     )
-
-
-# ---------------------------------------------------------------------------
-# conjecture scanner
-
-
-def conjecture1_check(group: DiagonalGroup, guard: int = DEFAULT_GUARD) -> dict:
-    """Quadraticity of a cyclic group versus all its triple restrictions.
-
-    The conjecture under test: for n >= 3, the projection algebra is
-    quadratic exactly when every restriction to three of the variables
-    satisfies the surface criterion.  A mismatch between the two routes
-    is reported as a counterexample candidate carrying both sides'
-    witnesses; agreement is reported as consistent.
-    """
-    if not group.is_cyclic_presentation:
-        raise ValueError("the triple-restriction conjecture concerns cyclic groups")
-    if group.n < 3:
-        raise ValueError(f"need at least 4 variables, got {group.n + 1}")
-    b1 = invariants_of_degree(group, 1, guard=guard)
-    table = minimal_generator_table(b1, bound="group", guard=guard)
-    parent_quadratic = table.quadraticity().status == "yes"
-    triples = []
-    all_pass = True
-    for vars_, restricted in triple_projections(group):
-        crit = surface_quadraticity(restricted)
-        all_pass = all_pass and crit.quadratic
-        triples.append({
-            "vars": list(vars_),
-            "spec": restricted.spec_string(),
-            "normal_form": [crit.d, list(crit.normal_form)],
-            "gcd_product": crit.gcd_product,
-            "degenerate": crit.degenerate,
-            "quadratic": crit.quadratic,
-        })
-    consistent = parent_quadratic == all_pass
-    out = {
-        "group": group.spec_string(),
-        "status": "consistent" if consistent else "counterexample-candidate",
-        "parent": {
-            "quadratic": parent_quadratic,
-            "generator_degrees": dict(table.degrees),
-            "verified_up_to": table.verified_up_to,
-        },
-        "triples": triples,
-    }
-    if not consistent:
-        if parent_quadratic:
-            failing = [t for t in triples if not t["quadratic"]]
-            out["witness"] = {
-                "side": "triples",
-                "detail": "parent table is quadratic but these restrictions fail the criterion",
-                "failing_triples": failing,
-            }
-        else:
-            beyond = {k: c for k, c in table.degrees.items() if k > 2}
-            out["witness"] = {
-                "side": "parent",
-                "detail": "all restrictions pass the criterion but the parent has higher generators",
-                "generator_degrees_above_2": beyond,
-            }
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -390,13 +344,16 @@ def _reusable(row: SurveyRow, options: SurveyOptions) -> bool:
     Its search must have the options' budget and seed, and must have
     been attempted when the options ask for a search.  A guard-error row
     never got to search; it answers while the guard it tripped is the
-    options' guard.
+    options' guard.  A decided n >= 3 row written before rows carried
+    their Conjecture 1 verdict is stale.
     """
     search = row.gq_search
     if search.get("budget") != options.budget or search.get("seed") != options.seed:
         return False
     if row.guard_error is not None:
         return row.guard == options.guard
+    if row.n >= 3 and row.quadratic.value != "unknown" and row.conjecture1 is None:
+        return False
     return not (options.search and search.get("status") == "not-attempted")
 
 

@@ -262,14 +262,23 @@ def test_survey_usage_and_rows(tmp_path, capsys):
 
 
 def test_survey_conjecture_flags(capsys):
-    code, out, _ = run(capsys, "survey", "--conjecture1", "C(4;0,1,2,3)")
+    code, out, _ = run(capsys, "survey", "--group", "C(4;0,1,2,3)", "--json")
     assert code == 0
-    assert "consistent" in out
-    assert out.count("triple") == 4
+    (row,) = json.loads(out)["rows"]
+    assert row["conjecture1"] == {"status": "consistent", "failing_triples": []}
+
+    code, out, _ = run(capsys, "survey", "--group", "C(5;0,1,2,3)")
+    assert code == 0
+    assert out.endswith(", conjecture1 consistent\n")
+    code, out, _ = run(capsys, "survey", "--group", "C(5;0,1,2,3)", "--json")
+    assert code == 0
+    (row,) = json.loads(out)["rows"]
+    assert row["quadratic"]["value"] == "no"
+    assert row["conjecture1"]["status"] == "consistent" and row["conjecture1"]["failing_triples"]
 
     code, out, _ = run(capsys, "survey", "--group", "C(5;0,1,2)")
     assert code == 0
-    assert "search impossible-non-quadratic" in out
+    assert "search impossible-non-quadratic" in out and "conjecture1" not in out
 
 
 def _without_timings(row: dict) -> dict:
@@ -320,13 +329,11 @@ def test_survey_group_reports_a_guard_trip_and_no_search(capsys):
 
 
 @pytest.mark.parametrize("first, second", [
-    (("--group", "C(5;0,1,2)"), ("--conjecture1", "C(5;0,1,2,3)")),
+    (("--d-max", "3"), ("--group", "C(5;0,1,2)")),
     (("--group", "C(5;0,1,2)"), ("--d-max", "3")),
-    (("--conjecture1", "C(5;0,1,2,3)"), ("--d-max", "3")),
 ])
 def test_survey_modes_exclude_one_another(monkeypatch, capsys, first, second):
     monkeypatch.setattr(cli, "build_survey_row", lambda *_: pytest.fail("a row was built"))
-    monkeypatch.setattr(cli, "conjecture1_check", lambda *_, **__: pytest.fail("a check ran"))
     with pytest.raises(SystemExit) as exc:
         main(["survey", *first, *second])
     assert exc.value.code == 2
@@ -334,11 +341,10 @@ def test_survey_modes_exclude_one_another(monkeypatch, capsys, first, second):
     assert "error:" in err and first[0] in err and second[0] in err
 
 
-@pytest.mark.parametrize("mode", [("--group", "C(5;0,1,2)"), ("--conjecture1", "C(5;0,1,2,3)")])
+@pytest.mark.parametrize("mode", [("--group", "C(5;0,1,2)")])
 @pytest.mark.parametrize("store", ["--jsonl", "--csv"])
 def test_single_group_survey_takes_no_store(tmp_path, monkeypatch, capsys, mode, store):
     monkeypatch.setattr(cli, "build_survey_row", lambda *_: pytest.fail("a row was built"))
-    monkeypatch.setattr(cli, "conjecture1_check", lambda *_, **__: pytest.fail("a check ran"))
     path = tmp_path / "store"
     code, out, err = run(capsys, "survey", *mode, store, str(path))
     assert (code, out) == (2, "")
@@ -349,27 +355,57 @@ def test_single_group_survey_takes_no_store(tmp_path, monkeypatch, capsys, mode,
 @pytest.mark.parametrize("mode, flag", [
     (("--group", "C(5;0,1,2)"), ("--n", "3")),
     (("--group", "C(5;0,1,2)"), ("--d-min", "2")),
-    (("--conjecture1", "C(5;0,1,2,3)"), ("--n", "3")),
-    (("--conjecture1", "C(5;0,1,2,3)"), ("--d-min", "2")),
-    (("--conjecture1", "C(5;0,1,2,3)"), ("--seed", "0")),
-    (("--conjecture1", "C(5;0,1,2,3)"), ("--budget", "200")),
-    (("--conjecture1", "C(5;0,1,2,3)"), ("--no-search",)),
 ])
 def test_single_group_survey_rejects_the_flags_it_does_not_read(monkeypatch, capsys, mode, flag):
     # each flag is rejected even at its default value: the mode would ignore it
     monkeypatch.setattr(cli, "build_survey_row", lambda *_: pytest.fail("a row was built"))
-    monkeypatch.setattr(cli, "conjecture1_check", lambda *_, **__: pytest.fail("a check ran"))
     code, out, err = run(capsys, "survey", *mode, *flag)
     assert (code, out) == (2, "")
     assert err == f"error: {mode[0]} reports one group and takes no {flag[0]}\n"
 
 
-@pytest.mark.parametrize("mode", [("--d-max", "3"), ("--group", "C(5;0,1,2)"), ("--conjecture1", "C(5;0,1,2,3)")])
+@pytest.mark.parametrize("mode", [("--d-max", "3"), ("--group", "C(5;0,1,2)")])
 def test_survey_takes_no_max_degree(capsys, mode):
     with pytest.raises(SystemExit) as exc:
         main(["survey", *mode, "--max-degree", "1"])
     assert exc.value.code == 2
     assert "unrecognized arguments: --max-degree 1" in capsys.readouterr().err
+
+
+# the search and horizon flags each subcommand reads; it rejects the others
+FLAGS_READ = {
+    "omega": (), "normal2": (), "label": (), "lift": (),
+    "mingens": ("--max-degree",), "hilbert": ("--max-degree",),
+    "hvec": ("--max-degree",), "gb": ("--max-degree",),
+    "gb-search": ("--seed", "--budget", "--max-degree"),
+    "scenario": ("--seed", "--budget"),
+    "survey": ("--seed", "--budget"),
+}
+OPERANDS = {
+    "lift": ("full(2,2)", "--sizes", "1,1,1"),
+    "scenario": ("quadratic-surface-gb-search",),
+    "survey": ("--d-max", "3"),
+}
+
+
+@pytest.mark.parametrize("command, flag", [
+    (command, flag)
+    for command, read in FLAGS_READ.items() if command != "survey"  # see test_survey_takes_no_max_degree
+    for flag in ("--seed", "--budget", "--max-degree") if flag not in read
+])
+def test_subcommands_reject_the_flags_they_do_not_read(capsys, command, flag):
+    with pytest.raises(SystemExit) as exc:
+        main([command, *OPERANDS.get(command, ("full(2,2)",)), flag, "3"])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag} 3" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, flag", [
+    (command, flag) for command, read in FLAGS_READ.items() for flag in read
+])
+def test_subcommands_take_the_flags_they_read(command, flag):
+    args = cli._parser().parse_args([command, *OPERANDS.get(command, ("full(2,2)",)), flag, "3"])
+    assert getattr(args, flag[2:].replace("-", "_")) == 3
 
 
 def test_survey_flags_keep_their_defaults(capsys):

@@ -1,8 +1,9 @@
-"""Tests for weight canonicalization, survey rows, and the conjecture scanner."""
+"""Tests for weight canonicalization and survey rows."""
 
 from __future__ import annotations
 
 import csv
+import dataclasses
 import json
 import math
 import random
@@ -12,19 +13,22 @@ import pytest
 from veroproj.cli import main
 from veroproj.errors import GuardExceeded
 from veroproj.families import TheoremVerdict
+from veroproj.fibers import minimal_generator_table
 from veroproj.groups import (
     canonical_group,
     canonical_weight_vectors,
     canonicalize_weights,
     cyclic_group,
+    invariants_of_degree,
     parse_group,
+    surface_quadraticity,
+    triple_projections,
 )
 from veroproj.survey import (
     SurveyOptions,
     SurveyRow,
     TriState,
     build_survey_row,
-    conjecture1_check,
     survey_groups,
 )
 
@@ -361,25 +365,76 @@ def test_survey_rows_without_store(tmp_path):
 
 
 def test_conjecture1_consistent_cases():
+    options = SurveyOptions(search=False)
     # a quadratic parent whose triples all pass the criterion
-    quartic = conjecture1_check(parse_group("C(4;0,1,2,3)"))
-    assert quartic["status"] == "consistent"
-    assert quartic["parent"]["quadratic"] is True
-    assert len(quartic["triples"]) == 4
-    assert all(t["quadratic"] for t in quartic["triples"])
-    assert "witness" not in quartic
+    quartic = build_survey_row(parse_group("C(4;0,1,2,3)"), options)
+    assert quartic.quadratic.value == "yes"
+    assert quartic.conjecture1 == {"status": "consistent", "failing_triples": []}
 
     # a non-quadratic parent with at least one failing triple
-    quintic = conjecture1_check(parse_group("C(5;0,1,2,3)"))
-    assert quintic["status"] == "consistent"
-    assert quintic["parent"]["quadratic"] is False
-    assert any(not t["quadratic"] for t in quintic["triples"])
-    assert any(k > 2 for k in quintic["parent"]["generator_degrees"])
+    quintic = build_survey_row(parse_group("C(5;0,1,2,3)"), options)
+    assert quintic.quadratic.value == "no"
+    assert quintic.conjecture1["status"] == "consistent"
+    assert quintic.conjecture1["failing_triples"]
+    assert any(k > 2 for k in quintic.generator_degrees)
+    assert SurveyRow.from_json_dict(quintic.to_json_dict()).conjecture1 == quintic.conjecture1
 
-    with pytest.raises(ValueError):
-        conjecture1_check(parse_group("C(4;0,1,2)"))  # surfaces are the base case
-    with pytest.raises(ValueError):
-        conjecture1_check(parse_group("C(2;0,1,1,0)+C(2;0,0,1,1)"))
+    # surfaces are the base case, and a noncyclic group has no triple restrictions
+    for group in ("C(4;0,1,2)", "C(2;0,1,1,0)+C(2;0,0,1,1)"):
+        row = build_survey_row(parse_group(group), options)
+        assert row.quadratic.value != "unknown"
+        assert row.conjecture1 is None and "conjecture1" not in row.to_json_dict()
+
+
+def _b1_quadratic(group) -> bool:
+    b1 = invariants_of_degree(group, 1)
+    return minimal_generator_table(b1, bound="group").quadraticity().status == "yes"
+
+
+def test_conjecture1_failing_triples_match_the_restricted_tables():
+    # the gcd criterion against the fiber route, on every restriction of every
+    # canonical threefold group with d <= 8
+    rows = survey_groups(3, range(2, 9), SurveyOptions(search=False))
+    assert rows
+    for row in rows:
+        group = parse_group(row.spec)
+        failing = [list(t) for t, restricted in triple_projections(group) if not _b1_quadratic(restricted)]
+        assert row.conjecture1 == {"status": "consistent", "failing_triples": failing}, row.spec
+
+
+def test_conjecture1_flags_a_failing_triple_of_a_quadratic_parent(monkeypatch):
+    import veroproj.survey
+
+    def failing_one(group):
+        crit = surface_quadraticity(group)
+        return dataclasses.replace(crit, quadratic=False) if group.spec_string() == "C(4;0,1,3)" else crit
+
+    monkeypatch.setattr(veroproj.survey, "surface_quadraticity", failing_one)
+    row = build_survey_row(parse_group("C(4;0,1,2,3)"), SurveyOptions(search=False))
+    assert row.quadratic.value == "yes"
+    assert row.conjecture1 == {"status": "counterexample-candidate", "failing_triples": [[0, 1, 3]]}
+
+
+def test_survey_resume_recomputes_threefold_rows_without_a_conjecture1_verdict(tmp_path):
+    jsonl = tmp_path / "rows.jsonl"
+    options = SurveyOptions(jsonl_path=jsonl, search=False)
+    first = survey_groups(3, [3], options)
+    assert all(row.conjecture1 for row in first)
+    # the store as it was written before rows carried the verdict
+    old = [json.loads(line) for line in jsonl.read_text().splitlines()]
+    jsonl.write_text("".join(
+        json.dumps({k: v for k, v in row.items() if k != "conjecture1"}, sort_keys=True) + "\n"
+        for row in old
+    ))
+
+    again = survey_groups(3, [3], options)
+    assert [row.conjecture1 for row in again] == [row.conjecture1 for row in first]
+    stored = [json.loads(line) for line in jsonl.read_text().splitlines()]
+    assert [row["spec"] for row in stored] == [row.spec for row in first] * 2
+    assert [row["conjecture1"] for row in stored[len(first):]] == [row.conjecture1 for row in first]
+    # the later line wins, so a rerun recomputes nothing
+    assert survey_groups(3, [3], options) == again
+    assert len(jsonl.read_text().splitlines()) == 2 * len(first)
 
 
 def test_group_report_shape(capsys):
