@@ -304,6 +304,18 @@ def _least_shift(d: int, weights: Sequence[int]) -> tuple[int, ...]:
     return min(tuple(sorted(_shift(d, weights, c))) for c in set(weights))
 
 
+def _unit_orbit(d: int, weights: Sequence[int]) -> set[tuple[int, ...]]:
+    """The least sorted shifts of u * weights over the units u mod d.
+
+    u * w generates the group w does, so every member has the same
+    invariants up to the renaming of variables its sort applied.
+    """
+    return {
+        _least_shift(d, [u * w % d for w in weights])
+        for u in range(1, d + 1) if math.gcd(u, d) == 1
+    }
+
+
 def canonicalize_weights(d: int, weights: tuple[int, ...]) -> dict:
     """Audit record mapping a raw cyclic presentation to canonical form.
 

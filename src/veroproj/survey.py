@@ -27,6 +27,7 @@ from .fibers import minimal_generator_table
 from .groebner import search_quadratic_order
 from .groups import (
     DiagonalGroup,
+    _unit_orbit,
     canonical_group,
     canonical_weight_vectors,
     cyclic_group,
@@ -70,7 +71,13 @@ SEARCH_STATUSES = ("found", "not-found-within", "not-attempted", "impossible-non
 
 @dataclass
 class SurveyRow:
-    """One group's worth of survey evidence."""
+    """One group's worth of survey evidence.
+
+    `timings_ms` holds the phases the row ran: `invariants_ms` and
+    `table_ms` when it built its generator table, `search_ms` when it
+    searched.  A survey row served by its unit class's table (see
+    `survey_groups`) has neither of the first two.
+    """
 
     spec: str
     n: int
@@ -180,6 +187,21 @@ class SurveyOptions:
 
 def build_survey_row(group: DiagonalGroup, options: SurveyOptions = SurveyOptions()) -> SurveyRow:
     """Compute one survey row (canonicalizing a cyclic presentation first)."""
+    return _build_row(group, options, {}, None)[0]
+
+
+def _build_row(
+    group: DiagonalGroup, options: SurveyOptions, outcomes: dict, key: str | None
+) -> tuple[SurveyRow, bool]:
+    """The survey row of a group, and whether its table outcome was served.
+
+    `outcomes` maps the unit class `key` to the outcome of the first
+    generator table built for it: its degrees and quadraticity, or the
+    GuardExceeded it raised.  A later member takes that outcome instead
+    of building a table, unless it must search, which needs a table in
+    its own index order; the outcome of that table must then equal the
+    class's, or the row raises.
+    """
     group, record = canonical_group(group)
     spec = group.spec_string()
     timings: dict[str, int] = {}
@@ -192,14 +214,29 @@ def build_survey_row(group: DiagonalGroup, options: SurveyOptions = SurveyOption
         "budget": options.budget,
         "seed": options.seed,
     }
-    try:
-        t0 = _ms()
-        b1 = invariants_of_degree(group, 1, guard=options.guard)
-        timings["invariants_ms"] = _ms() - t0
-        t0 = _ms()
-        table = minimal_generator_table(b1, bound="group", guard=options.guard)
-        timings["table_ms"] = _ms() - t0
-    except GuardExceeded as exc:
+    outcome = shared = outcomes.get(key)
+    served = shared is not None and not (
+        options.search and isinstance(shared, tuple) and shared[1].status != "no"
+    )
+    if not served:
+        try:
+            t0 = _ms()
+            b1 = invariants_of_degree(group, 1, guard=options.guard)
+            timings["invariants_ms"] = _ms() - t0
+            t0 = _ms()
+            table = minimal_generator_table(b1, bound="group", guard=options.guard)
+            timings["table_ms"] = _ms() - t0
+            outcome = (dict(table.degrees), table.quadraticity())
+        except GuardExceeded as exc:
+            outcome = exc
+        if shared is None:
+            outcomes[key] = outcome
+        elif outcome != shared:
+            raise AssertionError(
+                f"{spec}: its own generator table gives {outcome!r}, but its unit class "
+                f"{key} gave {shared!r}"
+            )
+    if isinstance(outcome, GuardExceeded):
         return SurveyRow(
             spec=spec,
             n=group.n,
@@ -210,10 +247,10 @@ def build_survey_row(group: DiagonalGroup, options: SurveyOptions = SurveyOption
             generator_degrees={},
             timings_ms=timings,
             canonicalization=record,
-            guard_error=str(exc),
-            guard=exc.guard,
-        )
-    answer = table.quadraticity()
+            guard_error=str(outcome),
+            guard=outcome.guard,
+        ), served
+    degrees, answer = outcome
     quadratic = TriState(
         answer.status if answer.status in ("yes", "no") else "unknown",
         f"computation:fiber-components-up-to-{answer.verified_up_to}",
@@ -257,11 +294,11 @@ def build_survey_row(group: DiagonalGroup, options: SurveyOptions = SurveyOption
         quadratic=quadratic,
         koszul=koszul,
         gq_search=search,
-        generator_degrees=dict(table.degrees),
+        generator_degrees=dict(degrees),
         timings_ms=timings,
         canonicalization=record,
         conjecture1=conjecture1,
-    )
+    ), served
 
 
 # ---------------------------------------------------------------------------
@@ -371,12 +408,21 @@ def survey_groups(
     appended as they finish, a later line superseding an earlier one; a
     csv_path gets a digest of every row in the store, rewritten at the
     end of each run.
+
+    Canonical vectors w and u * w, for a unit u mod d, present one
+    group, so the survey builds one generator table per such unit class
+    and serves its outcome to the class's other rows (`_build_row`);
+    every row is the row `build_survey_row` gives.  Each order ends with
+    one INFO line on the "veroproj" logger.
     """
-    specs: dict[str, DiagonalGroup] = {}
+    orders: dict[int, dict[str, DiagonalGroup]] = {}
     for d in d_values:
-        for weights in canonical_weight_vectors(n, d, options.guard):
-            g = cyclic_group(d, weights)
-            specs[g.spec_string()] = g
+        if d not in orders:
+            orders[d] = {}
+            for weights in canonical_weight_vectors(n, d, options.guard):
+                g = cyclic_group(d, weights)
+                orders[d][g.spec_string()] = g
+    specs = {spec for members in orders.values() for spec in members}
 
     jsonl_path = Path(options.jsonl_path) if options.jsonl_path is not None else None
     csv_path = Path(options.csv_path) if options.csv_path is not None else None
@@ -391,15 +437,31 @@ def survey_groups(
         spec: row for spec, row in existing.items() if spec in specs and _reusable(row, options)
     }
 
-    for spec, g in specs.items():
-        if spec in rows:
-            continue
-        row = build_survey_row(g, options)
-        rows[row.spec] = row
-        if jsonl_path is not None:
-            with _opened(jsonl_path, "a") as fh:
-                fh.write(json.dumps(row.to_json_dict(), sort_keys=True) + "\n")
-            existing[row.spec] = row
+    outcomes: dict = {}  # unit class -> the outcome of its first table, see _build_row
+    for d, members in orders.items():
+        start = time.perf_counter()
+        class_of: dict[tuple[int, ...], str] = {}  # weights -> their class's first spec
+        reused = served = 0
+        for spec, g in members.items():
+            weights = g.factors[0].weights
+            if weights not in class_of:
+                class_of.update(dict.fromkeys(_unit_orbit(d, weights), spec))
+            if spec in rows:
+                reused += 1
+                continue
+            row, was_served = _build_row(g, options, outcomes, class_of[weights])
+            served += was_served
+            rows[row.spec] = row
+            if jsonl_path is not None:
+                with _opened(jsonl_path, "a") as fh:
+                    fh.write(json.dumps(row.to_json_dict(), sort_keys=True) + "\n")
+                existing[row.spec] = row
+        logger.info(
+            "survey n=%d d=%d: %d rows in %d unit classes, %d reused from the store, "
+            "%d served from a shared outcome, %.2f s",
+            n, d, len(members), len(set(class_of.values())), reused, served,
+            time.perf_counter() - start,
+        )
 
     if csv_path is not None:
         digest_rows = sorted(

@@ -14,6 +14,7 @@ from veroproj.groups import (
     HVector,
     block_group,
     canonical_weight_vectors,
+    canonicalize_weights,
     count_invariants,
     cyclic_group,
     h_vector_group,
@@ -26,8 +27,9 @@ from veroproj.groups import (
     surface_quadraticity,
     triple_projections,
 )
-from veroproj.groups import _invariant_monomials
+from veroproj.groups import _invariant_monomials, _shift, _unit_orbit
 from veroproj.errors import GuardExceeded, SpecParseError
+from veroproj.fibers import minimal_generator_table
 from veroproj.monomials import enumerate_degree
 
 from oracles import canonical_vectors, invariants, is_invariant
@@ -196,6 +198,44 @@ def test_surface_normal_form():
 def test_canonical_weight_vectors_against_orbit_minima(n, d_max):
     for d in range(1, d_max + 1):
         assert canonical_weight_vectors(n, d) == canonical_vectors(n, d), (n, d)
+
+
+@st.composite
+def unit_multiples(draw):
+    """A canonical weight vector w of order d <= 16 on 3 or 4 variables, and a unit u mod d."""
+    n = draw(st.sampled_from((2, 3)))
+    d = draw(st.integers(2, 16))
+    w = draw(st.sampled_from(canonical_weight_vectors(n, d)))
+    return d, w, draw(st.sampled_from([u for u in range(1, d) if math.gcd(u, d) == 1]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(unit_multiples())
+@example((7, (0, 1, 2, 3), 2))  # C(7;0,2,4,6) is C(7;0,1,3,5) sorted after a shift by 6
+def test_unit_multiples_have_renamed_invariants_and_equal_tables(case):
+    """u * w generates the group w does; its canonical form only shifts
+    and sorts, so the invariants agree up to the sort's renaming, and so
+    do the group-bound tables."""
+    d, w, u = case
+    uw = tuple(u * x % d for x in w)
+    canon = tuple(canonicalize_weights(d, uw)["canonical"]["weights"])
+    assert canon in _unit_orbit(d, w) <= set(canonical_weight_vectors(len(w) - 1, d))
+    shifted = next(s for c in uw if sorted(s := _shift(d, uw, c)) == list(canon))
+    perm = sorted(range(len(w)), key=lambda i: shifted[i])  # canon[j] == shifted[perm[j]]
+    b1 = invariants_of_degree(cyclic_group(d, w), 1)
+    b1_canon = invariants_of_degree(cyclic_group(d, canon), 1)
+    assert {tuple(m[i] for i in perm) for m in b1} == set(b1_canon)
+    table = minimal_generator_table(b1, bound="group")
+    canon_table = minimal_generator_table(b1_canon, bound="group")
+    assert (table.degrees, table.cubics) == (canon_table.degrees, canon_table.cubics)
+
+
+def test_unit_orbits_partition_the_canonical_vectors():
+    for n, d in ((2, 12), (3, 10), (4, 7)):
+        vectors = canonical_weight_vectors(n, d)
+        orbits = {frozenset(_unit_orbit(d, w)) for w in vectors}
+        assert sorted(w for orbit in orbits for w in orbit) == vectors
+        assert all(w in _unit_orbit(d, v) for orbit in orbits for v in orbit for w in orbit)
 
 
 def test_lambda_decomposition_worked_examples():

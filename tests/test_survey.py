@@ -339,7 +339,20 @@ def test_survey_csv_digest_is_replaced_atomically(tmp_path, monkeypatch):
         assert len(list(csv.reader(fh))) == 1 + 7
 
 
-def test_survey_search_builds_one_table_per_row(monkeypatch):
+NOT_SEARCHED = ("not-attempted", "impossible-non-quadratic")
+
+
+def _unit_class(row: SurveyRow) -> tuple[int, ...]:
+    """The least canonical weights over the unit multiples of a row's
+    weights, from the definition: every unit, every shift, sorted."""
+    d, weights = row.d, parse_group(row.spec).factors[0].weights
+    return min(
+        min(tuple(sorted((u * w - c) % d for w in weights)) for c in range(d))
+        for u in range(1, d + 1) if math.gcd(u, d) == 1
+    )
+
+
+def test_survey_builds_one_table_per_unit_class_and_per_searched_row(monkeypatch):
     import veroproj.fibers
     import veroproj.groebner
     import veroproj.survey
@@ -353,8 +366,73 @@ def test_survey_search_builds_one_table_per_row(monkeypatch):
     monkeypatch.setattr(veroproj.survey, "minimal_generator_table", counting)
     monkeypatch.setattr(veroproj.groebner, "minimal_generator_table", counting)
     rows = survey_groups(2, [5, 6], SurveyOptions())
-    assert sum(row.gq_search["status"] == "found" for row in rows) >= 2
-    assert len(calls) == len(rows)
+    searched = [row for row in rows if row.gq_search["status"] not in NOT_SEARCHED]
+    assert len(searched) >= 2
+    # a searched row needs a table in its own index order; any other row
+    # is served by the first table of its unit class
+    classes = {(r.d, _unit_class(r)) for r in rows}
+    unsearched_classes = classes - {(r.d, _unit_class(r)) for r in searched}
+    assert unsearched_classes
+    assert len(calls) == len(searched) + len(unsearched_classes)
+
+    calls.clear()
+    rows = survey_groups(3, [8, 9, 10], SurveyOptions(search=False))
+    assert len(rows) == 140
+    assert len(calls) == len({(r.d, _unit_class(r)) for r in rows}) == 42
+
+
+@pytest.mark.parametrize("n, orders, options", [
+    (2, range(2, 25), SurveyOptions()),
+    (3, range(4, 11), SurveyOptions(search=False)),
+    (3, range(4, 11), SurveyOptions()),
+    (4, range(2, 9), SurveyOptions(search=False)),
+    # the degree-3 fibers of some classes trip the guard, of others not
+    (2, range(12, 17), SurveyOptions(guard=300)),
+])
+def test_survey_rows_equal_fresh_rows(n, orders, options):
+    rows = survey_groups(n, orders, options)
+    if options.guard == 300:
+        tripped = {(r.d, _unit_class(r)) for r in rows if r.guard_error}
+        assert tripped and len(tripped) < len({(r.d, _unit_class(r)) for r in rows})
+    for row in rows:
+        fresh = build_survey_row(parse_group(row.spec), options)
+        assert {**row.to_json_dict(), "timings_ms": None} == {**fresh.to_json_dict(), "timings_ms": None}
+
+
+def test_a_searched_row_raises_when_its_table_disagrees_with_its_class(monkeypatch):
+    import veroproj.survey
+
+    real = veroproj.survey.minimal_generator_table
+    calls = []
+
+    def wrong_first(*args, **kwargs):
+        table = real(*args, **kwargs)
+        calls.append(table)
+        if len(calls) == 1:  # C(5;0,0,1), first of its class
+            table = dataclasses.replace(table, degrees={**table.degrees, 2: table.degrees[2] + 1})
+        return table
+
+    monkeypatch.setattr(veroproj.survey, "minimal_generator_table", wrong_first)
+    with pytest.raises(AssertionError, match=r"C\(5;0,0,2\): its own generator table gives"):
+        survey_groups(2, [5], SurveyOptions())
+
+
+def test_survey_logs_one_progress_line_per_order(tmp_path, caplog):
+    options = SurveyOptions(jsonl_path=tmp_path / "rows.jsonl", search=False)
+    survey_groups(3, [8], options)
+    with caplog.at_level("INFO", logger="veroproj"):
+        survey_groups(3, [8, 9], options)
+    lines = [r.getMessage() for r in caplog.records if r.getMessage().startswith("survey ")]
+    assert len(lines) == 2
+    assert lines[0].startswith(
+        "survey n=3 d=8: 33 rows in 13 unit classes, 33 reused from the store, "
+        "0 served from a shared outcome, "
+    )
+    assert lines[1].startswith(
+        "survey n=3 d=9: 50 rows in 11 unit classes, 0 reused from the store, "
+        "39 served from a shared outcome, "
+    )
+    assert lines[1].endswith(" s")
 
 
 def test_survey_rows_without_store(tmp_path):
