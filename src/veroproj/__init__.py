@@ -24,10 +24,7 @@ from .groups import (
     cyclic_group,
     h_vector_group,
     invariants_of_degree,
-    lambda_decomposition,
     parse_group,
-    surface_koszul,
-    surface_normal_form,
     surface_quadraticity,
     triple_projections,
 )

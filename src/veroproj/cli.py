@@ -4,12 +4,14 @@ Every subcommand takes a family spec (or a group spec for surveys),
 computes with exact integers only, and prints either a human-readable
 text block or, with --json, a single JSON document.  Exit codes: 0 when
 every expectation held, 1 when a scenario reported a mismatch, 2 on
-usage or spec-parse errors, 3 when a resource guard tripped.
+usage or spec-parse errors, 3 when a resource guard tripped.  Progress
+lines (one per survey order) go to stderr.
 """
 from __future__ import annotations
 
 import argparse
 import json
+import logging
 import sys
 
 from .errors import DEFAULT_GUARD, GuardExceeded, SpecParseError
@@ -342,6 +344,13 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = _parser()
     args = parser.parse_args(argv)
+    # the "veroproj" INFO lines (a survey's one per order) are progress: on stderr, so stdout
+    # stays the report alone, and only until main returns, so in-process callers collect none
+    logger = logging.getLogger("veroproj")
+    progress, level = logging.StreamHandler(sys.stderr), logger.level
+    progress.setLevel(logging.INFO)
+    logger.addHandler(progress)
+    logger.setLevel(min(logger.getEffectiveLevel(), logging.INFO))
     try:
         return args.func(args)
     except GuardExceeded as exc:
@@ -350,6 +359,9 @@ def main(argv=None) -> int:
     except ValueError as exc:  # SpecParseError among them
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        logger.removeHandler(progress)
+        logger.setLevel(level)
 
 
 if __name__ == "__main__":

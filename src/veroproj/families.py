@@ -37,7 +37,7 @@ from .groebner import (
 )
 from .groups import (
     DiagonalGroup,
-    _shift,
+    _normal_form,
     block_group,
     canonical_weight_vectors,
     cyclic_group,
@@ -45,7 +45,6 @@ from .groups import (
     invariants_of_degree,
     parse_group,
     surface_certificate,
-    surface_koszul,
     surface_quadraticity,
 )
 from .monomials import (
@@ -425,20 +424,19 @@ def _group_label(group: DiagonalGroup, t: int, guard: int) -> TheoremVerdict:
         cert = surface_certificate(group)
         if cert is not None:
             return TheoremVerdict("GQuadratic", "proved-by-theorem", cert.rule, detail=cert.detail)
-        verdict = surface_koszul(group, guard)
+        verdict = surface_quadraticity(group, guard)
         citation = (
             "surface-koszul-noncyclic"
             if verdict.route == "noncyclic-invariant"
             else "surface-koszul-classification"
         )
         return TheoremVerdict(
-            "Koszul" if verdict.koszul else "NotKoszul",
+            "Koszul" if verdict.quadratic else "NotKoszul",
             "proved-by-theorem", citation, detail=verdict.detail,
         )
     if group.n == 3 and t == 1 and group.is_cyclic_presentation:
-        f = group.factors[0]
-        d = f.order
-        if sorted(_shift(d, f.weights, f.weights[0])) == [0, 1, 2, 3] and d >= 4:
+        d = group.order
+        if _normal_form(group) == (0, 1, 2, 3) and d >= 4:
             if d == 4:
                 return TheoremVerdict(
                     "GQuadratic", "proved-by-theorem", "quartic-threefold-revlex-gb",
@@ -716,15 +714,11 @@ def _scenario_surface_criterion(opts: ScenarioOptions) -> list[dict]:
 
 def _scenario_surface_koszul(opts: ScenarioOptions) -> list[dict]:
     def check(g: DiagonalGroup) -> str | None:
-        quadratic = surface_quadraticity(g).quadratic
-        verdict = surface_koszul(g)
+        verdict = surface_quadraticity(g)
         b1 = invariants_of_degree(g, 1, guard=opts.guard)
         support2 = any(len(m.support()) == 2 for m in b1)
-        if not (quadratic == verdict.koszul == support2):
-            return (
-                f"{g.spec_string()}: quadratic {quadratic}, koszul {verdict.koszul}, "
-                f"support-2 {support2}"
-            )
+        if verdict.quadratic != support2:
+            return f"{g.spec_string()}: {verdict.route} {verdict.quadratic}, support-2 {support2}"
         return None
 
     return _surface_sweep(20, check, opts)

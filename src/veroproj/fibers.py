@@ -274,11 +274,8 @@ def is_product_of_two(omega: MonomialSet, target: Sequence[int]) -> bool:
             f"target {tuple(t)} is not a degree-{2 * omega.d} monomial in "
             f"{omega.n + 1} variables"
         )
-    for m in omega:
-        if m.divides(t):
-            if t.quotient(m) in omega:
-                return True
-    return False
+    # a member that does not divide the target leaves a negative exponent, which no member has
+    return any(tuple(a - b for a, b in zip(t, m)) in omega for m in omega)
 
 
 def is_2_normal(

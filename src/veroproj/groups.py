@@ -19,9 +19,10 @@ Presentations are taken at face value: weights are reduced modulo the
 factor order but a factor whose action has smaller order than presented
 is kept as presented, because the enumeration degree t * |G| depends on
 the presented order.  All weight arithmetic on cyclic groups lives here:
-the normal form (shift by the first weight, sort) that the surface rules
-read, and the canonical form (least sorted shift, common factor with the
-order divided out) that survey rows are keyed by.
+the normal form (shift by the first weight, sort) that the one surface
+verdict, the surface certificates and the threefold parity label read,
+and the canonical form (least sorted shift, common factor with the order
+divided out) that survey rows are keyed by.
 """
 
 from __future__ import annotations
@@ -299,6 +300,13 @@ def _shift(d: int, weights: Sequence[int], c: int) -> tuple[int, ...]:
     return tuple((w - c) % d for w in weights)
 
 
+def _normal_form(group: DiagonalGroup) -> tuple[int, ...]:
+    """The weights of a cyclic presentation shifted by the first weight,
+    which moves it to zero, then sorted, which renames the variables."""
+    f = group.factors[0]
+    return tuple(sorted(_shift(f.order, f.weights, f.weights[0])))
+
+
 def _least_shift(d: int, weights: Sequence[int]) -> tuple[int, ...]:
     """The lexicographically least sorted shift of the weights."""
     return min(tuple(sorted(_shift(d, weights, c))) for c in set(weights))
@@ -391,86 +399,80 @@ def canonical_weight_vectors(
 
 
 # ---------------------------------------------------------------------------
-# surfaces: cyclic quadraticity criterion, Koszul classification, h-vectors
+# surfaces: the quadraticity verdict, weight certificates, h-vectors
 # ---------------------------------------------------------------------------
 
 
-def surface_normal_form(group: DiagonalGroup) -> tuple[int, tuple[int, int, int]]:
-    """Normalized weights (0, a1, a2) of a cyclic group acting on 3 variables.
+def _gcd_product(d: int, a1: int, a2: int) -> int:
+    """The gcd product of normalized surface weights (0, a1, a2).
 
-    The weights are shifted by the first weight, which moves it to zero,
-    and sorted ascending, which is a relabeling of the variables.
-    """
-    if group.n != 2:
-        raise ValueError(f"surface normal form needs 3 variables, got {group.n + 1}")
-    if not group.is_cyclic_presentation:
-        raise ValueError("surface normal form is defined for cyclic presentations")
-    f = group.factors[0]
-    a0, a1, a2 = sorted(_shift(f.order, f.weights, f.weights[0]))
-    return f.order, (a0, a1, a2)
+    For 0 < a1 <= a2 < d write g1 = gcd(a1, d), a1' = a1/g1, d' = d/g1,
+    and let lam be the unique integer in (0, d'] with
+    lam * a1' == a2 (mod d').  The product is
 
+        gcd(a1, d) * gcd(lam, d') * gcd(lam - g1, d')
 
-@dataclass(frozen=True)
-class SurfaceCriterion:
-    """Outcome of the gcd criterion for a cyclic surface group."""
-
-    d: int
-    normal_form: tuple[int, int, int]
-    gcd_product: int | None
-    quadratic: bool
-    degenerate: str | None = None
-
-
-def lambda_decomposition(d: int, a1: int, a2: int) -> tuple[int, int, int, int, int]:
-    """Arithmetic core of the surface criterion.
-
-    For normalized weights (0, a1, a2) with 0 < a1 <= a2 < d, write
-    g1 = gcd(a1, d), a1' = a1/g1, d' = d/g1, and let lam be the unique
-    integer in (0, d'] with lam * a1' == a2 (mod d'), mu the matching
-    integer quotient.  Returns (a1', d', lam, mu, product) where
-
-        product = gcd(a1, d) * gcd(lam, d') * gcd(lam - g1, d')
-
-    and the parameterized surface is cut out by quadrics exactly when
-    the product exceeds 1.
+    and the parameterized surface is cut out by quadrics exactly when it
+    exceeds 1.
     """
     if not (0 < a1 <= a2 < d):
         raise ValueError(f"need 0 < a1 <= a2 < d, got ({d}; 0,{a1},{a2})")
     g1 = math.gcd(a1, d)
     a1p = a1 // g1
     dp = d // g1
-    if dp == 1:
-        lam = 1
-    else:
-        lam = a2 * pow(a1p, -1, dp) % dp
-        if lam == 0:
-            lam = dp
-    mu = (a2 - lam * a1p) // dp
-    if a2 != lam * a1p + mu * dp:
-        raise AssertionError(f"lam={lam} does not solve lam*{a1p} == {a2} (mod {dp})")
-    product = g1 * math.gcd(lam, dp) * math.gcd(lam - g1, dp)
-    return a1p, dp, lam, mu, product
+    lam = a2 * pow(a1p, -1, dp) % dp or dp
+    if not 0 < lam <= dp or (lam * a1p - a2) % dp:
+        raise AssertionError(f"lam={lam} is not in (0, {dp}] or does not solve lam*{a1p} == {a2} (mod {dp})")
+    return g1 * math.gcd(lam, dp) * math.gcd(lam - g1, dp)
 
 
-def surface_quadraticity(group: DiagonalGroup) -> SurfaceCriterion:
-    """Apply the gcd criterion to a cyclic group acting on P^2.
+@dataclass(frozen=True)
+class SurfaceVerdict:
+    """Whether a diagonal surface group's algebra is quadratic, which for
+    these groups is the same as Koszul; `route` names the test that
+    decided it and `detail` what that test saw."""
 
-    Degenerate actions (order 1, or all weights equal after the shift,
-    or only one nonzero weight with a1 = 0 handled by the formula's
-    gcd(0, .) = . convention) come out quadratic, matching the fact that
-    the parameterization is then a full Veronese in disguise.
+    quadratic: bool
+    route: str
+    detail: str
+
+
+def surface_quadraticity(group: DiagonalGroup, guard: int = DEFAULT_GUARD) -> SurfaceVerdict:
+    """Quadraticity, equivalently Koszulness, of a diagonal group on 3 variables.
+
+    A cyclic presentation is decided by the gcd criterion on its normal
+    form (0, a1, a2).  Degenerate actions come out quadratic, matching
+    the fact that the parameterization is then a full Veronese in
+    disguise: order 1 or all weights equal (no product), or a1 = 0 (the
+    product is d).  A presentation with at least two nontrivial factors
+    forming a divisibility chain always has an invariant of the shape
+    x0^e x1^(d-e), which settles it affirmatively.  Any other
+    presentation falls back to the support-2 test on B_1 (enumerated
+    under `guard`), which is equivalent for every diagonal surface group.
     """
-    d, nf = surface_normal_form(group)
-    a0, a1, a2 = nf
-    if a0 != 0:
-        raise AssertionError(f"normal form {nf} does not start at weight 0")
-    if d == 1 or a2 == 0:
-        return SurfaceCriterion(d, nf, None, True, "trivial-action")
-    if a1 == 0:
-        # gcd(0, d) = d, so d' = 1, lam = 1, and the product is d > 1
-        return SurfaceCriterion(d, nf, d, True, "two-variable-action")
-    *_, product = lambda_decomposition(d, a1, a2)
-    return SurfaceCriterion(d, nf, product, product > 1)
+    if group.n != 2:
+        raise ValueError(f"surface classification needs 3 variables, got {group.n + 1}")
+    if group.is_cyclic_presentation:
+        d, nf = group.order, _normal_form(group)
+        _, a1, a2 = nf
+        if d == 1 or a2 == 0:
+            product = None
+        elif a1 == 0:
+            product = d  # gcd(0, d) = d, so d' = 1, lam = 1, and the product is d > 1
+        else:
+            product = _gcd_product(d, a1, a2)
+        quadratic = product is None or product > 1
+        return SurfaceVerdict(quadratic, "gcd-criterion", f"normal form {nf}, gcd product {product}")
+    orders = [f.order for f in group.factors]
+    chain = all(b % a == 0 for a, b in zip(orders, orders[1:]))
+    if chain and all(o >= 2 for o in orders):
+        return SurfaceVerdict(True, "noncyclic-invariant", f"nontrivial invariant-factor chain {orders}")
+    # fall back: quadratic iff some invariant of degree |G| uses exactly 2 variables
+    b1 = invariants_of_degree(group, 1, guard)
+    witness = next((m for m in b1 if len(m.support()) == 2), None)
+    if witness is not None:
+        return SurfaceVerdict(True, "support-2", f"witness {tuple(witness)}")
+    return SurfaceVerdict(False, "support-2", "no invariant uses exactly two variables")
 
 
 @dataclass(frozen=True)
@@ -508,7 +510,7 @@ def surface_certificate(group: DiagonalGroup) -> SurfaceCertificate | None:
     f = group.factors[0]
     d = f.order
     shifted = _shift(d, f.weights, f.weights[0])
-    _, a1, a2 = sorted(shifted)
+    _, a1, a2 = _normal_form(group)
     if d < 2 or a2 == 0:
         return None
     k = 2
@@ -542,47 +544,6 @@ def surface_certificate(group: DiagonalGroup) -> SurfaceCertificate | None:
             f"gcd(d,a1,a2)={delta} reduces to order {d // delta}",
         )
     return None
-
-
-@dataclass(frozen=True)
-class SurfaceKoszulVerdict:
-    koszul: bool
-    route: str
-    detail: str
-
-
-def surface_koszul(group: DiagonalGroup, guard: int = DEFAULT_GUARD) -> SurfaceKoszulVerdict:
-    """Koszul classification for diagonal groups acting on 3 variables.
-
-    For a cyclic presentation, Koszulness, quadraticity, and the gcd
-    criterion all agree.  A presentation with at least two nontrivial
-    factors forming a divisibility chain always has an invariant of the
-    shape x0^e x1^(d-e), which settles Koszulness affirmatively.  Any
-    other presentation falls back to the support-2 test on B_1 (enumerated
-    under `guard`), which is equivalent for every diagonal surface group.
-    """
-    if group.n != 2:
-        raise ValueError(f"surface classification needs 3 variables, got {group.n + 1}")
-    if group.is_cyclic_presentation:
-        crit = surface_quadraticity(group)
-        return SurfaceKoszulVerdict(
-            crit.quadratic,
-            "gcd-criterion",
-            f"normal form {crit.normal_form}, gcd product {crit.gcd_product}",
-        )
-    orders = [f.order for f in group.factors]
-    chain = all(b % a == 0 for a, b in zip(orders, orders[1:]))
-    if chain and len(orders) >= 2 and all(o >= 2 for o in orders):
-        return SurfaceKoszulVerdict(
-            True, "noncyclic-invariant",
-            f"nontrivial invariant-factor chain {orders}",
-        )
-    # fall back: quadratic iff some invariant of degree |G| uses exactly 2 variables
-    b1 = invariants_of_degree(group, 1, guard)
-    witness = next((m for m in b1 if len(m.support()) == 2), None)
-    if witness is not None:
-        return SurfaceKoszulVerdict(True, "support-2", f"witness {tuple(witness)}")
-    return SurfaceKoszulVerdict(False, "support-2", "no invariant uses exactly two variables")
 
 
 @dataclass(frozen=True)

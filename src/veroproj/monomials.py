@@ -42,17 +42,6 @@ class Monomial(tuple):
         """Indices of the variables that appear with positive exponent."""
         return tuple(i for i, e in enumerate(self) if e > 0)
 
-    def divides(self, other: "Monomial") -> bool:
-        if len(self) != len(other):
-            raise ValueError(f"variable count mismatch: {len(self)} vs {len(other)}")
-        return all(a <= b for a, b in zip(self, other))
-
-    def quotient(self, other: "Monomial") -> "Monomial":
-        """Exponent-wise difference self / other; other must divide self."""
-        if not Monomial(other).divides(self):
-            raise ValueError(f"{tuple(other)} does not divide {tuple(self)}")
-        return Monomial(a - b for a, b in zip(self, other))
-
     def __str__(self) -> str:
         parts = []
         for i, e in enumerate(self):

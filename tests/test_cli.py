@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import logging
 import os
 import subprocess
 import sys
@@ -259,6 +260,22 @@ def test_survey_usage_and_rows(tmp_path, capsys):
     specs = [row["spec"] for row in payload["rows"]]
     assert specs == ["C(2;0,0,1)", "C(3;0,0,1)", "C(3;0,0,2)", "C(3;0,1,2)"]
     assert len(jsonl.read_text().splitlines()) == 4
+
+
+def test_survey_prints_one_progress_line_per_order_on_stderr(capsys):
+    logger = logging.getLogger("veroproj")
+    before = (list(logger.handlers), logger.level)
+    code, out, err = run(capsys, "survey", "--d-max", "3", "--no-search", "--json")
+    assert code == 0
+    assert [row["spec"] for row in json.loads(out)["rows"]] == [
+        "C(2;0,0,1)", "C(3;0,0,1)", "C(3;0,0,2)", "C(3;0,1,2)",
+    ]
+    lines = err.splitlines()
+    assert len(lines) == 2
+    assert lines[0].startswith("survey n=2 d=2: 1 rows in 1 unit classes")
+    assert lines[1].startswith("survey n=2 d=3: 3 rows in 2 unit classes")
+    # main detaches its handler, so in-process callers do not collect them
+    assert (logger.handlers, logger.level) == before
 
 
 def test_survey_conjecture_flags(capsys):

@@ -179,6 +179,25 @@ def test_koszul_label_fixed_rules():
     assert koszul_label(FamilySpec("explicit", path="x")).status == "unknown"
 
 
+def test_group_label_details_per_route():
+    # `label --json` prints these details; one group per route of the surface
+    # verdict, and the threefold parity rule on an unsorted shift
+    cases = [
+        ("C(6;0,2,3)", "Koszul", "surface-koszul-classification", "normal form (0, 2, 3), gcd product 6"),
+        ("C(5;0,1,2)", "NotKoszul", "surface-koszul-classification", "normal form (0, 1, 2), gcd product 1"),
+        ("C(5;0,0,0)", "Koszul", "surface-koszul-classification", "normal form (0, 0, 0), gcd product None"),
+        ("C(5;0,0,2)", "Koszul", "surface-koszul-classification", "normal form (0, 0, 2), gcd product 5"),
+        ("C(2;0,1,1)+C(4;0,2,3)", "Koszul", "surface-koszul-noncyclic", "nontrivial invariant-factor chain [2, 4]"),
+        ("C(2;0,1,1)+C(3;0,1,2)", "Koszul", "surface-koszul-classification", "witness (0, 3, 3)"),
+        ("C(1;0,0,0)+C(5;0,1,2)", "NotKoszul", "surface-koszul-classification",
+         "no invariant uses exactly two variables"),
+        ("C(6;0,2,1,3)", "Quadratic", "threefold-parity", "order 6 is even"),
+    ]
+    for group, prop, citation, detail in cases:
+        verdict = koszul_label(parse_family(f"group({group})"))
+        assert (verdict.property, verdict.citation, verdict.detail) == (prop, citation, detail), group
+
+
 def test_labels_never_contradict_computation():
     # any theorem label must agree with a direct generator-degree count
     rng = random.Random(7)

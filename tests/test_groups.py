@@ -19,15 +19,12 @@ from veroproj.groups import (
     cyclic_group,
     h_vector_group,
     invariants_of_degree,
-    lambda_decomposition,
     parse_group,
     surface_certificate,
-    surface_koszul,
-    surface_normal_form,
     surface_quadraticity,
     triple_projections,
 )
-from veroproj.groups import _invariant_monomials, _shift, _unit_orbit
+from veroproj.groups import _gcd_product, _invariant_monomials, _normal_form, _shift, _unit_orbit
 from veroproj.errors import GuardExceeded, SpecParseError
 from veroproj.fibers import minimal_generator_table
 from veroproj.monomials import enumerate_degree
@@ -184,14 +181,15 @@ def test_pure_powers_always_invariant():
 
 
 def test_surface_normal_form():
-    assert surface_normal_form(cyclic_group(4, (1, 2, 0))) == (4, (0, 1, 3))
-    assert surface_normal_form(cyclic_group(6, (2, 2, 2))) == (6, (0, 0, 0))
+    assert _normal_form(cyclic_group(4, (1, 2, 0))) == (0, 1, 3)
+    assert _normal_form(cyclic_group(6, (2, 2, 2))) == (0, 0, 0)
+    assert _normal_form(cyclic_group(6, (1, 3, 2, 4))) == (0, 1, 2, 3)
     with pytest.raises(ValueError):
-        surface_normal_form(parse_group("C(4;0,1,2,3)"))
+        surface_quadraticity(parse_group("C(4;0,1,2,3)"))
     # a canonical surface vector is its own normal form
     for d in range(1, 41):
         for v in canonical_weight_vectors(2, d):
-            assert surface_normal_form(cyclic_group(d, v)) == (d, v)
+            assert _normal_form(cyclic_group(d, v)) == v
 
 
 @pytest.mark.parametrize("n, d_max", [(2, 14), (3, 8), (4, 6)])
@@ -238,37 +236,40 @@ def test_unit_orbits_partition_the_canonical_vectors():
         assert all(w in _unit_orbit(d, v) for orbit in orbits for v in orbit for w in orbit)
 
 
-def test_lambda_decomposition_worked_examples():
+def test_gcd_product_worked_examples():
     # (d; 0,1,3): a1'=1, d'=6, lam=3, product 1*3*2=6 -> quadratic
-    assert lambda_decomposition(6, 1, 3) == (1, 6, 3, 0, 6)
+    assert _gcd_product(6, 1, 3) == 6
     # (d; 0,1,2): product 1 -> not quadratic
-    assert lambda_decomposition(5, 1, 2) == (1, 5, 2, 0, 1)
+    assert _gcd_product(5, 1, 2) == 1
     # (d; 0,2,3): gcd(2,6)=2 already certifies; lam lands at d'=3
-    assert lambda_decomposition(6, 2, 3) == (1, 3, 3, 0, 6)
+    assert _gcd_product(6, 2, 3) == 6
+    with pytest.raises(ValueError):
+        _gcd_product(6, 0, 3)
 
 
-def test_lambda_decomposition_against_bruteforce():
+def test_gcd_product_against_bruteforce():
     rng = random.Random(5)
     for _ in range(200):
         d = rng.randint(2, 30)
         a1 = rng.randint(1, d - 1)
         a2 = rng.randint(a1, d - 1)
-        a1p, dp, lam, mu, product = lambda_decomposition(d, a1, a2)
         g1 = math.gcd(a1, d)
-        assert a1p == a1 // g1 and dp == d // g1
-        assert 0 < lam <= dp
-        assert a2 == lam * a1p + mu * dp
-        # lam is the unique solution in (0, d']
-        sols = [x for x in range(1, dp + 1) if (x * a1p - a2) % dp == 0]
-        assert sols == [lam]
-        assert product == g1 * math.gcd(lam, dp) * math.gcd(lam - g1, dp)
+        a1p, dp = a1 // g1, d // g1
+        # lam is the unique solution in (0, d'] of lam * a1' == a2 (mod d')
+        [lam] = [x for x in range(1, dp + 1) if (x * a1p - a2) % dp == 0]
+        product = g1 * math.gcd(lam, dp) * math.gcd(lam - g1, dp)
+        assert _gcd_product(d, a1, a2) == product, (d, a1, a2)
 
 
 def test_surface_quadraticity_degenerate_cases():
-    assert surface_quadraticity(cyclic_group(1, (0, 0, 0))).quadratic
-    assert surface_quadraticity(cyclic_group(6, (2, 2, 2))).quadratic
-    crit = surface_quadraticity(cyclic_group(5, (0, 0, 2)))
-    assert crit.quadratic and crit.degenerate == "two-variable-action"
+    for weights, d, detail in [
+        ((0, 0, 0), 1, "normal form (0, 0, 0), gcd product None"),
+        ((2, 2, 2), 6, "normal form (0, 0, 0), gcd product None"),
+        ((0, 0, 2), 5, "normal form (0, 0, 2), gcd product 5"),
+    ]:
+        verdict = surface_quadraticity(cyclic_group(d, weights))
+        assert verdict.quadratic and verdict.route == "gcd-criterion", weights
+        assert verdict.detail == detail, weights
 
 
 def test_surface_quadraticity_examples():
@@ -301,14 +302,14 @@ def test_surface_certificate_cases():
 
 
 def test_surface_koszul_routes():
-    cyc = surface_koszul(cyclic_group(5, (0, 1, 2)))
-    assert not cyc.koszul and cyc.route == "gcd-criterion"
-    non = surface_koszul(parse_group("C(2;0,1,1)+C(4;0,2,3)"))
-    assert non.koszul and non.route == "noncyclic-invariant"
+    cyc = surface_quadraticity(cyclic_group(5, (0, 1, 2)))
+    assert not cyc.quadratic and cyc.route == "gcd-criterion"
+    non = surface_quadraticity(parse_group("C(2;0,1,1)+C(4;0,2,3)"))
+    assert non.quadratic and non.route == "noncyclic-invariant"
     # abstractly cyclic two-factor presentation falls back to support-2
-    sneaky = surface_koszul(parse_group("C(1;0,0,0)+C(5;0,1,2)"))
+    sneaky = surface_quadraticity(parse_group("C(1;0,0,0)+C(5;0,1,2)"))
     assert sneaky.route == "support-2"
-    assert not sneaky.koszul
+    assert not sneaky.quadratic
 
 
 def test_surface_koszul_agrees_with_support2():
@@ -318,10 +319,10 @@ def test_surface_koszul_agrees_with_support2():
         a = rng.randint(0, d - 1)
         b = rng.randint(0, d - 1)
         g = cyclic_group(d, (0, a, b))
-        verdict = surface_koszul(g)
+        verdict = surface_quadraticity(g)
         b1 = invariants_of_degree(g, 1)
         expected = any(len(m.support()) == 2 for m in b1)
-        assert verdict.koszul == expected
+        assert verdict.quadratic == expected
 
 
 def test_h_vector_quartic_group():
