@@ -44,7 +44,6 @@ from .groebner import (
     lift_order,
     parse_order,
     quadratic_basis,
-    rc_term_order,
     search_quadratic_order,
     toric_basis,
     toric_generators,

@@ -4,8 +4,8 @@ Every subcommand takes a family spec (or a group spec for surveys),
 computes with exact integers only, and prints either a human-readable
 text block or, with --json, a single JSON document.  Exit codes: 0 when
 every expectation held, 1 when a scenario reported a mismatch, 2 on
-usage or spec-parse errors, 3 when a resource guard tripped.  Progress
-lines (one per survey order) go to stderr.
+usage, spec-parse or survey-store errors, 3 when a resource guard
+tripped.  Progress lines (one per survey order) go to stderr.
 """
 from __future__ import annotations
 
@@ -140,11 +140,7 @@ def _cmd_gb_search(args) -> int:
     )
     payload = {
         "family": spec.spec_string(),
-        "status": result.status,
-        "order": result.order.spec_string() if result.order is not None else None,
-        "tried": result.tried,
-        "budget": result.budget,
-        "seed": result.seed,
+        **result.to_json_dict(),
         "impossible": result.impossible,
         "warning": result.warning,
     }

@@ -29,7 +29,7 @@ from .groebner import (
     buchberger,
     lift_omega,
     lift_order,
-    rc_term_order,
+    parse_order,
     search_quadratic_order,
     toric_basis,
     toric_generators,
@@ -303,19 +303,6 @@ class FamilySpec:
         omega = read_omega(self.path)
         return omega
 
-    @property
-    def derived_degree(self) -> int:
-        """The degree d of the family's monomials, for kinds that derive it."""
-        if self.kind == "koszul1":
-            return self.lam * (self.n + 1)
-        if self.kind == "koszul2":
-            return self.lam * (self.n + 1) - 1
-        if self.kind == "group":
-            return self.group.order * self.t
-        if self.d is not None:
-            return self.d
-        raise ValueError("degree is only known after reading the file")
-
 
 def parse_family(text: str) -> FamilySpec:
     """Parse a family spec string.
@@ -483,12 +470,12 @@ def koszul_label(spec: FamilySpec, guard: int = DEFAULT_GUARD) -> TheoremVerdict
     if k == "koszul1":
         return TheoremVerdict(
             "Koszul", "proved-by-theorem", "removed-power-koszul",
-            detail=f"d = {spec.lam}*({spec.n}+1) = {spec.derived_degree}",
+            detail=f"d = {spec.lam}*({spec.n}+1) = {spec.lam * (spec.n + 1)}",
         )
     if k == "koszul2":
         return TheoremVerdict(
             "Koszul", "proved-by-theorem", "removed-orbit-koszul",
-            detail=f"d = {spec.lam}*({spec.n}+1)-1 = {spec.derived_degree}",
+            detail=f"d = {spec.lam}*({spec.n}+1)-1 = {spec.lam * (spec.n + 1) - 1}",
         )
     if k == "group":
         return _group_label(spec.group, spec.t, guard)
@@ -743,7 +730,8 @@ def _scenario_rc_orders(opts: ScenarioOptions) -> list[dict]:
     for k in range(2, 6):
         stride = k * (k - 1)
         for d in range(stride, 25, stride):
-            order, omega = rc_term_order(d, k)
+            omega = invariants_of_degree(cyclic_group(d, (0, 1, k)), 1)
+            order = parse_order(f"rc({d},{k},{d // stride})", omega)
             gens = toric_generators(omega, guard=opts.guard)
             gb = buchberger(gens, order)
             steps.append(_step(

@@ -197,31 +197,6 @@ class TermOrder:
 # the (r,c)-Lex order for weight patterns (0,1,k)
 
 
-def rc_term_order(d: int, k: int) -> tuple[TermOrder, MonomialSet]:
-    """Lex order making the invariant ring of weights (0,1,k) quadratic.
-
-    Requires d = t*k*(k-1) for an integer t >= 1 and k >= 2.  The order
-    is the one the rc certificate of the cyclic group (0,1,k) mod d puts
-    on its degree-d invariants (see `_rc_order`).  Returns the order
-    together with the invariant set it ranks, tagged with its group so
-    generator tables certify automatically.
-    """
-    _rc_step(d, k)
-    group = cyclic_group(d, (0, 1, k))
-    omega = invariants_of_degree(group, 1)
-    return _rc_order(omega, surface_certificate(group)), omega
-
-
-def _rc_step(d: int, k: int) -> int:
-    """k(k-1), once d and k are checked to admit the (r,c)-Lex order."""
-    if k < 2:
-        raise ValueError(f"need k >= 2, got {k}")
-    step = k * (k - 1)
-    if d <= 0 or d % step != 0:
-        raise ValueError(f"degree {d} is not a positive multiple of k(k-1) = {step}")
-    return step
-
-
 def _rc_order(omega: MonomialSet, cert: SurfaceCertificate) -> TermOrder:
     """The (r,c)-Lex order an rc certificate puts on its group's B_1.
 
@@ -804,6 +779,12 @@ class SearchResult:
     def found(self) -> bool:
         return self.status == "found"
 
+    def to_json_dict(self) -> dict:
+        """The outcome a survey row records as its `gq_search`."""
+        order = self.order.spec_string() if self.order is not None else None
+        return {"status": self.status, "order": order, "tried": self.tried,
+                "budget": self.budget, "seed": self.seed}
+
 
 def ambient_ranks(omega: MonomialSet, xorder: TermOrder) -> tuple[int, ...]:
     """Presentation variables ranked by their members, greatest first.
@@ -1014,10 +995,12 @@ def parse_order(text: str, omega: MonomialSet) -> TermOrder:
             d, k, t = (int(p) for p in parts)
         except ValueError:
             raise SpecParseError("order", text, body, "rc parameters must be integers") from None
-        try:
-            step = _rc_step(d, k)
-        except ValueError as exc:
-            raise SpecParseError("order", text, body, str(exc)) from None
+        if k < 2:
+            raise SpecParseError("order", text, body, f"need k >= 2, got {k}")
+        step = k * (k - 1)
+        if d <= 0 or d % step != 0:
+            reason = f"degree {d} is not a positive multiple of k(k-1) = {step}"
+            raise SpecParseError("order", text, body, reason)
         if d != t * step:
             raise SpecParseError("order", text, body, f"t must be {d // step}")
         group = omega.origin_group

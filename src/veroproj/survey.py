@@ -9,7 +9,9 @@ the surface criterion); a mismatch is a counterexample candidate with
 its failing triples, never a bare refutation.  Rows are persisted as
 append-only line-delimited JSON keyed by the group spec, so an
 interrupted survey picks up without recomputing, and a CSV digest is
-regenerated after every run.
+regenerated after every run.  A row's dataclass fields are its JSON
+schema: it writes and reads its JSON by them, and a stored line that
+is not a row is refused by path and line.
 """
 from __future__ import annotations
 
@@ -103,42 +105,26 @@ class SurveyRow:
             )
 
     def to_json_dict(self) -> dict:
-        out = {
-            "spec": self.spec,
-            "n": self.n,
-            "d": self.d,
-            "quadratic": self.quadratic.to_json_dict(),
-            "koszul": self.koszul.to_json_dict(),
-            "gq_search": self.gq_search,
-            "generator_degrees": {str(k): v for k, v in sorted(self.generator_degrees.items())},
-            "timings_ms": self.timings_ms,
-        }
-        if self.canonicalization is not None:
-            out["canonicalization"] = self.canonicalization
-        if self.guard_error is not None:
-            out["guard_error"] = self.guard_error
-        if self.guard is not None:
-            out["guard"] = self.guard
-        if self.conjecture1 is not None:
-            out["conjecture1"] = self.conjecture1
+        """The fields in declaration order, leaving out the optional ones that are unset."""
+        out = {}
+        for name, value in vars(self).items():
+            if isinstance(value, TriState):
+                value = value.to_json_dict()
+            elif value is None:
+                continue
+            out[name] = value
+        out["generator_degrees"] = {str(k): v for k, v in sorted(self.generator_degrees.items())}
         return out
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "SurveyRow":
-        return cls(
-            spec=data["spec"],
-            n=data["n"],
-            d=data["d"],
-            quadratic=TriState(**data["quadratic"]),
-            koszul=TriState(**data["koszul"]),
-            gq_search=data["gq_search"],
-            generator_degrees={int(k): v for k, v in data["generator_degrees"].items()},
-            timings_ms=data.get("timings_ms", {}),
-            canonicalization=data.get("canonicalization"),
-            guard_error=data.get("guard_error"),
-            guard=data.get("guard"),
-            conjecture1=data.get("conjecture1"),
-        )
+        """The row `to_json_dict` wrote; a key the row has no field for raises a TypeError."""
+        return cls(**{
+            **data,
+            "quadratic": TriState(**data["quadratic"]),
+            "koszul": TriState(**data["koszul"]),
+            "generator_degrees": {int(k): v for k, v in data["generator_degrees"].items()},
+        })
 
 
 def _koszul_tristate(verdict: TheoremVerdict) -> TriState:
@@ -236,25 +222,16 @@ def _build_row(
                 f"{spec}: its own generator table gives {outcome!r}, but its unit class "
                 f"{key} gave {shared!r}"
             )
+    guard_error = guard = None
     if isinstance(outcome, GuardExceeded):
-        return SurveyRow(
-            spec=spec,
-            n=group.n,
-            d=group.order,
-            quadratic=TriState("unknown", "guard"),
-            koszul=koszul,
-            gq_search=not_attempted,
-            generator_degrees={},
-            timings_ms=timings,
-            canonicalization=record,
-            guard_error=str(outcome),
-            guard=outcome.guard,
-        ), served
-    degrees, answer = outcome
-    quadratic = TriState(
-        answer.status if answer.status in ("yes", "no") else "unknown",
-        f"computation:fiber-components-up-to-{answer.verified_up_to}",
-    )
+        guard_error, guard = str(outcome), outcome.guard
+        degrees, quadratic = {}, TriState("unknown", "guard")
+    else:
+        degrees, answer = outcome
+        quadratic = TriState(
+            answer.status if answer.status in ("yes", "no") else "unknown",
+            f"computation:fiber-components-up-to-{answer.verified_up_to}",
+        )
     if quadratic.value != "unknown" and _implied_quadratic(verdict) not in (None, quadratic.value):
         raise AssertionError(
             f"{spec}: theorem {verdict.citation} says {verdict.property}, but the generator "
@@ -262,18 +239,12 @@ def _build_row(
         )
     if quadratic.value == "no":
         search = {**not_attempted, "status": "impossible-non-quadratic"}
-    elif options.search:
+    elif options.search and guard_error is None:
         t0 = _ms()
-        result = search_quadratic_order(
+        search = search_quadratic_order(
             b1, budget=options.budget, seed=options.seed, guard=options.guard, table=table
-        )
+        ).to_json_dict()
         timings["search_ms"] = _ms() - t0
-        search = {
-            **not_attempted,
-            "status": result.status,
-            "order": result.order.spec_string() if result.order is not None else None,
-            "tried": result.tried,
-        }
     else:
         search = not_attempted
     conjecture1 = None
@@ -297,6 +268,8 @@ def _build_row(
         generator_degrees=dict(degrees),
         timings_ms=timings,
         canonicalization=record,
+        guard_error=guard_error,
+        guard=guard,
         conjecture1=conjecture1,
     ), served
 
@@ -314,7 +287,8 @@ def _load_jsonl(path: Path) -> dict[str, SurveyRow]:
 
     An interrupted append leaves a torn final line; it is logged and cut
     from the file, so the next append starts on a line of its own and
-    the row is computed again.  A malformed line anywhere else raises.
+    the row is computed again.  A malformed line anywhere else, or a
+    line that parses but is not a row, raises a ValueError naming it.
     """
     rows: dict[str, SurveyRow] = {}
     if not path.exists():
@@ -333,8 +307,11 @@ def _load_jsonl(path: Path) -> dict[str, SurveyRow]:
             with path.open("r+b") as fh:
                 fh.truncate(sum(len(kept) for kept in lines[:i]))
             break
-        row = SurveyRow.from_json_dict(data)
-        rows[row.spec] = row
+        try:
+            row = SurveyRow.from_json_dict(data)
+            rows[row.spec] = row
+        except (KeyError, TypeError, AttributeError, ValueError) as exc:
+            raise ValueError(f"{path}:{i + 1}: not a survey row: {type(exc).__name__}: {exc}") from exc
     return rows
 
 

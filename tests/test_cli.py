@@ -128,10 +128,44 @@ def test_gb_search_outcomes(capsys):
     code, out, _ = run(capsys, "gb-search", "group(C(5;0,1,2))", "--json")
     assert code == 0
     payload = json.loads(out)
+    assert list(payload) == [
+        "family", "status", "order", "tried", "budget", "seed", "impossible", "warning"
+    ]
     assert payload["status"] == "not-found-within"
     assert payload["impossible"] is True
     assert payload["tried"] == 0  # the degree-3 generator rules the search out upfront
     assert "degree 3" in payload["warning"]
+
+
+def test_gb_search_text_lines(capsys):
+    code, out, _ = run(capsys, "gb-search", "pinched(2,3,2)", "--budget", "5")
+    assert (code, out) == (0, "not found within budget 5 (seed 0, tried 5)\n")
+
+    # a user horizon certifies the table only that far, so a found order carries a note
+    code, out, _ = run(capsys, "gb-search", "full(2,3)", "--max-degree", "2")
+    found, note = out.splitlines()
+    assert code == 0 and found.startswith("found: ")
+    assert note.startswith("note: generator table only certified up to degree 2; ")
+
+
+def test_a_file_family_runs_end_to_end(tmp_path, capsys):
+    path = tmp_path / "pinched.txt"
+    assert main(["omega", "pinched(2,3,2)", "--out", str(path)]) == 0
+    _, expected, _ = run(capsys, "omega", "pinched(2,3,2)", "--json")
+    code, out, _ = run(capsys, "omega", f"file:{path}", "--json")
+    assert code == 0 and json.loads(out)["members"] == json.loads(expected)["members"]
+
+    code, out, _ = run(capsys, "mingens", f"file:{path}")
+    assert code == 0
+    assert out == (
+        f"family file:{path}\n"
+        "degree 2: 17 minimal generators\n"
+        "completeness: two-normal bound, verified up to degree 3\n"
+        "quadratic: yes\n"
+    )
+
+    code, out, _ = run(capsys, "label", f"file:{path}")
+    assert (code, out) == (0, f"file:{path}: no applicable rule\n")
 
 
 def test_lift_with_certified_basis(capsys):
@@ -260,6 +294,26 @@ def test_survey_usage_and_rows(tmp_path, capsys):
     specs = [row["spec"] for row in payload["rows"]]
     assert specs == ["C(2;0,0,1)", "C(3;0,0,1)", "C(3;0,0,2)", "C(3;0,1,2)"]
     assert len(jsonl.read_text().splitlines()) == 4
+
+
+def _stored_row(**changes) -> dict:
+    row = survey.build_survey_row(parse_group("C(3;0,1,2)")).to_json_dict()
+    return {**row, **changes}
+
+
+@pytest.mark.parametrize("line", [
+    {},
+    [1, 2],
+    _stored_row(koszul={"value": "maybe", "provenance": "no-rule"}),
+    _stored_row(surplus=1),  # a key the row has no field for
+])
+def test_a_store_line_that_is_not_a_row_exits_two(tmp_path, capsys, line):
+    jsonl = tmp_path / "rows.jsonl"
+    jsonl.write_text(json.dumps(line) + "\n")
+    code, out, err = run(capsys, "survey", "--d-max", "3", "--jsonl", str(jsonl))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {jsonl}:1: not a survey row: ")
+    assert jsonl.read_text() == json.dumps(line) + "\n"
 
 
 def test_survey_prints_one_progress_line_per_order_on_stderr(capsys):

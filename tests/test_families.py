@@ -113,13 +113,13 @@ def test_build_complement_ci_and_koszul_kinds():
 
 def test_build_group_slice():
     spec = parse_family("group(C(4;0,1,2,3))")
-    assert spec.derived_degree == 4
     omega = spec.build()
+    assert omega.d == 4
     assert {tuple(m) for m in omega} == QUARTIC_SLICE
 
     doubled = parse_family("group(C(4;0,1,2,3), 2)")
-    assert doubled.derived_degree == 8
     slice2 = doubled.build()
+    assert slice2.d == 8
     assert len(slice2) == 22
     for m in slice2:
         a, b, c, d = tuple(m)

@@ -30,7 +30,6 @@ from veroproj.groebner import (
     lift_order,
     parse_order,
     quadratic_basis,
-    rc_term_order,
     search_quadratic_order,
     toric_basis,
     toric_generators,
@@ -46,6 +45,13 @@ from oracles import (
     brute_components, brute_fibers, code, from_indices, is_gcd_reduced, leads, make, rho_image,
     sequential_buchberger, standard_count, vec_strip,
 )
+
+
+def rc_term_order(d: int, k: int) -> tuple[TermOrder, MonomialSet]:
+    """The rc(d,k,t) order of the degree-d invariants of weights (0,1,k), and those invariants."""
+    omega = invariants_of_degree(cyclic_group(d, (0, 1, k)), 1)
+    return parse_order(f"rc({d},{k},{d // (k * (k - 1))})", omega), omega
+
 
 # Frozen (r, c) table for d = 6, k = 3, worked out by hand from the
 # congruence b + 3c = 6r: row intervals are {0}, [0,2], [3,4], [6,6].
@@ -328,12 +334,13 @@ def test_rc_order_sizes_and_errors():
             assert sum(1 for rr, _ in pairs if rr == r) == t * (k - r) + 1
         assert sum(1 for rr, _ in pairs if rr == 0) == 1
         assert [pairs[v] for v in order.variable_rank] == sorted(pairs, reverse=True)
-    with pytest.raises(ValueError):
-        rc_term_order(5, 2)
-    with pytest.raises(ValueError):
-        rc_term_order(6, 4)
-    with pytest.raises(ValueError):
-        rc_term_order(6, 1)
+    for spec, reason in [
+        ("rc(5,2,2)", "degree 5 is not a positive multiple of k(k-1) = 2"),
+        ("rc(6,4,1)", "degree 6 is not a positive multiple of k(k-1) = 12"),
+        ("rc(6,1,1)", "need k >= 2, got 1"),
+    ]:
+        with pytest.raises(SpecParseError, match=re.escape(reason)):
+            parse_order(spec, omega)
 
 
 def test_toric_generators_examples():

@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from veroproj.families import FamilySpec, parse_family
-from veroproj.groebner import TermOrder, lift_omega, lift_order, parse_order, rc_term_order
-from veroproj.groups import CyclicFactor, DiagonalGroup, parse_group
+from veroproj.groebner import TermOrder, lift_omega, lift_order, parse_order
+from veroproj.groups import CyclicFactor, DiagonalGroup, cyclic_group, invariants_of_degree, parse_group
 from veroproj.monomials import MonomialSet, enumerate_degree, format_omega, read_omega
 
 KINDS = ("lex", "deglex", "degrevlex", "revlex")
@@ -105,6 +105,8 @@ def test_order_spec_round_trip(data):
 @settings(max_examples=12, deadline=None)
 @given(st.integers(2, 4), st.integers(1, 3))
 def test_rc_order_spec_round_trip(k, t):
-    order, omega = rc_term_order(t * k * (k - 1), k)
+    d = t * k * (k - 1)
+    omega = invariants_of_degree(cyclic_group(d, (0, 1, k)), 1)
+    order = parse_order(f"rc({d},{k},{t})", omega)
     back = parse_order(order.spec_string(), omega)
     assert back == order and back.spec_string() == order.spec_string()

@@ -20,15 +20,19 @@ def test_checks_raise_rather_than_assert():
     assert not found, f"assert statements in src/veroproj: {found}"
 
 
-def _names_used(path: Path) -> set[str]:
-    """The names a module reads: bare names and attributes, not its own defs."""
+def _names_read(tree: ast.AST) -> set[str]:
+    """The names a syntax tree reads: bare names and attributes, not its own defs."""
     used = set()
-    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+    for node in ast.walk(tree):
         if isinstance(node, ast.Name):
             used.add(node.id)
         elif isinstance(node, ast.Attribute):
             used.add(node.attr)
     return used
+
+
+def _names_used(path: Path) -> set[str]:
+    return _names_read(ast.parse(path.read_text(), filename=str(path)))
 
 
 def test_every_export_has_a_caller():
@@ -46,6 +50,27 @@ def test_every_export_has_a_caller():
     used = set().union(*map(_names_used, callers))
     unused = [name for name in exports if name not in used]
     assert not unused, f"exported from veroproj with no caller in src/veroproj or perfbench: {unused}"
+
+
+def test_every_public_definition_has_a_reader():
+    # the module-level twin of the export check: a public function or class
+    # that nothing reads outside its own body is code to delete
+    package = Path(veroproj.__file__).resolve().parent
+    perfbench = Path(__file__).resolve().parents[1] / "perfbench"
+    statements = [
+        (path, stmt, _names_read(stmt))
+        for path in sorted(package.glob("*.py")) + sorted(perfbench.glob("*.py"))
+        for stmt in ast.parse(path.read_text(), filename=str(path)).body
+    ]
+    unread = [
+        f"{path.name}:{stmt.lineno} {stmt.name}"
+        for path, stmt, _ in statements
+        if path.parent == package
+        and isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
+        and not stmt.name.startswith("_")
+        and not any(stmt.name in names for _, other, names in statements if other is not stmt)
+    ]
+    assert not unread, f"public in src/veroproj with no reader in src/veroproj or perfbench: {unread}"
 
 
 def test_every_import_is_read():
