@@ -52,11 +52,11 @@ import itertools
 import logging
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from itertools import repeat
 from operator import and_, mul, rshift
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import DEFAULT_GUARD, GuardExceeded, SpecParseError
 from .fibers import GeneratorTable, minimal_generator_table
@@ -660,16 +660,16 @@ def verify_groebner(gb: GroebnerBasis, gens: Sequence[Binomial] | None = None) -
 # quadratic bases read off the degree-2 and degree-3 fibers
 
 
-def _standard_count(order: TermOrder, table: GeneratorTable) -> int:
+def _standard_count(weights: tuple[int, ...], table: GeneratorTable) -> int:
     """The number of degree-3 multisets with no lead among their sub-pairs
-    under the leads an order puts on the degree-2 fibers.
+    under the leads an order of these `weights` puts on the degree-2 fibers.
 
     Each fiber's least pair is picked by comparing weight sums, the first
     of equal sums kept as `min` keeps it (a term order has no ties); the
     others are leads, cleared from the `free` masks.  Only the set bits of
     each mask are walked.  Raises if the count falls below C3.
     """
-    weights, mu = order.weights, order.mu
+    mu = len(weights)
     free = [(1 << mu) - 1] * mu  # free[i]: the j with (i, j) not a lead
     for fiber in table.quadrics:
         it = iter(fiber)
@@ -719,7 +719,7 @@ def quadratic_basis(order: TermOrder, table: GeneratorTable) -> GroebnerBasis | 
         raise ValueError(
             f"quadratic_basis needs a table verified to degree 3, got {table.verified_up_to}"
         )
-    if _standard_count(order, table) != table.cubics:
+    if _standard_count(order.weights, table) != table.cubics:
         return None
     weights, pairs = order.weights, []
     for fiber in table.quadrics:
@@ -879,20 +879,35 @@ def search_quadratic_order(
         )
     if table.cubics is None:
         table = minimal_generator_table(omega, k_max=3, bound="user", guard=guard)
+    result = _search(
+        omega, 0 if impossible else budget, seed, table.cubics,
+        lambda weights: _standard_count(weights, table),
+    )
+    return replace(result, budget=budget, warning=warning, impossible=impossible)
+
+
+def _search(
+    omega: MonomialSet, budget: int, seed: int, cubics: int, count: Callable[[tuple[int, ...]], int]
+) -> SearchResult:
+    """The search loop of `search_quadratic_order`: the first of `budget`
+    candidates whose `count` of standard degree-3 multisets, given the
+    order's weights, is C3 = `cubics`.  `count` need not walk omega's own
+    table: any table whose fibers an index renaming carries onto omega's
+    gives the same counts once the weights are renamed with it."""
     surplus: list[int] = []  # standard degree-3 multisets over C3, per failed candidate
     found = None
-    for order in itertools.islice(_candidate_orders(omega, seed), 0 if impossible else budget):
-        standard = _standard_count(order, table)
-        if standard == table.cubics:
+    for order in itertools.islice(_candidate_orders(omega, seed), budget):
+        standard = count(order.weights)
+        if standard == cubics:
             found = order
             break
-        surplus.append(standard - table.cubics)
+        surplus.append(standard - cubics)
     status, tried = ("found", len(surplus) + 1) if found else ("not-found-within", len(surplus))
     logger.debug(
         "search_quadratic_order: C3 = %d, %s after %d candidates, surplus per failed candidate %s",
-        table.cubics, status, tried, surplus,
+        cubics, status, tried, surplus,
     )
-    return SearchResult(status, found, tried, budget, seed, warning, impossible)
+    return SearchResult(status, found, tried, budget, seed)
 
 
 # ---------------------------------------------------------------------------

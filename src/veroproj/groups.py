@@ -312,16 +312,24 @@ def _least_shift(d: int, weights: Sequence[int]) -> tuple[int, ...]:
     return min(tuple(sorted(_shift(d, weights, c))) for c in set(weights))
 
 
-def _unit_orbit(d: int, weights: Sequence[int]) -> set[tuple[int, ...]]:
-    """The least sorted shifts of u * weights over the units u mod d.
+def _unit_orbit(d: int, weights: Sequence[int]) -> dict[tuple[int, ...], tuple[int, ...]]:
+    """The least sorted shifts of u * weights over the units u mod d, each
+    with the renaming of variables that reaches it.
 
-    u * w generates the group w does, so every member has the same
-    invariants up to the renaming of variables its sort applied.
+    u * w generates the group w does and a shift fixes every slice, so a
+    member has the invariants of w up to the renaming its sort applied:
+    variable j of the member is variable `renaming[j]` of w.  The first
+    unit giving a member names its renaming, so a canonical w maps to
+    itself by the identity.
     """
-    return {
-        _least_shift(d, [u * w % d for w in weights])
-        for u in range(1, d + 1) if math.gcd(u, d) == 1
-    }
+    orbit: dict[tuple[int, ...], tuple[int, ...]] = {}
+    for u in range(1, d + 1):
+        if math.gcd(u, d) == 1:
+            uw = [u * w % d for w in weights]
+            member, shifted = min((tuple(sorted(s)), s) for s in (_shift(d, uw, c) for c in set(uw)))
+            if member not in orbit:
+                orbit[member] = tuple(sorted(range(len(shifted)), key=shifted.__getitem__))
+    return orbit
 
 
 def canonicalize_weights(d: int, weights: tuple[int, ...]) -> dict:

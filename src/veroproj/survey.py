@@ -22,11 +22,12 @@ import os
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Callable, Sequence
 
 from .errors import DEFAULT_GUARD, GuardExceeded
 from .families import FamilySpec, TheoremVerdict, koszul_label
-from .fibers import minimal_generator_table
-from .groebner import search_quadratic_order
+from .fibers import GeneratorTable, minimal_generator_table
+from .groebner import _search, _standard_count
 from .groups import (
     DiagonalGroup,
     _unit_orbit,
@@ -37,6 +38,7 @@ from .groups import (
     surface_quadraticity,
     triple_projections,
 )
+from .monomials import MonomialSet
 
 logger = logging.getLogger("veroproj")
 
@@ -68,6 +70,10 @@ class TriState:
         return {"value": self.value, "provenance": self.provenance}
 
 
+def _is_int(value) -> bool:
+    return type(value) is int  # a bool is not a count
+
+
 SEARCH_STATUSES = ("found", "not-found-within", "not-attempted", "impossible-non-quadratic")
 
 
@@ -77,8 +83,9 @@ class SurveyRow:
 
     `timings_ms` holds the phases the row ran: `invariants_ms` and
     `table_ms` when it built its generator table, `search_ms` when it
-    searched.  A survey row served by its unit class's table (see
-    `survey_groups`) has neither of the first two.
+    searched.  A survey row served by its unit class (see
+    `survey_groups`) has no `table_ms`, and has `invariants_ms` only when
+    it searched, since its candidates are drawn from its own B_1.
     """
 
     spec: str
@@ -95,6 +102,17 @@ class SurveyRow:
     conjecture1: dict | None = None  # n >= 3 cyclic rows with a decided quadraticity
 
     def __post_init__(self) -> None:
+        degrees, search = self.generator_degrees, self.gq_search
+        wrong = [name for name, ok in (
+            ("spec", isinstance(self.spec, str)),
+            ("n", _is_int(self.n)),
+            ("d", _is_int(self.d)),
+            ("generator_degrees", all(map(_is_int, [*degrees, *degrees.values()]))),
+            ("gq_search", all(_is_int(v) for k, v in search.items() if k in ("budget", "seed", "tried"))),
+            ("guard", self.guard is None or _is_int(self.guard)),
+        ) if not ok]
+        if wrong:
+            raise TypeError(f"{', '.join(wrong)} of the wrong type in the row of {self.spec!r}")
         status = self.gq_search.get("status")
         if status not in SEARCH_STATUSES:
             raise ValueError(f"unknown search status {status!r}")
@@ -173,20 +191,68 @@ class SurveyOptions:
 
 def build_survey_row(group: DiagonalGroup, options: SurveyOptions = SurveyOptions()) -> SurveyRow:
     """Compute one survey row (canonicalizing a cyclic presentation first)."""
-    return _build_row(group, options, {}, None)[0]
+    return _build_row(group, options, {}, None, None)[0]
+
+
+def _pullback(
+    spec: str, omega: MonomialSet, class_omega: MonomialSet, renaming: Sequence[int]
+) -> tuple[int, ...]:
+    """For each index k of the class's B_1, the index in the row's own B_1
+    of the member that `renaming` (row variable j is class variable
+    `renaming[j]`) carries to it; raises unless it carries B_1 onto the
+    class's B_1, member for member."""
+    pull: list[int | None] = [None] * len(class_omega)
+    for i, m in enumerate(omega):
+        image = [0] * len(m)
+        for j, e in zip(renaming, m):
+            image[j] = e
+        if image in class_omega:
+            pull[class_omega.index_of(image)] = i
+    if len(omega) != len(class_omega) or None in pull:
+        raise AssertionError(
+            f"{spec}: the renaming {tuple(renaming)} does not carry its B_1 onto its unit class's"
+        )
+    return tuple(pull)
+
+
+def _class_count(
+    table: GeneratorTable, counts: dict, pull: tuple[int, ...] | None
+) -> Callable[[tuple[int, ...]], int]:
+    """The standard count of a row's order weights on its class's table:
+    the weights are pulled back to the class's index order through `pull`
+    (see `_pullback`; None for the row that built the table) and each
+    count is kept in `counts` by the pulled-back weights."""
+    def count(weights: tuple[int, ...]) -> int:
+        if pull is not None:
+            weights = tuple([weights[i] for i in pull])
+        standard = counts.get(weights)
+        if standard is None:
+            standard = counts[weights] = _standard_count(weights, table)
+        return standard
+    return count
 
 
 def _build_row(
-    group: DiagonalGroup, options: SurveyOptions, outcomes: dict, key: str | None
+    group: DiagonalGroup,
+    options: SurveyOptions,
+    classes: dict,
+    key: str | None,
+    renaming: tuple[int, ...] | None,
 ) -> tuple[SurveyRow, bool]:
-    """The survey row of a group, and whether its table outcome was served.
+    """The survey row of a group, and whether its unit class served it.
 
-    `outcomes` maps the unit class `key` to the outcome of the first
-    generator table built for it: its degrees and quadraticity, or the
-    GuardExceeded it raised.  A later member takes that outcome instead
-    of building a table, unless it must search, which needs a table in
-    its own index order; the outcome of that table must then equal the
-    class's, or the row raises.
+    `classes` maps the unit class `key` to what the class's first built
+    row left: the outcome of its generator table (degrees and
+    quadraticity, or the GuardExceeded it raised) and, when the survey
+    searches and the class is not "no", that row's B_1, table and
+    renaming plus a dict of standard counts.  `renaming` is this row's
+    from the class's first weights (see `_unit_orbit`).  A later row
+    takes the outcome instead of building a table.  If it searches, it
+    computes its own B_1, which its candidates are drawn from, and counts
+    each candidate on the class's table through the renaming: the
+    renaming carries every degree-2 and degree-3 fiber onto one of the
+    class's and keeps every pair's weight sum, so each count is the one
+    its own table would give.
     """
     group, record = canonical_group(group)
     spec = group.spec_string()
@@ -200,11 +266,9 @@ def _build_row(
         "budget": options.budget,
         "seed": options.seed,
     }
-    outcome = shared = outcomes.get(key)
-    served = shared is not None and not (
-        options.search and isinstance(shared, tuple) and shared[1].status != "no"
-    )
+    served = key in classes
     if not served:
+        kept = None
         try:
             t0 = _ms()
             b1 = invariants_of_degree(group, 1, guard=options.guard)
@@ -213,15 +277,12 @@ def _build_row(
             table = minimal_generator_table(b1, bound="group", guard=options.guard)
             timings["table_ms"] = _ms() - t0
             outcome = (dict(table.degrees), table.quadraticity())
+            if options.search and outcome[1].status != "no":
+                kept = (b1, table, renaming, {})
         except GuardExceeded as exc:
             outcome = exc
-        if shared is None:
-            outcomes[key] = outcome
-        elif outcome != shared:
-            raise AssertionError(
-                f"{spec}: its own generator table gives {outcome!r}, but its unit class "
-                f"{key} gave {shared!r}"
-            )
+        classes[key] = (outcome, kept)
+    outcome, kept = classes[key]
     guard_error = guard = None
     if isinstance(outcome, GuardExceeded):
         guard_error, guard = str(outcome), outcome.guard
@@ -240,9 +301,18 @@ def _build_row(
     if quadratic.value == "no":
         search = {**not_attempted, "status": "impossible-non-quadratic"}
     elif options.search and guard_error is None:
+        class_b1, table, built_by, counts = kept
+        pull = None
+        if served:
+            t0 = _ms()
+            b1 = invariants_of_degree(group, 1, guard=options.guard)
+            timings["invariants_ms"] = _ms() - t0
+            # both renamings start from the class's first weights, which a
+            # store may have served, so read this row's in the builder's variables
+            pull = _pullback(spec, b1, class_b1, [built_by.index(r) for r in renaming])
         t0 = _ms()
-        search = search_quadratic_order(
-            b1, budget=options.budget, seed=options.seed, guard=options.guard, table=table
+        search = _search(
+            b1, options.budget, options.seed, table.cubics, _class_count(table, counts, pull)
         ).to_json_dict()
         timings["search_ms"] = _ms() - t0
     else:
@@ -388,9 +458,11 @@ def survey_groups(
 
     Canonical vectors w and u * w, for a unit u mod d, present one
     group, so the survey builds one generator table per such unit class
-    and serves its outcome to the class's other rows (`_build_row`);
+    and serves its outcome to the class's other rows, whose searches
+    count their candidates on it through their renaming (`_build_row`);
     every row is the row `build_survey_row` gives.  Each order ends with
-    one INFO line on the "veroproj" logger.
+    one INFO line on the "veroproj" logger, with the candidates tried
+    and the standard counts computed.
     """
     orders: dict[int, dict[str, DiagonalGroup]] = {}
     for d in d_values:
@@ -414,30 +486,33 @@ def survey_groups(
         spec: row for spec, row in existing.items() if spec in specs and _reusable(row, options)
     }
 
-    outcomes: dict = {}  # unit class -> the outcome of its first table, see _build_row
     for d, members in orders.items():
         start = time.perf_counter()
-        class_of: dict[tuple[int, ...], str] = {}  # weights -> their class's first spec
-        reused = served = 0
+        class_of: dict[tuple[int, ...], tuple[str, tuple[int, ...]]] = {}  # weights -> their
+        # class's first spec and their renaming from its weights
+        classes: dict = {}  # unit class -> what its first built row left, see _build_row
+        reused = served = tried = 0
         for spec, g in members.items():
             weights = g.factors[0].weights
             if weights not in class_of:
-                class_of.update(dict.fromkeys(_unit_orbit(d, weights), spec))
+                class_of.update((w, (spec, renaming)) for w, renaming in _unit_orbit(d, weights).items())
             if spec in rows:
                 reused += 1
                 continue
-            row, was_served = _build_row(g, options, outcomes, class_of[weights])
+            row, was_served = _build_row(g, options, classes, *class_of[weights])
             served += was_served
+            tried += row.gq_search["tried"]
             rows[row.spec] = row
             if jsonl_path is not None:
                 with _opened(jsonl_path, "a") as fh:
                     fh.write(json.dumps(row.to_json_dict(), sort_keys=True) + "\n")
                 existing[row.spec] = row
+        counted = sum(len(kept[-1]) for _, kept in classes.values() if kept)  # count dicts' sizes
         logger.info(
             "survey n=%d d=%d: %d rows in %d unit classes, %d reused from the store, "
-            "%d served from a shared outcome, %.2f s",
-            n, d, len(members), len(set(class_of.values())), reused, served,
-            time.perf_counter() - start,
+            "%d served from a shared outcome, %d candidates tried, %d counted, %.2f s",
+            n, d, len(members), len({key for key, _ in class_of.values()}), reused, served,
+            tried, counted, time.perf_counter() - start,
         )
 
     if csv_path is not None:

@@ -316,6 +316,22 @@ def test_a_store_line_that_is_not_a_row_exits_two(tmp_path, capsys, line):
     assert jsonl.read_text() == json.dumps(line) + "\n"
 
 
+@pytest.mark.parametrize("changes", [
+    {"n": "two"},
+    {"d": True},
+    {"spec": 3},
+    {"generator_degrees": {"2": "2"}},
+    {"gq_search": {"status": "found", "order": "lex : w0", "tried": 1.0, "budget": 200, "seed": 0}},
+    {"guard": "100"},
+])
+def test_a_store_row_with_fields_of_the_wrong_type_exits_two(tmp_path, capsys, changes):
+    jsonl = tmp_path / "rows.jsonl"
+    jsonl.write_text(json.dumps(_stored_row(**changes)) + "\n")
+    code, out, err = run(capsys, "survey", "--d-max", "3", "--jsonl", str(jsonl))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {jsonl}:1: not a survey row: TypeError: ")
+
+
 def test_survey_prints_one_progress_line_per_order_on_stderr(capsys):
     logger = logging.getLogger("veroproj")
     before = (list(logger.handlers), logger.level)

@@ -24,7 +24,7 @@ from veroproj.groups import (
     surface_quadraticity,
     triple_projections,
 )
-from veroproj.groups import _gcd_product, _invariant_monomials, _normal_form, _shift, _unit_orbit
+from veroproj.groups import _gcd_product, _invariant_monomials, _normal_form, _unit_orbit
 from veroproj.errors import GuardExceeded, SpecParseError
 from veroproj.fibers import minimal_generator_table
 from veroproj.monomials import enumerate_degree
@@ -217,12 +217,14 @@ def test_unit_multiples_have_renamed_invariants_and_equal_tables(case):
     d, w, u = case
     uw = tuple(u * x % d for x in w)
     canon = tuple(canonicalize_weights(d, uw)["canonical"]["weights"])
-    assert canon in _unit_orbit(d, w) <= set(canonical_weight_vectors(len(w) - 1, d))
-    shifted = next(s for c in uw if sorted(s := _shift(d, uw, c)) == list(canon))
-    perm = sorted(range(len(w)), key=lambda i: shifted[i])  # canon[j] == shifted[perm[j]]
+    orbit = _unit_orbit(d, w)
+    assert canon in orbit and set(orbit) <= set(canonical_weight_vectors(len(w) - 1, d))
+    renaming = orbit[canon]  # variable j of canon is variable renaming[j] of w
+    assert sorted(renaming) == list(range(len(w)))
+    assert orbit[w] == tuple(range(len(w)))
     b1 = invariants_of_degree(cyclic_group(d, w), 1)
     b1_canon = invariants_of_degree(cyclic_group(d, canon), 1)
-    assert {tuple(m[i] for i in perm) for m in b1} == set(b1_canon)
+    assert {tuple(m[i] for i in renaming) for m in b1} == set(b1_canon)
     table = minimal_generator_table(b1, bound="group")
     canon_table = minimal_generator_table(b1_canon, bound="group")
     assert (table.degrees, table.cubics) == (canon_table.degrees, canon_table.cubics)

@@ -9,11 +9,14 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from veroproj.cli import main
 from veroproj.errors import GuardExceeded
 from veroproj.families import TheoremVerdict
 from veroproj.fibers import minimal_generator_table
+from veroproj.groebner import ORDER_KINDS, TermOrder, _standard_count
 from veroproj.groups import (
     canonical_group,
     canonical_weight_vectors,
@@ -24,10 +27,13 @@ from veroproj.groups import (
     surface_quadraticity,
     triple_projections,
 )
+from veroproj.groups import _unit_orbit
 from veroproj.survey import (
     SurveyOptions,
     SurveyRow,
     TriState,
+    _class_count,
+    _pullback,
     build_survey_row,
     survey_groups,
 )
@@ -352,7 +358,7 @@ def _unit_class(row: SurveyRow) -> tuple[int, ...]:
     )
 
 
-def test_survey_builds_one_table_per_unit_class_and_per_searched_row(monkeypatch):
+def test_survey_builds_one_table_per_unit_class(monkeypatch):
     import veroproj.fibers
     import veroproj.groebner
     import veroproj.survey
@@ -365,15 +371,14 @@ def test_survey_builds_one_table_per_unit_class_and_per_searched_row(monkeypatch
 
     monkeypatch.setattr(veroproj.survey, "minimal_generator_table", counting)
     monkeypatch.setattr(veroproj.groebner, "minimal_generator_table", counting)
-    rows = survey_groups(2, [5, 6], SurveyOptions())
-    searched = [row for row in rows if row.gq_search["status"] not in NOT_SEARCHED]
-    assert len(searched) >= 2
-    # a searched row needs a table in its own index order; any other row
-    # is served by the first table of its unit class
-    classes = {(r.d, _unit_class(r)) for r in rows}
-    unsearched_classes = classes - {(r.d, _unit_class(r)) for r in searched}
-    assert unsearched_classes
-    assert len(calls) == len(searched) + len(unsearched_classes)
+    # searched or not, every row is served by the first table of its unit class
+    rows = survey_groups(2, [20, 21], SurveyOptions())
+    assert len(rows) == 122
+    assert len(calls) == len({(r.d, _unit_class(r)) for r in rows}) == 16
+    assert sum("table_ms" in r.timings_ms for r in rows) == 16
+    searched = [r for r in rows if r.gq_search["status"] not in NOT_SEARCHED]
+    served = [r for r in searched if "table_ms" not in r.timings_ms]
+    assert served and all(set(r.timings_ms) == {"invariants_ms", "search_ms"} for r in served)
 
     calls.clear()
     rows = survey_groups(3, [8, 9, 10], SurveyOptions(search=False))
@@ -399,22 +404,67 @@ def test_survey_rows_equal_fresh_rows(n, orders, options):
         assert {**row.to_json_dict(), "timings_ms": None} == {**fresh.to_json_dict(), "timings_ms": None}
 
 
-def test_a_searched_row_raises_when_its_table_disagrees_with_its_class(monkeypatch):
+def test_a_searched_row_raises_when_its_renaming_misses_its_class(monkeypatch):
     import veroproj.survey
 
-    real = veroproj.survey.minimal_generator_table
-    calls = []
+    real = veroproj.survey._unit_orbit
 
-    def wrong_first(*args, **kwargs):
-        table = real(*args, **kwargs)
-        calls.append(table)
-        if len(calls) == 1:  # C(5;0,0,1), first of its class
-            table = dataclasses.replace(table, degrees={**table.degrees, 2: table.degrees[2] + 1})
-        return table
+    def swapped(d, weights):
+        orbit = real(d, weights)
+        if (d, weights) == (5, (0, 0, 1)):
+            # C(5;0,0,2) is 2 * (0,0,1); swap its variables 1 and 2, of weights 0 and 2
+            assert orbit[(0, 0, 2)] == (0, 1, 2)
+            orbit[(0, 0, 2)] = (0, 2, 1)
+        return orbit
 
-    monkeypatch.setattr(veroproj.survey, "minimal_generator_table", wrong_first)
-    with pytest.raises(AssertionError, match=r"C\(5;0,0,2\): its own generator table gives"):
+    monkeypatch.setattr(veroproj.survey, "_unit_orbit", swapped)
+    with pytest.raises(AssertionError, match=r"C\(5;0,0,2\): the renaming \(0, 2, 1\) does not"):
         survey_groups(2, [5], SurveyOptions())
+    # a row that does not search reads only its class's outcome
+    survey_groups(2, [5], SurveyOptions(search=False))
+
+
+def test_a_survey_resumed_without_its_class_leaders_equals_fresh_rows(tmp_path):
+    """A store that holds each unit class's least weights, whose renamings
+    the others are read from, makes a later member build the class table:
+    every searched row then renames through that member's renaming too."""
+    options = SurveyOptions(jsonl_path=tmp_path / "rows.jsonl")
+    fresh = survey_groups(2, [20, 21], SurveyOptions())
+    leaders = [r for r in fresh if parse_group(r.spec).factors[0].weights == _unit_class(r)]
+    assert len(leaders) == 16
+    options.jsonl_path.write_text("".join(json.dumps(r.to_json_dict()) + "\n" for r in leaders))
+    rows = survey_groups(2, [20, 21], options)
+    built = [r for r in rows if r not in leaders]
+    assert len(built) == 106 and sum("table_ms" in r.timings_ms for r in built) == 16
+    assert [{**r.to_json_dict(), "timings_ms": None} for r in rows] == [
+        {**r.to_json_dict(), "timings_ms": None} for r in fresh
+    ]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_a_pulled_back_count_is_the_members_own_count(data):
+    """A member u * w of a unit class counts each order's standard
+    multisets on the class's table, through the renaming `_unit_orbit`
+    gives it, as its own table would, while the class's first row counts
+    the same weights into the same memo."""
+    n = data.draw(st.sampled_from((2, 3)))
+    d = data.draw(st.integers(2, 12))
+    w = data.draw(st.sampled_from(canonical_weight_vectors(n, d)))
+    u = data.draw(st.sampled_from([u for u in range(1, d) if math.gcd(u, d) == 1]))
+    member = tuple(canonicalize_weights(d, tuple(u * x % d for x in w))["canonical"]["weights"])
+    class_b1 = invariants_of_degree(cyclic_group(d, w), 1)
+    b1 = invariants_of_degree(cyclic_group(d, member), 1)
+    class_table = minimal_generator_table(class_b1, bound="group")
+    table = minimal_generator_table(b1, bound="group")
+    counts: dict = {}
+    first = _class_count(class_table, counts, None)
+    pulled = _class_count(class_table, counts, _pullback("member", b1, class_b1, _unit_orbit(d, w)[member]))
+    for _ in range(data.draw(st.integers(1, 6))):
+        ranks = tuple(data.draw(st.permutations(range(len(b1)))))
+        weights = TermOrder(data.draw(st.sampled_from(ORDER_KINDS)), ranks).weights
+        assert first(weights) == _standard_count(weights, class_table)
+        assert pulled(weights) == _standard_count(weights, table)
 
 
 def test_survey_logs_one_progress_line_per_order(tmp_path, caplog):
@@ -426,13 +476,24 @@ def test_survey_logs_one_progress_line_per_order(tmp_path, caplog):
     assert len(lines) == 2
     assert lines[0].startswith(
         "survey n=3 d=8: 33 rows in 13 unit classes, 33 reused from the store, "
-        "0 served from a shared outcome, "
+        "0 served from a shared outcome, 0 candidates tried, 0 counted, "
     )
     assert lines[1].startswith(
         "survey n=3 d=9: 50 rows in 11 unit classes, 0 reused from the store, "
-        "39 served from a shared outcome, "
+        "39 served from a shared outcome, 0 candidates tried, 0 counted, "
     )
     assert lines[1].endswith(" s")
+
+    # a searched order counts each candidate once per unit class and pulled-back weights
+    caplog.clear()
+    with caplog.at_level("INFO", logger="veroproj"):
+        rows = survey_groups(2, [20], SurveyOptions())
+    (line,) = [r.getMessage() for r in caplog.records if r.getMessage().startswith("survey ")]
+    assert sum(row.gq_search["tried"] for row in rows) == 57
+    assert line.startswith(
+        "survey n=2 d=20: 52 rows in 8 unit classes, 0 reused from the store, "
+        "44 served from a shared outcome, 57 candidates tried, 34 counted, "
+    )
 
 
 def test_survey_rows_without_store(tmp_path):
